@@ -4,7 +4,8 @@ Implements the constructive side of the lower-bound argument: the
 lattice-ball cardinality s*, the design (m, s, omega) derived from a
 budget n, the hard family of sign polynomials on the lattice ball, and
 a heuristic best-approximation search (free nodes, least-squares
-weights).  The search upper-bounds the true infimum and the family
+weights solved in coefficient space, which by Parseval gives the L2
+residual).  The search upper-bounds the true infimum and the family
 max lower-bounds nothing rigorously; the resulting statistic is labeled
 heuristic and is meant for shape and monotonicity checks only.
 """
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .sequences import CoefficientSequence, SequenceError
-from .spectral import SpectralFunction, synthesize
+from .spectral import SpectralFunction
 
 __all__ = [
     "GrowthFunction",
@@ -102,9 +103,6 @@ class LowerBoundDesign:
     m: int
     s: int
     omega: float
-
-    def nodes_budget(self) -> int:
-        return self.n
 
 
 def design_for_n(
@@ -195,30 +193,23 @@ def default_probe_generator(
     return SpectralFunction(d, truncation, vals.astype(complex), copy=False)
 
 
-def _translate_matrix(psi: SpectralFunction, nodes: np.ndarray, N: int) -> np.ndarray:
-    """Grid values of psi(x - a_l), one column per node, via batched FFT."""
-    ks = psi.axis_indices()
-    phases = np.exp(-1j * np.outer(ks, nodes))  # (2K+1, n)
-    spec = np.zeros((N, nodes.size), dtype=complex)
-    np.add.at(spec, ks % N, psi.values[:, None] * phases)
-    return np.fft.ifft(spec, axis=0) * N
-
-
 def best_translate_fit(
     f: SpectralFunction,
     psi: SpectralFunction,
     n: int,
     restarts: int = 8,
     seed: int = 0,
-    oversample: int = 8,
     full_output: bool = False,
 ):
     """Least-squares fit of n translates of psi to f with searched nodes.
 
     Restart 0 uses equispaced nodes; later restarts add Gaussian jitter
-    of a quarter node spacing.  Weights solve the convex subproblem
-    exactly on an oversampled grid; the returned residual (normalized
-    L2, minimum across restarts) upper-bounds the true best distance.
+    of a quarter node spacing.  Real weights solve the convex subproblem
+    exactly in coefficient space: f and psi are band-limited, so by
+    Parseval the L2 residual is the residual over |k| <= K, where the
+    translate at node a_l has coefficients psihat_k e^{-i k a_l}.  The
+    returned residual (L2, minimum across restarts) upper-bounds the
+    true best distance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -227,8 +218,10 @@ def best_translate_fit(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     K = max(f.bandwidth, psi.bandwidth)
-    N = oversample * (2 * K + 1)
-    fv = synthesize(f, N).values
+    ks = np.arange(-K, K + 1)
+    fhat = f.trimmed().padded(K).values
+    psihat = psi.trimmed().padded(K).values
+    b2 = np.concatenate([fhat.real, fhat.imag])
     entropy = list(seed) if isinstance(seed, (list, tuple)) else [seed]
     rng = np.random.default_rng(entropy)
     base = 2.0 * math.pi * np.arange(n) / n
@@ -237,9 +230,8 @@ def best_translate_fit(
     regularized = False
     for r in range(restarts):
         nodes = base if r == 0 else (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)
-        A = _translate_matrix(psi, nodes, N)
+        A = psihat[:, None] * np.exp(-1j * np.outer(ks, nodes))
         A2 = np.concatenate([A.real, A.imag])
-        b2 = np.concatenate([fv.real, fv.imag])
         G = A2.T @ A2
         rhs = A2.T @ b2
         try:
@@ -247,12 +239,10 @@ def best_translate_fit(
                 raise np.linalg.LinAlgError
             w = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError:
-            G = G + 1e-12 * N * np.eye(n)
+            G = G + 1e-12 * np.eye(n)
             w = np.linalg.solve(G, rhs)
             regularized = True
-        resid = b2 - A2 @ w
-        value = float(np.linalg.norm(resid) / math.sqrt(N))
-        best = min(best, value)
+        best = min(best, float(np.linalg.norm(b2 - A2 @ w)))
     if full_output:
         return best, regularized
     return best

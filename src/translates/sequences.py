@@ -27,6 +27,7 @@ Built-in families (all real-valued and symmetric):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,6 +58,8 @@ class SequenceError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Tail rules
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -101,40 +104,29 @@ class TailRule:
         return math.exp(-self.rate * (K + 1)) / self.scale
 
     def inv_l1(self, K: int) -> float:
-        K = max(K, self.radius)
-        if self.kind == "finite":
-            return 0.0
-        if self.kind == "power":
-            r = self.rate
-            if r <= 1:
-                return math.inf
-            return 2.0 * K ** (1.0 - r) / ((r - 1.0) * self.scale)
-        if self.kind == "exponential":
-            s = self.rate
-            if s <= 0:
-                return math.inf
-            return 2.0 * math.exp(-s * (K + 1)) / ((1.0 - math.exp(-s)) * self.scale)
-        return math.inf
+        return self._inv_sum(K, self.rate, self.scale)
 
     def inv_l2_sq(self, K: int) -> float:
+        return self._inv_sum(K, 2.0 * self.rate, self.scale**2)
+
+    def _inv_sum(self, K: int, q: float, scale: float) -> float:
+        """Bound on the sum over |k| > K of k^{-q} / scale (power) or e^{-q|k|} / scale."""
         K = max(K, self.radius)
         if self.kind == "finite":
             return 0.0
-        if self.kind == "power":
-            r = self.rate
-            if 2 * r <= 1:
-                return math.inf
-            return 2.0 * K ** (1.0 - 2 * r) / ((2 * r - 1.0) * self.scale**2)
-        if self.kind == "exponential":
-            s = self.rate
-            if s <= 0:
-                return math.inf
-            return (
-                2.0
-                * math.exp(-2 * s * (K + 1))
-                / ((1.0 - math.exp(-2 * s)) * self.scale**2)
-            )
-        return math.inf
+        if self.kind == "power" and q > 1:
+            # integral bound beyond max(K, 1); at K = 0 the k = 1 term stands apart
+            log_term = (1.0 - q) * math.log(max(K, 1))
+            head = 1.0 if K == 0 else 0.0
+            total = head + max(K, 1) ** (1.0 - q) / (q - 1.0)
+        elif self.kind == "exponential" and q > 0:
+            log_term = -q * (K + 1)
+            total = math.exp(log_term) / -math.expm1(-q)
+        else:
+            return math.inf
+        # Round outward: the arithmetic is a few ulp from exact, and rounding
+        # the argument of exp or pow scales the term by up to e^{|log_term| eps}.
+        return 2.0 * total / scale * (1.0 + (8.0 + abs(log_term)) * _EPS)
 
     def radius_for_l1(self, target: float, cap: int = 10**7) -> int:
         """Smallest K (up to cap) with inv_l1(K) <= target, else cap."""

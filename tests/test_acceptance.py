@@ -6,6 +6,8 @@ session-scoped fixtures, and each timed criterion asserts its wall
 budget.
 """
 
+import subprocess
+import sys
 import time
 from pathlib import Path
 

@@ -13,7 +13,7 @@ from translates.lower_bound import (
     sample_F_ns,
 )
 from translates.sequences import Constant, Korobov
-from translates.spectral import SpectralFunction, lp_norm
+from translates.spectral import SpectralFunction, lp_norm, synthesize
 
 
 def test_lattice_count_examples():
@@ -135,6 +135,79 @@ def test_best_fit_nonincreasing_in_nested_budgets():
     # restart 0 is equispaced, so doubling budgets nest the node sets
     vals = [best_translate_fit(f, psi, n, restarts=1, seed=0) for n in (5, 10, 20)]
     assert all(y <= x + 1e-12 for x, y in zip(vals, vals[1:]))
+
+
+def _translate_matrix(psi, nodes, N):
+    """Grid values of psi(x - a_l), one column per node, via batched FFT."""
+    ks = psi.axis_indices()
+    phases = np.exp(-1j * np.outer(ks, nodes))
+    spec = np.zeros((N, nodes.size), dtype=complex)
+    np.add.at(spec, ks % N, psi.values[:, None] * phases)
+    return np.fft.ifft(spec, axis=0) * N
+
+
+def _grid_fit(f, psi, n, restarts, seed, oversample=8):
+    """Oracle: the same node search, solved on an oversampled grid."""
+    K = max(f.bandwidth, psi.bandwidth)
+    N = oversample * (2 * K + 1)
+    fv = synthesize(f, N).values
+    b2 = np.concatenate([fv.real, fv.imag])
+    rng = np.random.default_rng(list(seed) if isinstance(seed, tuple) else [seed])
+    base = 2.0 * math.pi * np.arange(n) / n
+    sigma = 2.0 * math.pi / (4.0 * n)
+    best, regularized = math.inf, False
+    for r in range(restarts):
+        nodes = base if r == 0 else (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)
+        A = _translate_matrix(psi, nodes, N)
+        A2 = np.concatenate([A.real, A.imag])
+        G, rhs = A2.T @ A2, A2.T @ b2
+        if np.linalg.cond(G) > 1e14:
+            G = G + 1e-12 * N * np.eye(n)
+            regularized = True
+        w = np.linalg.solve(G, rhs)
+        best = min(best, float(np.linalg.norm(b2 - A2 @ w) / math.sqrt(N)))
+    return best, regularized
+
+
+def _oracle_cases():
+    lam = Korobov(1.0)
+    psi = default_probe_generator(lam, 512)
+    for n in (10, 20, 40):
+        for t, f in enumerate(sample_F_ns(design_for_n(n, 1, lam), lam, 2, seed=n)):
+            yield f"family-n{n}-t{t}", f, psi, n, (n, t)
+    yield "complex-vs-constant", SpectralFunction.single(1), SpectralFunction.single(0), 4, 1
+    member = sample_F_ns(design_for_n(10, 1, lam), lam, 1, seed=4)[0]
+    yield "f-wider-than-psi", member, default_probe_generator(lam, 4), 6, 2
+    # n > 2 * psi.bandwidth + 1 translates span at most 5 dimensions: ridge path
+    yield "rank-deficient", member, default_probe_generator(lam, 2), 8, 3
+    # a jittered restart beats the equispaced one, so node placement is compared too
+    psi = default_probe_generator(lam, 16)
+    ks = psi.axis_indices()
+    shifted = SpectralFunction(1, psi.radius, psi.values * np.exp(-0.3j * ks))
+    yield "off-grid-translate", shifted, psi, 3, 5
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+def test_best_fit_matches_grid_oracle(case):
+    _, f, psi, n, seed = case
+    got = best_translate_fit(f, psi, n, restarts=8, seed=seed, full_output=True)
+    want = _grid_fit(f, psi, n, restarts=8, seed=seed)
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    assert got[1] == want[1]
+    if case[0] in ("complex-vs-constant", "rank-deficient"):
+        assert got[1]
+
+
+def test_best_fit_ridge_matches_grid_oracle():
+    # Weak edge coefficients leave G with eigenvalues near the ridge, so the
+    # ridge sets the residual.  Rounding in G (~eps * |G|) then moves it by
+    # about 1e-3 relative; a ridge off by the grid size N moves it ~40-fold.
+    psi = SpectralFunction(1, 2, np.array([1e-4, 1, 1, 1, 1e-4], dtype=complex))
+    f = SpectralFunction(1, 2, np.array([1, 0.5, 1, 0.5, 1], dtype=complex))
+    got = best_translate_fit(f, psi, 8, restarts=8, seed=3, full_output=True)
+    want = _grid_fit(f, psi, 8, restarts=8, seed=3)
+    assert got[1] and want[1]
+    assert got[0] == pytest.approx(want[0], rel=0.05)
 
 
 def test_probe_statistic_and_envelopes():

@@ -205,6 +205,17 @@ def test_tail_bounds_dominate_brute_force():
         assert seq.inv_sup_tail(K) >= float(inv[0]) * (1 - 1e-12)
 
 
+def test_tail_bounds_at_radius_zero():
+    for seq in (Korobov(2.0), Korobov(0.75), Exponential(0.5),
+                MaskPower(1.5, MaskSpec("log_damped", c=0.5, bound_c=2.0))):
+        ks = np.arange(1, 200001)
+        inv = np.abs(seq.inv_values(ks))
+        l1, l2 = seq.inv_l1_tail(0), seq.inv_l2_tail_sq(0)
+        assert math.isfinite(l2) and l2 >= 2 * float(np.sum(inv**2))
+        assert math.isinf(l1) or l1 >= 2 * float(np.sum(inv))
+    assert math.isfinite(Korobov(2.0).inv_l1_tail(0))
+
+
 def test_tail_rule_divergence_flags():
     rule = Korobov(0.4).tail_rule()
     assert math.isinf(rule.inv_l1(10))
