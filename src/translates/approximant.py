@@ -24,7 +24,7 @@ from ._alias import (
     k_prime_array,
     md_index_box,
 )
-from .sequences import CoefficientSequence, SequenceError
+from .sequences import CoefficientSequence, SequenceError, box_inv_tail
 from .spectral import SpectralFunction, evaluate_many, lp_norm
 
 __all__ = [
@@ -160,20 +160,7 @@ class TranslateApproximant:
 
     def generator_tail_l1(self) -> float:
         """l1 bound on the discarded generator coefficients."""
-        if self.dimension == 1:
-            return self.beta.inv_l1_tail(self.K_gen)
-        try:
-            full = 1.0
-            box = 1.0
-            for j in range(self.dimension):
-                ax = self.beta._axis_factor(j)
-                ks = np.arange(-self.K_gen, self.K_gen + 1)
-                inside = float(np.sum(np.abs(ax.inv_values(ks))))
-                full *= inside + ax.inv_l1_tail(self.K_gen)
-                box *= inside
-            return full - box
-        except SequenceError:
-            return math.inf
+        return box_inv_tail(self.beta, self.K_gen, 1)
 
     def evaluation_tail_bound(self) -> float:
         """Worst-case pointwise effect of the generator truncation."""

@@ -16,7 +16,7 @@ import numpy as np
 from . import approximant as uni
 from ._alias import coeff_lookup_md, k_prime_array, md_index_box
 from .approximant import ClassElement, SpectralImage, TranslateApproximant
-from .sequences import CoefficientSequence, SequenceError
+from .sequences import CoefficientSequence, SequenceError, box_inv_tail
 from .spectral import SpectralFunction, lp_norm
 
 __all__ = [
@@ -67,11 +67,13 @@ def k_prime_md(k, m: int):
 
 
 def _band_box(lam, beta, m, d):
-    """(inv_lam, inv_beta, alpha) arrays of shape (2m+1,)^d."""
+    """(inv_lam, inv_beta, alpha) arrays of shape (2m+1,)^d, complex if either is."""
     box = md_index_box(m, d)
     shape = (2 * m + 1,) * d
-    inv_lam = np.asarray(lam.inv_values(box), dtype=float).reshape(shape)
-    inv_beta = np.asarray(beta.inv_values(box), dtype=float).reshape(shape)
+    inv_lam = np.asarray(lam.inv_values(box)).reshape(shape)
+    inv_beta = np.asarray(beta.inv_values(box)).reshape(shape)
+    dtype = np.result_type(inv_lam, inv_beta, float)
+    inv_lam, inv_beta = inv_lam.astype(dtype), inv_beta.astype(dtype)
     if np.any(inv_beta == 0):
         raise SequenceError("generator sequence vanishes inside the reproduced band")
     return inv_lam, inv_beta, inv_lam / inv_beta
@@ -158,28 +160,9 @@ def spectral_image_md(
     )
     shape = (2 * K_out + 1,) * d
     gmax = float(np.max(np.abs(elem.g.values))) if elem.g.values.size else 0.0
-    tail = float(np.max(np.abs(alpha))) * math.sqrt(
-        _box_inv_l2_tail_sq(beta, K_out)
-    ) * gmax
+    tail = float(np.max(np.abs(alpha))) * math.sqrt(box_inv_tail(beta, K_out, 2)) * gmax
     func = SpectralFunction(d, K_out, vals.reshape(shape), copy=False)
     return SpectralImage(func, K_out, tail)
-
-
-def _box_inv_l2_tail_sq(seq: CoefficientSequence, K: int) -> float:
-    """sum of |seq^{-1}|^2 outside the box |k|_inf <= K (product sequences)."""
-    if seq.dimension == 1:
-        return seq.inv_l2_tail_sq(K)
-    try:
-        full = 1.0
-        box = 1.0
-        for j in range(seq.dimension):
-            ax = seq._axis_factor(j)
-            inside = float(np.sum(np.abs(ax.inv_values(np.arange(-K, K + 1))) ** 2))
-            full *= inside + ax.inv_l2_tail_sq(K)
-            box *= inside
-        return full - box
-    except SequenceError:
-        return math.inf
 
 
 def approximation_error_md(

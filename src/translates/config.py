@@ -196,6 +196,8 @@ class SweepConfig:
     timing: bool
     probe_count: Optional[int]  # None = all single-frequency probes
     K_out: Optional[int]
+    # p = 2: cap on the alias blocks summed exactly per side, the rest is
+    # bracketed in closed form; general p: reciprocal truncation radius
     J_max: Optional[int]
     out: Optional[str]
 

@@ -3,10 +3,16 @@
 Three budget variants are computed, matching the three error theorems:
 the p = 2 budget (sup of the reciprocal tail vs the l2 sum of blockwise
 alias maxima), the general-p budget (difference tails plus the aliased
-block-edge sum), and the multivariate p = 2 budget with box-truncated
-block sums.  Every sum is truncated explicitly and reports the bound on
-what was discarded; a report whose tail is not negligible is flagged
-rather than silently trusted.
+block-edge sum), and the multivariate p = 2 budget, whose block sum
+factors per axis for product sequences.  Every report carries the
+radius it enumerated and a bound on what that leaves out; a report whose
+tail is not negligible is flagged rather than silently trusted.
+
+The p = 2 block sums are not truncated: the first T blocks are summed
+exactly and the rest is bracketed in closed form from the generator's
+tail rule (Euler-Maclaurin for power tails, a geometric series for
+exponential ones), both ends rounded outward.  The budget takes the
+lower end; ``tail_bound`` is the gap to the upper end.  ``J_max`` caps T.
 
 Two index-range conventions are pinned here: the block sum runs over
 all nonzero block indices (both signs), and the sup of the reciprocal
@@ -17,6 +23,7 @@ matching the univariate convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +39,7 @@ from .sequences import (
     SequenceError,
     TailRule,
     check_nondecreasing_type,
+    product_increment,
 )
 
 __all__ = [
@@ -84,15 +92,106 @@ def gamma_k(lam: CoefficientSequence, beta: CoefficientSequence, m: int, k):
 
 
 # ---------------------------------------------------------------------------
-# Block-tail bounds.  a_j = (2m+1) j - m is the leftmost frequency of the
-# j-th alias block; bounds use that rule reciprocals decrease beyond the
-# scanned range.
+# Alias block sums.  Block t of the grid holds the frequencies n t + k',
+# |k'| <= m, n = 2m + 1; the p = 2 budgets need sum_{t != 0} G_t^2 with
+# G_t = max_{k'} a_{k'} |beta^{-1}(n t + k')| and a = |alpha| on the band.
+
+_EPS = sys.float_info.epsilon
+_BLOCK_REL = 1e-10  # stop enumerating once the bracket width is this small
+_SUM_ULPS = 16  # rounding of a computed term a |beta^{-1}|, squared, and of fsum
 
 
-def _block_l2sq_tail(rule: TailRule, m: int, J: int) -> float:
-    """Bound on sum_{j > J} (sup over block j of |inv|)^2, one-sided."""
-    a = (2 * m + 1) * (J + 1) - m
-    return rule.inv_sup(a - 1) ** 2 + rule.inv_l2_sq(a - 1) / (2 * (2 * m + 1))
+def _profile_sq_series(rule: TailRule, n: int, offsets: np.ndarray, T: int):
+    """Bracket (lo, hi) of sum_{j > T} U(n j + b)^2 for each offset b.
+
+    U is the rule's reciprocal profile beyond its radius, x^{-rate} / scale
+    (power) or e^{-rate x} / scale (exponential).  A power series is the
+    Hurwitz zeta value n^{-q} zeta(q, x), q = 2 rate, x = T + 1 + b / n,
+    summed by Euler-Maclaurin with three Bernoulli terms; x^{-q} is
+    completely monotone, so the remainder is at most the first omitted
+    term (DLMF 2.10(i), 25.11(iii)).  An exponential series is geometric.
+    Both ends are rounded outward; divergent and constant tails give
+    (0, inf), and ``finite`` gives (0, 0).
+    """
+    x0 = n * (T + 1) + np.asarray(offsets, dtype=float)  # first frequency of each series
+    if rule.kind == "finite":
+        return np.zeros_like(x0), np.zeros_like(x0)
+    if rule.kind == "power" and rule.rate > 0.5:
+        q = 2.0 * rule.rate
+        x = x0 / n
+        rising = np.cumprod(q + np.arange(7.0))  # (q)_1 .. (q)_7
+        series = (
+            x / (q - 1.0)
+            + 0.5
+            + rising[0] / (12.0 * x)
+            - rising[2] / (720.0 * x**3)
+            + rising[4] / (30240.0 * x**5)
+        )
+        omitted = rising[6] / (1209600.0 * x**7)
+        log_term = q * np.log(x0)
+        head = x0**-q / rule.scale**2
+        # the omitted term outgrows the sum when x is small (J_max < 32)
+        lo, hi = np.maximum(head * (series - omitted), 0.0), head * (series + omitted)
+    elif rule.kind == "exponential" and rule.rate > 0:
+        q = 2.0 * rule.rate
+        log_term = q * x0
+        lo = hi = np.exp(-log_term) / -math.expm1(-q * n) / rule.scale**2
+    else:
+        return np.zeros_like(x0), np.full_like(x0, math.inf)
+    rel = (_SUM_ULPS + np.abs(log_term)) * _EPS
+    return lo * (1.0 - rel), hi * (1.0 + rel)
+
+
+def _block_sum_bracket(alpha: np.ndarray, beta: CoefficientSequence, m: int, J_max: int):
+    """(S, width, T) with sum_{t != 0} G_t^2 in [S, S + width].
+
+    ``alpha`` holds |alpha_{k'}| on the band and ``beta`` is univariate.
+    Blocks |t| <= T are summed exactly.  T starts at the first block past
+    the rule's radius (at least 32, at most J_max) and doubles, summing
+    only the new blocks, until width <= 1e-10 S or T = J_max.  Blocks
+    |t| > T are bracketed from the rule profile U, per side:
+    hi = a_max^2 sum U(n j - m)^2 and, where the rule is exact,
+    lo = max_{k'} a_{k'}^2 sum U(n j +- k')^2 (else lo = 0).
+    """
+    rule = beta.tail_rule()
+    n = 2 * m + 1
+    jp = np.arange(-m, m + 1)
+    a_sq = alpha**2
+    first = (rule.radius + m) // n + 1  # first block with every |k| > radius
+    T = min(max(32, first), J_max)
+    parts = []
+    done = 0
+    chunk = max(1, 2_000_000 // n)
+    while True:
+        for t0 in range(done + 1, T + 1, chunk):
+            ts = np.arange(t0, min(T, t0 + chunk - 1) + 1)
+            for sign in (1, -1):
+                ks = sign * (n * ts)[:, None] + jp[None, :]
+                g = alpha[None, :] * np.abs(np.asarray(beta.inv_values(ks)))
+                parts.append(math.fsum(g.max(axis=1) ** 2))
+        done = T
+        exact = math.fsum(parts)
+        if T + 1 >= first:
+            lo_b, hi_b = _profile_sq_series(rule, n, jp, T)  # offsets b = k'
+            hi = 2.0 * float(np.max(a_sq)) * float(hi_b[0])  # b = -m bounds both sides
+            # the negative side's series start at n j - k', i.e. offsets reversed
+            lo = float(np.max(a_sq * lo_b) + np.max(a_sq * lo_b[::-1])) if rule.exact else 0.0
+        else:
+            lo, hi = 0.0, math.inf
+        S = (exact + lo) * (1.0 - _SUM_ULPS * _EPS)
+        width = (exact + hi) * (1.0 + _SUM_ULPS * _EPS) - S
+        if width <= _BLOCK_REL * S or T >= J_max:
+            return S, width, T
+        T = min(2 * T, J_max)
+
+
+def _sqrt_gap(S: float, width: float) -> float:
+    """sqrt(S + width) - sqrt(S) without cancellation, rounded up."""
+    if not math.isfinite(width):
+        return math.inf
+    if S + width == 0:
+        return 0.0
+    return width / (math.sqrt(S + width) + math.sqrt(S)) * (1.0 + 4 * _EPS)
 
 
 def _comb_l1_tail(rule: TailRule, step: int, offset: int, T: int) -> float:
@@ -117,43 +216,28 @@ def epsilon_p2(
 ) -> EpsilonReport:
     """p = 2 budget: max of the reciprocal sup tail and the block l2 sum.
 
-    The block sum runs over alias blocks |j| <= J_max (default 1e5 for
-    power tails, 1e3 for exponential) and stops early once the rule
-    bounds the remainder below 1e-10 of the accumulated sum.
+    The block sum sum_{t != 0} G_t^2 is bracketed by ``_block_sum_bracket``:
+    the first T blocks per side are enumerated (J_max caps T; default 1e5
+    for power tails, 1e3 otherwise) and the rest is bracketed in closed
+    form from the generator's tail rule.  ``value`` uses the lower end of
+    the bracket, ``tail_bound`` is what the upper end adds to the square
+    root, and ``truncation_radius`` is T.  For Korobov and Exponential
+    generators paired with themselves the bracket is a few ulp wide.
     """
     if lam.dimension != 1 or beta.dimension != 1:
         raise SequenceError("epsilon_p2 is univariate; see epsilon_p2_md")
-    inv_lam, inv_beta, alpha = band_arrays(lam, beta, m)
-    rule = beta.tail_rule()
+    _, _, alpha = band_arrays(lam, beta, m)
     if J_max is None:
-        J_max = _default_J(rule)
-    alpha_max = float(np.max(np.abs(alpha)))
+        J_max = _default_J(beta.tail_rule())
     sup_term = lam.inv_sup_tail(m)
-    n = 2 * m + 1
-    jp = np.arange(-m, m + 1)
-    acc = 0.0
-    stop_J = J_max
-    block = max(1, 2_000_000 // n)
-    for t0 in range(1, J_max + 1, block):
-        ts = np.arange(t0, min(J_max, t0 + block - 1) + 1)
-        pos = (n * ts)[:, None] + jp[None, :]
-        neg = -(n * ts)[:, None] + jp[None, :]
-        gp = np.abs(alpha)[None, :] * np.abs(np.asarray(beta.inv_values(pos)))
-        gn = np.abs(alpha)[None, :] * np.abs(np.asarray(beta.inv_values(neg)))
-        contrib = float(np.sum(gp.max(axis=1) ** 2) + np.sum(gn.max(axis=1) ** 2))
-        acc += contrib
-        rem = 2 * alpha_max**2 * _block_l2sq_tail(rule, m, int(ts[-1]))
-        if acc > 0 and contrib + rem <= 1e-10 * acc:
-            stop_J = int(ts[-1])
-            break
-    tail_sq = 2 * alpha_max**2 * _block_l2sq_tail(rule, m, stop_J)
-    gamma_sum = math.sqrt(acc)
+    S, width, T = _block_sum_bracket(np.abs(alpha), beta, m, J_max)
+    gamma_sum = math.sqrt(S)
     value = max(sup_term, gamma_sum)
-    tail_bound = math.sqrt(acc + tail_sq) - gamma_sum if math.isfinite(tail_sq) else math.inf
+    tail_bound = _sqrt_gap(S, width)
     flagged = not (math.isfinite(value) and tail_bound < 0.01 * value) if value > 0 else False
     return EpsilonReport(
         value=value,
-        truncation_radius=stop_J,
+        truncation_radius=T,
         tail_bound=tail_bound,
         variant="p2_univariate",
         components={"sup_term": sup_term, "gamma_sum_term": gamma_sum},
@@ -296,11 +380,15 @@ def epsilon_p2_md(
     m: int,
     J_max: Optional[int] = None,
 ) -> EpsilonReport:
-    """Multivariate p = 2 budget with box-truncated block sums.
+    """Multivariate p = 2 budget over the nonzero alias blocks t in Z^d.
 
-    For product sequences the blockwise maxima factor per axis, so the
-    j-sum is a product of univariate sums; otherwise blocks are
-    enumerated directly under the memory guard.
+    For product sequences the blockwise maxima factor per axis: with
+    F_j = sum_{t in Z} G_{j,t}^2 and g_j = G_{j,0}^2 the block sum is
+    prod F_j - prod g_j.  Each axis brackets its t != 0 part with the
+    univariate ``_block_sum_bracket`` (J_max caps the enumerated blocks
+    per axis), and both products are telescoped so nothing cancels.
+    Other sequences are enumerated directly over a box of blocks under
+    the memory guard, with an infinite tail.
     """
     d = lam.dimension
     if beta.dimension != d:
@@ -319,30 +407,28 @@ def epsilon_p2_md(
     n = 2 * m + 1
     jp = np.arange(-m, m + 1)
     try:
-        S = []
-        S0 = []
-        tails = []
-        J_used = 0
+        base, lows, widths = [], [], []
+        trunc = 0
         for j in range(d):
             axl, axb = lam._axis_factor(j), beta._axis_factor(j)
-            rule = axb.tail_rule()
-            J = J_max if J_max is not None else _default_J(rule)
-            J_used = max(J_used, J)
             inv_l = np.asarray(axl.inv_values(jp))
             inv_b = np.asarray(axb.inv_values(jp))
             if np.any(inv_b == 0):
                 raise SequenceError("generator sequence vanishes inside the band")
             alpha = np.abs(inv_l / inv_b)
-            ts = np.arange(-J, J + 1)
-            offs = (n * ts)[:, None] + jp[None, :]
-            G = np.max(alpha[None, :] * np.abs(np.asarray(axb.inv_values(offs))), axis=1)
-            S.append(float(np.sum(G**2)))
-            S0.append(float(G[J] ** 2))  # t = 0 block
-            amax = float(np.max(alpha))
-            tails.append(2 * amax**2 * _block_l2sq_tail(rule, m, J))
-        gamma_sq = float(np.prod(S) - np.prod(S0))
-        tail_sq = float(np.prod([s + t for s, t in zip(S, tails)]) - np.prod(S))
-        trunc = J_used
+            J = J_max if J_max is not None else _default_J(axb.tail_rule())
+            S, width, T = _block_sum_bracket(alpha, axb, m, J)
+            base.append(float(np.max(alpha * np.abs(inv_b))) ** 2)  # t = 0 block
+            lows.append(S)
+            widths.append(width)
+            trunc = max(trunc, T)
+        rel = (_SUM_ULPS + 4 * d) * _EPS
+        gamma_sq = product_increment(base, lows) * (1.0 - rel)
+        if all(math.isfinite(w) for w in widths):
+            width_sq = product_increment([b + s for b, s in zip(base, lows)], widths)
+            width_sq = width_sq * (1.0 + rel) + 3.0 * rel * gamma_sq
+        else:
+            width_sq = math.inf
     except SequenceError:
         # direct enumeration under the guard, rule-free tail
         J = J_max if J_max is not None else 32
@@ -361,13 +447,11 @@ def epsilon_p2_md(
             freqs = box_k + n * jv[None, :]
             g = alpha * np.abs(np.asarray(beta.inv_values(freqs)))
             gamma_sq += float(np.max(g) ** 2)
-        tail_sq = math.inf
+        width_sq = math.inf
         trunc = J
     gamma_sum = math.sqrt(gamma_sq)
     value = max(sup_term, gamma_sum)
-    tail_bound = (
-        math.sqrt(gamma_sq + tail_sq) - gamma_sum if math.isfinite(tail_sq) else math.inf
-    )
+    tail_bound = _sqrt_gap(gamma_sq, width_sq)
     flagged = not (math.isfinite(value) and tail_bound < 0.01 * value) if value > 0 else False
     return EpsilonReport(
         value=value,
@@ -454,16 +538,26 @@ def _ratio_power_probe(seq: CoefficientSequence, rho: float, radius: int) -> boo
 
 
 def _bounded_inv_ratio(beta, lam, radius) -> bool:
-    """|beta_k^{-1}| <= c |lam_k^{-1}| witnessed on the probe range."""
-    ks = np.arange(-radius, radius + 1)
+    """|beta_k^{-1}| <= c |lam_k^{-1}| witnessed on the probe box |k|_inf <= radius.
+
+    The ratio must be finite and must not grow: its max over the outer
+    half of the box stays within 1/0.9 of its max over the inner half,
+    the shrink factor of ``check_nondecreasing_type``.
+    """
+    d = lam.dimension
+    ks = np.arange(-radius, radius + 1) if d == 1 else md_index_box(radius, d)
+    if d == 1 and lam.tail_rule().inv_sup(radius) == 0:
+        return False  # lam^{-1} vanishes beyond the probe range
     ib = np.abs(np.asarray(beta.inv_values(ks)))
     il = np.abs(np.asarray(lam.inv_values(ks)))
-    edge = lam.tail_rule().inv_sup(radius)
-    if edge == 0:
-        return False
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(il > 0, ib / il, np.inf)
-    return bool(np.all(np.isfinite(ratio)))
+    if not np.all(np.isfinite(ratio)):
+        return False
+    size = np.abs(ks) if d == 1 else np.max(np.abs(ks), axis=1)
+    inner = float(np.max(ratio[size <= radius // 2]))
+    outer = float(np.max(ratio[size > radius // 2]))
+    return 0.9 * outer <= inner
 
 
 def _log_ratio_doubling(lam, beta, upto: int = 40) -> bool:
@@ -527,18 +621,19 @@ def predicted_rate(
                 )
             return none("mask/exponent pair needs mask type r > 1")
         if p == 2.0:
-            if (
+            if not (
                 check_nondecreasing_type(lam, 64).holds
                 and check_nondecreasing_type(beta, 64).holds
-                and _bounded_inv_ratio(beta, lam, 64)
             ):
-                pred = RatePrediction(
-                    True, "series_l2", None, "nondecreasing-type pair (probe-certified)", lam
-                )
-                if math.isfinite(pred.value_at(1)):
-                    return pred
-                return none("block series diverges for this sequence")
-            return none("nondecreasing-type probes failed")
+                return none("nondecreasing-type probes failed")
+            if not _bounded_inv_ratio(beta, lam, 64):
+                return none("|beta^-1| / |lam^-1| is not bounded on the probe")
+            pred = RatePrediction(
+                True, "series_l2", None, "nondecreasing-type pair (probe-certified)", lam
+            )
+            if math.isfinite(pred.value_at(1)):
+                return pred
+            return none("block series diverges for this sequence")
         if (
             _symmetric_on_probe(lam)
             and _symmetric_on_probe(beta)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -71,14 +71,17 @@ class TailRule:
     ``finite``:      theta_k^{-1} = 0 beyond radius (truncated generator)
     ``constant``:    |theta_k| = scale beyond radius
 
-    For :class:`CustomSequence` the power/exponential forms are exact
-    continuations, not just bounds.
+    ``exact`` says the reciprocals equal the rule's profile beyond the
+    radius instead of only being bounded by it (Korobov, Exponential, and
+    CustomSequence, whose tail rule is its continuation), so sums of the
+    profile bound the reciprocal sums from below as well as from above.
     """
 
     kind: str
     rate: float = 0.0
     scale: float = 1.0
     radius: int = 0
+    exact: bool = False
 
     def __post_init__(self):
         if self.kind not in ("power", "exponential", "finite", "constant"):
@@ -377,7 +380,7 @@ class Korobov(CoefficientSequence):
         return Korobov(self.r)
 
     def tail_rule(self):
-        return TailRule("power", rate=self.r, scale=1.0, radius=0)
+        return TailRule("power", rate=self.r, scale=1.0, radius=0, exact=True)
 
     def describe(self):
         return f"korobov(r={self.r:g}, d={self.dimension})"
@@ -413,7 +416,7 @@ class Exponential(CoefficientSequence):
         return Exponential(self.s)
 
     def tail_rule(self):
-        return TailRule("exponential", rate=self.s, scale=1.0, radius=0)
+        return TailRule("exponential", rate=self.s, scale=1.0, radius=0, exact=True)
 
     def describe(self):
         return f"exponential(s={self.s:g}, d={self.dimension})"
@@ -586,10 +589,7 @@ class CustomSequence(CoefficientSequence):
                 raise SequenceError(f"custom table missing index {k}")
             if self.table[k] == 0:
                 raise SequenceError("custom table values must be nonzero")
-        if self.tail.radius != radius:
-            object.__setattr__(
-                self, "tail", TailRule(self.tail.kind, self.tail.rate, self.tail.scale, radius)
-            )
+        object.__setattr__(self, "tail", replace(self.tail, radius=radius, exact=True))
         entries = [self.table[k] for k in range(-radius, radius + 1)]
         dtype = complex if any(isinstance(v, complex) and v.imag != 0 for v in entries) else float
         dense = np.array(entries, dtype=dtype)
@@ -637,6 +637,43 @@ class CustomSequence(CoefficientSequence):
 
     def describe(self):
         return f"custom(radius={self._radius}, tail={self.tail.kind})"
+
+
+def product_increment(base, extra) -> float:
+    """prod_j (base_j + extra_j) - prod_j base_j, without cancellation.
+
+    Telescoped as sum_j extra_j prod_{i<j} (base_i + extra_i) prod_{i>j} base_i:
+    for nonnegative entries every term is nonnegative, so the result keeps
+    its relative accuracy however small ``extra`` is next to ``base``.
+    """
+    total = 0.0
+    for j in range(len(base)):
+        term = float(extra[j])
+        for i in range(j):
+            term *= base[i] + extra[i]
+        for i in range(j + 1, len(base)):
+            term *= base[i]
+        total += term
+    return total
+
+
+def box_inv_tail(seq: CoefficientSequence, K: int, power: int) -> float:
+    """Sum of |seq^{-1}|^power (power 1 or 2) outside the box |k|_inf <= K.
+
+    Product sequences factor per axis into inside sums and univariate
+    tails; other multivariate sequences have no computable tail (inf).
+    """
+    if seq.dimension == 1:
+        return seq.inv_l1_tail(K) if power == 1 else seq.inv_l2_tail_sq(K)
+    try:
+        axes = [seq._axis_factor(j) for j in range(seq.dimension)]
+    except SequenceError:
+        return math.inf
+    ks = np.arange(-K, K + 1)
+    inside = [float(np.sum(np.abs(ax.inv_values(ks)) ** power)) for ax in axes]
+    outside = [box_inv_tail(ax, K, power) for ax in axes]
+    # round outward past the summation error of the inside sums
+    return product_increment(inside, outside) * (1.0 + 64 * _EPS)
 
 
 def truncated(seq: CoefficientSequence, degree: int) -> CoefficientSequence:

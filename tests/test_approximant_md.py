@@ -176,3 +176,19 @@ def test_md_dimension_validation():
     g = SpectralFunction.single((0, 0))
     with pytest.raises(SequenceError):
         assemble_Qm_md(ClassElement(LAM2D, g), Korobov(2.0, dimension=3), 1)
+
+
+def test_complex_product_factor_keeps_imaginary_part():
+    # a complex custom factor must reach the filter polynomial unchanged
+    from translates.approximant import build_Hm
+    from translates.sequences import CustomSequence, TailRule
+
+    table = {k: max(abs(k), 1) ** 2 * complex(np.exp(0.3j * k)) for k in range(-6, 7)}
+    axis = CustomSequence(table, TailRule("power", rate=2.0))
+    beta = ProductSequence((axis, Korobov(2.0)))
+    m = 2
+    hm = build_Hm_md(LAM2D, beta, m)
+    a1 = build_Hm(Korobov(2.0), axis, m).values
+    a2 = build_Hm(Korobov(2.0), Korobov(2.0), m).values
+    assert np.max(np.abs(a1.imag)) > 0.1
+    np.testing.assert_allclose(hm.values, np.outer(a1, a2), rtol=1e-14, atol=0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from translates.error_budget import (
     epsilon_general_p,
@@ -13,12 +15,16 @@ from translates.error_budget import (
 )
 from translates.sequences import (
     Constant,
+    CustomSequence,
     Exponential,
     ExponentMask,
     Korobov,
     MaskPower,
     MaskSpec,
     ProductSequence,
+    TailRule,
+    box_inv_tail,
+    product_increment,
     truncated,
 )
 
@@ -119,6 +125,14 @@ def test_epsilon_md_reduction_and_product():
                 for k1, k2 in band
             )
             total += worst**2
+    # the budget sums every block; blocks beyond the box |j|_inf <= J add
+    # F^2 - F_J^2 = (F - F_J)(F + F_J), where F = sum_t G_t^2 is the axis
+    # series (G_0 = 1, G_t = (3|t| - 1)^{-2}) taken to 2e6 blocks
+    ts = np.arange(1.0, 2e6)
+    terms = 2.0 * (3.0 * ts - 1.0) ** -4
+    F_J = 1.0 + math.fsum(terms[:J])
+    beyond = math.fsum(terms[J:])
+    total += beyond * (2.0 * F_J + beyond)
     assert rep.components["gamma_sum_term"] == pytest.approx(math.sqrt(total), rel=1e-12)
     assert rep.components["sup_term"] == pytest.approx(0.25)
 
@@ -233,3 +247,160 @@ def test_complex_custom_budget_paths():
     prof = build_alias_profile(lam, beta, 2, K_out=2000)
     direct = approximation_error(elem, beta, 2, 2.0, "parseval_oracle", K_out=prof.K_out)
     assert prof.element_error(src) == pytest.approx(direct, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form bracket of the p = 2 block sum against brute force
+
+N_BRUTE = 2_000_000
+
+
+def _integral_sq(rule, n, start, offset):
+    """int_start^inf U(n x + offset)^2 dx for the rule's reciprocal profile U."""
+    x0 = n * start + offset
+    if rule.kind == "finite":
+        return 0.0
+    q = 2.0 * rule.rate
+    if rule.kind == "power":
+        return x0 ** (1.0 - q) / (n * (q - 1.0)) / rule.scale**2
+    return math.exp(-q * x0) / (q * n) / rule.scale**2
+
+
+def _brute_block_sum(lam, beta, m):
+    """[lo, hi] around sum_{t != 0} G_t^2: 2e6 blocks per side plus integral bounds."""
+    n = 2 * m + 1
+    jp = np.arange(-m, m + 1)
+    a = np.abs(np.asarray(lam.inv_values(jp)) / np.asarray(beta.inv_values(jp)))
+    parts = []
+    chunk = 200_000
+    for t0 in range(1, N_BRUTE + 1, chunk):
+        ts = np.arange(t0, t0 + chunk)
+        for sign in (1, -1):
+            g = a * np.abs(np.asarray(beta.inv_values(sign * n * ts[:, None] + jp)))
+            parts.append(math.fsum(g.max(axis=1) ** 2))
+    total = math.fsum(parts)
+    rule = beta.tail_rule()
+    assert n * N_BRUTE - m > rule.radius
+    # sum_{j > N} f(j) lies between the integrals of f from N + 1 and from N
+    hi = 2.0 * float(np.max(a)) ** 2 * _integral_sq(rule, n, N_BRUTE, -m)
+    lo = 0.0
+    if rule.exact:
+        lo = max(a[i] ** 2 * _integral_sq(rule, n, N_BRUTE + 1, k) for i, k in enumerate(jp))
+        lo += max(a[i] ** 2 * _integral_sq(rule, n, N_BRUTE + 1, -k) for i, k in enumerate(jp))
+    return total + lo, total + hi
+
+
+def _custom_power(radius, rate, scale, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 2.0, radius + 1)
+    table = {k: float(vals[abs(k)]) for k in range(-radius, radius + 1)}
+    return CustomSequence(table, TailRule("power", rate=rate, scale=scale))
+
+
+RATES = st.floats(min_value=0.5, max_value=3.0, exclude_min=True)
+SLOPES = st.floats(min_value=0.05, max_value=3.0)
+PAIRS = {
+    "korobov": st.builds(lambda r: (Korobov(r), Korobov(r)), RATES),
+    "exponential": st.builds(lambda s: (Exponential(s), Exponential(s)), SLOPES),
+    "custom": st.builds(lambda r, rad, sc, seed: (Korobov(r), _custom_power(rad, r, sc, seed)),
+                        RATES, st.integers(8, 20), st.floats(0.5, 2.0), st.integers(0, 99)),
+    "korobov_pair": st.builds(lambda r1, r2: (Korobov(r1), Korobov(r2)), RATES, RATES),
+    "mixed_pair": st.builds(lambda s, r: (Korobov(r), Exponential(s)), SLOPES, RATES),
+    "mask": st.builds(lambda r, c: (MaskPower(r, MaskSpec("log_damped", c=c, bound_c=2.0)),) * 2,
+                      st.floats(0.6, 3.0), st.floats(0.1, 0.9)),
+    "truncated": st.builds(lambda r, extra: (Korobov(r), truncated(Korobov(r), 2 + extra)),
+                           RATES, st.integers(0, 12)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAIRS))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=1, max_value=2))
+def test_block_sum_bracket_contains_brute_force(kind, data, m):
+    lam, beta = data.draw(PAIRS[kind])
+    rep = epsilon_p2(lam, beta, m)
+    gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
+    lo, hi = _brute_block_sum(lam, beta, m)
+    assert gamma**2 <= hi
+    assert lo <= (gamma + tail) ** 2
+    if kind in ("korobov", "exponential", "truncated"):
+        # lam = beta with an exact rule: the bracket closes at the first T
+        assert rep.truncation_radius == 32
+        assert tail <= 1e-13 * gamma or gamma == tail == 0.0
+    if kind == "mask":
+        # no lower bound beyond T: the width is the whole upper bound
+        assert rep.truncation_radius > 32 and tail > 0
+
+
+def test_block_sum_bracket_below_rule_radius():
+    # J_max stops short of the custom table's end: nothing bounds the
+    # unenumerated blocks inside the table, so the tail is infinite
+    beta = _custom_power(400, 2.0, 1.0, 0)
+    rep = epsilon_p2(Korobov(2.0), beta, 2, J_max=10)
+    assert rep.truncation_radius == 10
+    assert math.isinf(rep.tail_bound) and rep.tail_dominated
+    full = epsilon_p2(Korobov(2.0), beta, 2)
+    assert full.truncation_radius >= 81  # the first block past |k| = 400
+    assert math.isfinite(full.tail_bound)
+    assert full.components["gamma_sum_term"] >= rep.components["gamma_sum_term"]
+
+
+def test_block_sum_bracket_small_J_max():
+    # below 32 blocks the closed form starts where Euler-Maclaurin is crude;
+    # the bracket must widen, not break, in one dimension and per axis in two
+    js = np.arange(1.0, 2e6)
+    oracle = 2.0 * math.fsum((3.0 * js - 1.0) ** -4)
+    oracle_2d = oracle * (2.0 + oracle)  # (1 + oracle)^2 - 1, the t = 0 block is 1
+    lam2d = Korobov(2.0, dimension=2)
+    for J in (0, 1, 3, 32):
+        for rep, want in (
+            (epsilon_p2(LAM2, LAM2, 1, J_max=J), oracle),
+            (epsilon_p2_md(lam2d, lam2d, 1, J_max=J), oracle_2d),
+        ):
+            gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
+            assert rep.truncation_radius == J
+            assert gamma**2 <= want <= (gamma + tail) ** 2
+
+
+def test_block_sum_bracket_asymmetric_band():
+    # alpha peaks at k' = -1, so beyond T the positive blocks follow
+    # U(3j - 1) and the negative ones U(3j + 1): each side needs its own
+    # lower bound, and the bracket stays open (lo < hi) up to J_max
+    table = {k: 1.0 for k in range(-8, 9)}
+    table[-1] = 10.0
+    beta = CustomSequence(table, TailRule("power", rate=1.0))
+    rep = epsilon_p2(LAM1, beta, 1, J_max=40)
+    gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
+    lo, hi = _brute_block_sum(LAM1, beta, 1)
+    assert rep.truncation_radius == 40 and tail > 0
+    assert gamma**2 <= hi
+    assert lo <= (gamma + tail) ** 2
+
+
+def test_product_increment_does_not_cancel():
+    # prod(1 + t) - 1 for t = 1e-20 rounds to 0 when formed as a difference
+    assert product_increment([1.0, 1.0], [1e-20, 1e-20]) == pytest.approx(2e-20, rel=1e-15)
+    assert product_increment([2.0, 3.0, 5.0], [1.0, 0.5, 0.25]) == pytest.approx(
+        3.0 * 3.5 * 5.25 - 30.0, rel=1e-15
+    )
+    lam2d = Korobov(2.0, dimension=2)
+    for K in (50, 2000):
+        tail = box_inv_tail(lam2d, K, 2)
+        inside = 1.0 + 2.0 * math.fsum(np.arange(1.0, K + 1) ** -4)
+        axis_tail = Korobov(2.0).inv_l2_tail_sq(K)
+        assert tail >= axis_tail * (2.0 * inside + axis_tail) > 0
+
+
+def test_bounded_inv_ratio_rejects_growth():
+    # beta^{-1} / lam^{-1} = k^2 is unbounded: the block-series gate must not fire
+    pred = predicted_rate(Korobov(3.0), Korobov(1.0), 2.0)
+    assert not pred.applies and "not bounded" in pred.reason
+    # the decreasing ratio k^{-1} still passes
+    assert predicted_rate(Korobov(2.0), Korobov(3.0), 2.0).form == "series_l2"
+
+
+def test_bounded_inv_ratio_multivariate():
+    pred = predicted_rate(Korobov(2.0, dimension=2), Korobov(3.0, dimension=2), 2.0)
+    assert pred.applies and pred.form == "sup_box"
+    grows = predicted_rate(Korobov(3.0, dimension=2), Korobov(1.0, dimension=2), 2.0)
+    assert not grows.applies
