@@ -7,7 +7,6 @@ from .approximant import (
     assemble_Qm,
     build_Hm,
     class_inner_product,
-    evaluate_approximant,
     k_prime,
     kernel_section,
     spectral_image,

@@ -36,7 +36,7 @@ __all__ = [
     "vm_samples",
     "assemble_Qm",
     "spectral_image",
-    "evaluate_approximant",
+    "image_tail_bound",
     "approximation_error",
     "default_K_gen",
     "kernel_section",
@@ -227,10 +227,6 @@ def assemble_Qm(
     return TranslateApproximant(beta, m, weights, K_gen, dimension=1)
 
 
-def evaluate_approximant(A: TranslateApproximant, xs) -> np.ndarray:
-    return A.evaluate(xs)
-
-
 @dataclass(frozen=True)
 class SpectralImage:
     """Exact coefficients of the approximant on |k| <= K_out."""
@@ -267,8 +263,19 @@ def spectral_image(
     inner = np.abs(ks) <= m
     vals[inner] = inv_lam_band * coeff_lookup_1d(elem.g, ks[inner])
     gmax = float(np.max(np.abs(elem.g.values))) if elem.g.values.size else 0.0
-    tail = float(np.max(np.abs(alpha))) * math.sqrt(beta.inv_l2_tail_sq(K_out)) * gmax
+    tail = image_tail_bound(alpha, beta, K_out, gmax)
     return SpectralImage(SpectralFunction(1, K_out, vals, copy=False), K_out, tail)
+
+
+def image_tail_bound(
+    alpha: np.ndarray, beta: CoefficientSequence, K_out: int, gmax: float
+) -> float:
+    """l2 bound on the approximant's coefficients beyond |k| = K_out.
+
+    Each is alpha_{k'} beta_k^{-1} ghat(k'), so max|alpha| max|ghat| times
+    the l2 tail of beta^{-1} bounds them all (gmax = max|ghat|).
+    """
+    return float(np.max(np.abs(alpha))) * math.sqrt(beta.inv_l2_tail_sq(K_out)) * gmax
 
 
 def approximation_error(

@@ -11,6 +11,7 @@ fixed config and seed once timing is switched off.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -19,8 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import build_alias_profile, default_K_out, md_single_frequency_errors_sq
-from .approximant import ClassElement, approximation_error
+from ._alias import (
+    band_arrays,
+    build_alias_profile,
+    default_K_out,
+    md_single_frequency_errors_sq,
+)
+from .approximant import ClassElement, approximation_error, image_tail_bound
 from .approximant_md import approximation_error_md
 from .config import ProbeConfig, SweepConfig
 from .error_budget import (
@@ -67,6 +73,8 @@ CSV_COLUMNS = [
 ]
 
 PROBE_COLUMNS = ["n", "m", "s", "omega", "statistic", "envelope_low", "envelope_high", "flag"]
+
+log = logging.getLogger("translates")
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,11 @@ def run_sweep(cfg: SweepConfig) -> list:
             if p == 2.0:
                 quad_K = min(K_out, 131072)
             else:
-                # each quadrature needs a grid; keep the band affordable,
-                # the discarded alias tail is far below the fit tolerances
+                # each quadrature needs a grid; keep the band affordable
+                # and report the alias tail it drops
                 quad_K = min(K_out, max(4096, 16 * m, bw + 1))
+            if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
+                _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
         else:
             K_out = cfg.K_out or max(4 * m, 32, bw + 1)
             quad_K = K_out
@@ -223,6 +233,20 @@ def run_sweep(cfg: SweepConfig) -> list:
             )
         )
     return rows
+
+
+def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
+    """Report the l2 alias tail dropped by quadrature at quad_K < K_out.
+
+    The bound covers every quadrature element of the row: the sources and
+    the single-frequency probes, whose one coefficient is 1.
+    """
+    _, _, alpha = band_arrays(lam, beta, m)
+    gmax = max([1.0] + [float(np.max(np.abs(g.values))) for g in sources])
+    log.debug(
+        "m=%d: quadrature radius %d < K_out %d drops an l2 tail <= %.3e",
+        m, quad_K, K_out, image_tail_bound(alpha, beta, quad_K, gmax),
+    )
 
 
 def epsilon_table(cfg: SweepConfig) -> list:

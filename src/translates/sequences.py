@@ -62,6 +62,15 @@ class SequenceError(ValueError):
 _EPS = sys.float_info.epsilon
 
 
+def _round_up(x: float, log_term: float = 0.0) -> float:
+    """x raised past the few-ulp error of the arithmetic that produced it.
+
+    Rounding the argument of exp or pow scales a term by up to
+    e^{|log_term| eps}, so that error grows with |log_term|.
+    """
+    return x * (1.0 + (8.0 + abs(log_term)) * _EPS)
+
+
 @dataclass(frozen=True)
 class TailRule:
     """Decay description of a sequence for |k| > radius.
@@ -90,21 +99,22 @@ class TailRule:
             raise SequenceError("tail scale must be positive")
 
     # All bounds below are on the reciprocal sequence over |k| > K,
-    # counting both signs of k.  They return inf when the sum diverges.
+    # counting both signs of k.  They are rounded up, and return inf when
+    # the sum diverges.
 
     def inv_sup(self, K: int) -> float:
         K = max(K, self.radius)
         if self.kind == "finite":
             return 0.0
         if self.kind == "constant":
-            return 1.0 / self.scale
-        if self.kind == "power":
-            if self.rate <= 0:
-                return math.inf
-            return (K + 1) ** (-self.rate) / self.scale
+            return _round_up(1.0 / self.scale)
         if self.rate <= 0:
             return math.inf
-        return math.exp(-self.rate * (K + 1)) / self.scale
+        if self.kind == "power":
+            log_term = -self.rate * math.log(K + 1)
+            return _round_up((K + 1) ** (-self.rate) / self.scale, log_term)
+        log_term = -self.rate * (K + 1)
+        return _round_up(math.exp(log_term) / self.scale, log_term)
 
     def inv_l1(self, K: int) -> float:
         return self._inv_sum(K, self.rate, self.scale)
@@ -127,9 +137,7 @@ class TailRule:
             total = math.exp(log_term) / -math.expm1(-q)
         else:
             return math.inf
-        # Round outward: the arithmetic is a few ulp from exact, and rounding
-        # the argument of exp or pow scales the term by up to e^{|log_term| eps}.
-        return 2.0 * total / scale * (1.0 + (8.0 + abs(log_term)) * _EPS)
+        return _round_up(2.0 * total / scale, log_term)
 
     def radius_for_l1(self, target: float, cap: int = 10**7) -> int:
         """Smallest K (up to cap) with inv_l1(K) <= target, else cap."""
@@ -329,26 +337,24 @@ class CoefficientSequence:
         return max(scanned, rule.inv_sup(hi))
 
     def inv_l1_tail(self, K: int) -> float:
-        rule = self.tail_rule()
-        if K >= rule.radius:
-            return rule.inv_l1(K)
-        ks = np.arange(K + 1, rule.radius + 1)
-        head = float(
-            np.sum(np.abs(self._axis_inv_values(ks)))
-            + np.sum(np.abs(self._axis_inv_values(-ks)))
-        )
-        return head + rule.inv_l1(rule.radius)
+        return self._inv_tail(K, 1)
 
     def inv_l2_tail_sq(self, K: int) -> float:
+        return self._inv_tail(K, 2)
+
+    def _inv_tail(self, K: int, power: int) -> float:
+        """Sum of |theta_k^{-1}|^power over |k| > K, rounded up.
+
+        Table entries inside the rule radius are summed exactly (fsum);
+        the rest is the tail rule's closed form.
+        """
         rule = self.tail_rule()
+        rule_sum = rule.inv_l1 if power == 1 else rule.inv_l2_sq
         if K >= rule.radius:
-            return rule.inv_l2_sq(K)
+            return rule_sum(K)
         ks = np.arange(K + 1, rule.radius + 1)
-        head = float(
-            np.sum(np.abs(self._axis_inv_values(ks)) ** 2)
-            + np.sum(np.abs(self._axis_inv_values(-ks)) ** 2)
-        )
-        return head + rule.inv_l2_sq(rule.radius)
+        head = np.abs(self._axis_inv_values(np.concatenate([ks, -ks]))) ** power
+        return _round_up(math.fsum([*head.tolist(), rule_sum(rule.radius)]))
 
     def describe(self) -> str:
         return self.family

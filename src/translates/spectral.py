@@ -336,12 +336,32 @@ def convolve(f1: SpectralFunction, f2: SpectralFunction) -> SpectralFunction:
     return SpectralFunction(f1.dimension, r, f1.values[sl1] * f2.values[sl2], copy=False)
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length with only small radices."""
+    best = 1 << max(n - 1, 0).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     """Normalized L_p norm for 1 < p < inf.
 
-    p = 2 is the exact coefficient l2 norm; other p use a uniform grid
-    with oversample*(2*bandwidth+1) points per axis, which converges
-    spectrally for trigonometric integrands.
+    p = 2 is the exact coefficient l2 norm; other p use the trapezoidal
+    rule on a uniform grid of oversample*(2*bandwidth+1) points per axis,
+    rounded up to the next 5-smooth length (2^a 3^b 5^c) so that the FFT
+    factors into small radices.  The rule is exact to rounding when |f|^p
+    is a trigonometric polynomial of degree below the grid size (p an even
+    integer) and converges spectrally when f has no zeros; where f vanishes
+    it converges algebraically, like N^-(p+1).
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm supports 1 < p < inf only")
@@ -350,7 +370,7 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     if p == 2.0:
         return f.l2()
     g = f.trimmed()
-    N = oversample * (2 * g.bandwidth + 1)
+    N = _smooth_length(oversample * (2 * g.bandwidth + 1))
     vals = synthesize(g, N).values
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
 

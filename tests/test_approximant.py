@@ -13,7 +13,6 @@ from translates.approximant import (
     build_Hm,
     class_inner_product,
     default_K_gen,
-    evaluate_approximant,
     k_prime,
     kernel_section,
     spectral_image,
@@ -147,7 +146,7 @@ def test_evaluate_approximant_examples():
 
     weights = np.array([1.0, 0.0, 0.0], dtype=complex)
     single = TranslateApproximant(Korobov(2.0), 1, weights, K_gen=25)
-    single_val = evaluate_approximant(single, np.array([0.0]))[0]
+    single_val = single.evaluate(np.array([0.0]))[0]
     ks = np.arange(-25, 26)
     phi0 = np.sum(Korobov(2.0).inv_values(ks))
     assert single_val == pytest.approx(phi0, rel=1e-12)

@@ -1,3 +1,4 @@
+import logging
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from translates import cli
+from translates.approximant import ClassElement, spectral_image
 from translates.config import (
     ConfigError,
     ProbeConfig,
@@ -25,6 +27,7 @@ from translates.experiments import (
     plotdata_text,
 )
 from translates.sequences import CustomSequence, Exponential, Korobov
+from translates.spectral import SpectralFunction
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,6 +208,31 @@ def test_general_p_rows_leave_parseval_empty():
     assert all(r.error_parseval is None for r in rows)
     assert all(r.epsilon_variant == "general_p" for r in rows)
     assert all(r.error_quadrature > 0 for r in rows)
+
+
+def test_quadrature_clamp_is_logged(caplog):
+    # Korobov r = 2: K_out is 637 at m = 8 (no clamp) and 4519 at m = 64,
+    # where p != 2 quadrature stops at 4096
+    text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 8 64")
+    cfg = SweepConfig.from_raw(parse_config(text.replace("g_count = 5", "g_count = 2")))
+    quiet = rows_to_csv_text(run_sweep(cfg))
+    with caplog.at_level(logging.DEBUG, logger="translates"):
+        loud = rows_to_csv_text(run_sweep(cfg))
+    assert loud == quiet
+    records = [r for r in caplog.records if r.name == "translates"]
+    assert len(records) == 1
+    m, quad_K, K_out, bound = records[0].args
+    assert (m, quad_K, K_out) == (64, 4096, 4519)
+    # the bound covers the single-frequency probes' dropped coefficients
+    lam = Korobov(2.0)
+    for k0 in range(-m, m + 1):
+        probe = ClassElement(lam, SpectralFunction.single(k0), 3.0)
+        img = spectral_image(probe, lam, m, K_out=K_out)
+        ks = img.function.axis_indices()
+        assert np.linalg.norm(img.function.values[np.abs(ks) > quad_K]) <= bound
+    # alpha = 1 (beta = lambda); max|ghat| = 1 is the probes' one coefficient,
+    # which no coefficient of a unit-norm source exceeds
+    assert bound == pytest.approx(math.sqrt(lam.inv_l2_tail_sq(quad_K)), rel=1e-12)
 
 
 def test_row_dominance_invariant():

@@ -202,7 +202,7 @@ def test_tail_bounds_dominate_brute_force():
         brute_l2 = 2 * float(np.sum(inv**2))
         assert seq.inv_l1_tail(K) >= brute_l1
         assert seq.inv_l2_tail_sq(K) >= brute_l2
-        assert seq.inv_sup_tail(K) >= float(inv[0]) * (1 - 1e-12)
+        assert seq.inv_sup_tail(K) >= float(inv[0])
 
 
 def test_tail_bounds_at_radius_zero():
@@ -214,6 +214,51 @@ def test_tail_bounds_at_radius_zero():
         assert math.isfinite(l2) and l2 >= 2 * float(np.sum(inv**2))
         assert math.isinf(l1) or l1 >= 2 * float(np.sum(inv))
     assert math.isfinite(Korobov(2.0).inv_l1_tail(0))
+
+
+@st.composite
+def _tail_families(draw):
+    """A member of every family with a tail rule, and a radius K around its rule radius."""
+    kind = draw(st.sampled_from(
+        ["korobov", "exponential", "mask_power", "exponent_mask", "truncated", "custom"]
+    ))
+    rate = draw(st.floats(0.55, 4.0))
+    if kind == "korobov":
+        seq = Korobov(rate)
+    elif kind == "exponential":
+        seq = Exponential(rate)
+    elif kind == "mask_power":
+        c = draw(st.floats(0.05, 2.0))
+        seq = MaskPower(rate, MaskSpec("log_damped", c=c, bound_c=1.0 + c))
+    elif kind == "exponent_mask":
+        ys = sorted(draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=5)), reverse=True)
+        envelope = MaskSpec("table", table_x=tuple(range(len(ys))), table_y=tuple(ys))
+        seq = ExponentMask(rate, envelope)
+    elif kind == "truncated":
+        seq = truncated(Korobov(rate), draw(st.integers(0, 40)))
+    else:
+        radius = draw(st.integers(0, 40))
+        table = draw(st.lists(st.floats(0.05, 20.0), min_size=2 * radius + 1,
+                              max_size=2 * radius + 1))
+        tail = TailRule(draw(st.sampled_from(["power", "exponential"])), rate=rate,
+                        scale=draw(st.floats(0.1, 10.0)))
+        seq = CustomSequence(dict(zip(range(-radius, radius + 1), table)), tail)
+    K = draw(st.integers(0, seq.tail_rule().radius + 60))
+    return seq, K
+
+
+@given(_tail_families())
+@settings(max_examples=150, deadline=None)
+def test_tail_bounds_dominate_brute_force_property(case):
+    seq, K = case
+    R = seq.tail_rule().radius
+    ks = np.arange(K + 1, max(K, R) + 40001)
+    inv = np.abs(seq.inv_values(np.concatenate([ks, -ks])))
+    assert seq.inv_l1_tail(K) >= math.fsum(inv)
+    assert seq.inv_l2_tail_sq(K) >= math.fsum(inv**2)
+    assert seq.inv_sup_tail(K) >= float(inv.max())
+    beyond = np.abs(ks) > R
+    assert seq.tail_rule().inv_sup(K) >= float(np.max(inv[np.concatenate([beyond, beyond])]))
 
 
 def test_tail_rule_divergence_flags():
