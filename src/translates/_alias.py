@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import CoefficientSequence, SequenceError
+from .sequences import CoefficientSequence, SequenceError, product_increment
 
 
 def k_prime_array(k, m: int):
@@ -25,14 +25,19 @@ def k_prime_array(k, m: int):
 
 
 def band_arrays(lam: CoefficientSequence, beta: CoefficientSequence, m: int):
-    """(inv_lam, inv_beta, alpha) on the residues [-m, m] (univariate).
+    """(inv_lam, inv_beta, alpha) on the band [-m, m]^d, each of shape (2m+1,)^d.
 
-    alpha_k = beta_k / lambda_k; requires the generator sequence to have
-    nonzero reciprocals on the band.
+    alpha_k = beta_k / lambda_k; the arrays are complex if either sequence
+    is.  Requires the generator sequence to have nonzero reciprocals on the
+    band.
     """
-    jp = np.arange(-m, m + 1)
-    inv_lam = np.asarray(lam.inv_values(jp))
-    inv_beta = np.asarray(beta.inv_values(jp))
+    d = lam.dimension
+    jp = np.arange(-m, m + 1) if d == 1 else md_index_box(m, d)
+    shape = (2 * m + 1,) * d
+    inv_lam = np.asarray(lam.inv_values(jp)).reshape(shape)
+    inv_beta = np.asarray(beta.inv_values(jp)).reshape(shape)
+    dtype = np.result_type(inv_lam, inv_beta, float)
+    inv_lam, inv_beta = inv_lam.astype(dtype), inv_beta.astype(dtype)
     if np.any(inv_beta == 0):
         raise SequenceError("generator sequence vanishes inside the reproduced band")
     return inv_lam, inv_beta, inv_lam / inv_beta
@@ -85,9 +90,6 @@ class AliasProfile:
     beta: CoefficientSequence
     m: int
     K_out: int
-    inv_lam_band: np.ndarray
-    inv_beta_band: np.ndarray
-    alpha_band: np.ndarray
     sq_profile: np.ndarray
     tail_sq: float
 
@@ -101,6 +103,8 @@ class AliasProfile:
 
     def element_error(self, g) -> float:
         """p = 2 error for a source g with bandwidth <= K_out."""
+        from .approximant import ImagePlan  # the operator module builds on this one
+
         m = self.m
         bw = g.bandwidth
         if bw > self.K_out:
@@ -109,12 +113,10 @@ class AliasProfile:
         gband = coeff_lookup_1d(g, jp)
         total = float(np.sum(np.abs(gband) ** 2 * self.sq_profile))
         if bw > m:
-            ks = np.concatenate([np.arange(-bw, -m), np.arange(m + 1, bw + 1)])
-            kp = k_prime_array(ks, m)
-            gamma = self.alpha_band[kp + m] * np.asarray(self.beta.inv_values(ks))
-            gk = coeff_lookup_1d(g, ks)
-            bterm = np.asarray(self.lam.inv_values(ks)) * gk
-            cross = gamma * coeff_lookup_1d(g, kp) * np.conj(bterm)
+            plan = ImagePlan(self.lam, self.beta, m, bw)
+            ks = np.arange(-bw, bw + 1)[plan.outer]
+            bterm = np.asarray(self.lam.inv_values(ks)) * coeff_lookup_1d(g, ks)
+            cross = plan.coefficients(g)[plan.outer] * np.conj(bterm)
             total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
         return math.sqrt(max(total, 0.0))
 
@@ -127,7 +129,7 @@ def build_alias_profile(
 ) -> AliasProfile:
     if K_out is None:
         K_out = default_K_out(lam, beta, m)
-    inv_lam, inv_beta, alpha = band_arrays(lam, beta, m)
+    _, _, alpha = band_arrays(lam, beta, m)
     n = 2 * m + 1
     T = max(1, -(-(K_out - m) // n))  # ceil
     jp = np.arange(-m, m + 1)
@@ -142,7 +144,7 @@ def build_alias_profile(
     sq = np.abs(alpha) ** 2 * acc
     alpha_max = float(np.max(np.abs(alpha)))
     tail_sq = alpha_max**2 * beta.inv_l2_tail_sq(n * T + m)
-    return AliasProfile(lam, beta, m, n * T + m, inv_lam, inv_beta, alpha, sq, tail_sq)
+    return AliasProfile(lam, beta, m, n * T + m, sq, tail_sq)
 
 
 def coeff_lookup_1d(g, ks: np.ndarray) -> np.ndarray:
@@ -154,22 +156,34 @@ def coeff_lookup_1d(g, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def coeff_lookup_md(g, ks: np.ndarray) -> np.ndarray:
-    """Like coeff_lookup_1d for index arrays of shape (..., d)."""
-    ks = np.asarray(ks)
-    d = g.dimension
-    ok = np.all(np.abs(ks) <= g.radius, axis=-1)
-    out = np.zeros(ks.shape[:-1], dtype=complex)
-    if np.any(ok):
-        sel = ks[ok] + g.radius
-        out[ok] = g.values[tuple(sel[..., j] for j in range(d))]
-    return out
-
-
 def md_index_box(radius: int, d: int) -> np.ndarray:
     """All indices of the box [-radius, radius]^d, shape (n^d, d), C order."""
     axes = [np.arange(-radius, radius + 1)] * d
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _md_axis_sums(lam, beta, m: int, T: int):
+    """Per axis j of a product pair: the column sums C_j of |beta_j^{-1}|^2
+    over the blocks |t| <= T, and D_j = |beta_j^{-1}|^2, A_j = |alpha_j|^2
+    on the band; also the beta factors."""
+    d = lam.dimension
+    n = 2 * m + 1
+    jp = np.arange(-m, m + 1)
+    ts = np.arange(-T, T + 1)
+    C, D, A, axes = [], [], [], []
+    for j in range(d):
+        axl = lam._axis_factor(j) if d > 1 else lam
+        axb = beta._axis_factor(j) if d > 1 else beta
+        inv_l = np.asarray(axl.inv_values(jp))
+        inv_b = np.asarray(axb.inv_values(jp))
+        if np.any(inv_b == 0):
+            raise SequenceError("generator sequence vanishes inside the band")
+        offs = jp[None, :] + (n * ts)[:, None]
+        C.append(np.sum(np.abs(np.asarray(axb.inv_values(offs))) ** 2, axis=0))
+        D.append(np.abs(inv_b) ** 2)
+        A.append(np.abs(inv_l / inv_b) ** 2)
+        axes.append(axb)
+    return C, D, A, axes
 
 
 def md_single_frequency_errors_sq(
@@ -181,28 +195,13 @@ def md_single_frequency_errors_sq(
     """Squared p = 2 error of every pure-frequency source e_{k0}, |k0|_inf <= m.
 
     Requires product-structured sequences: the alias sums factor per
-    axis, so the (2m+1)^d values cost d univariate passes.
+    axis, so the (2m+1)^d values cost d univariate passes.  The sums stop
+    at T alias blocks per side; ``md_single_frequency_tail_sq`` bounds the
+    rest.
     """
+    C, D, A, _ = _md_axis_sums(lam, beta, m, T)
     d = lam.dimension
-    n = 2 * m + 1
-    jp = np.arange(-m, m + 1)
-    ts = np.arange(-T, T + 1)
-    C = []
-    D = []
-    A = []
-    for j in range(d):
-        axl = lam._axis_factor(j) if d > 1 else lam
-        axb = beta._axis_factor(j) if d > 1 else beta
-        inv_l = np.asarray(axl.inv_values(jp))
-        inv_b = np.asarray(axb.inv_values(jp))
-        if np.any(inv_b == 0):
-            raise SequenceError("generator sequence vanishes inside the band")
-        offs = jp[None, :] + (n * ts)[:, None]
-        col = np.sum(np.abs(np.asarray(axb.inv_values(offs))) ** 2, axis=0)
-        C.append(col)
-        D.append(np.abs(inv_b) ** 2)
-        A.append(np.abs(inv_l / inv_b) ** 2)
-    shape = (n,) * d
+    shape = (2 * m + 1,) * d
     prod_c = np.ones(shape)
     prod_d = np.ones(shape)
     prod_a = np.ones(shape)
@@ -213,3 +212,17 @@ def md_single_frequency_errors_sq(
         prod_d = prod_d * D[j][tuple(sl)]
         prod_a = prod_a * A[j][tuple(sl)]
     return prod_a * (prod_c - prod_d)
+
+
+def md_single_frequency_tail_sq(lam, beta, m: int, T: int = 64) -> float:
+    """Bound on what ``md_single_frequency_errors_sq`` drops from each value.
+
+    Past T blocks, axis j misses at most the l2 tail of its beta factor
+    beyond (2m+1) T + m from each column sum.  The product of the column
+    sums then grows by at most ``product_increment`` of the largest column
+    sums and those tails, scaled by the largest |alpha|^2 product.
+    """
+    C, _, A, axes = _md_axis_sums(lam, beta, m, T)
+    extra = [ax.inv_l2_tail_sq((2 * m + 1) * T + m) for ax in axes]
+    a_max = math.prod(float(np.max(a)) for a in A)
+    return a_max * product_increment([float(np.max(c)) for c in C], extra)

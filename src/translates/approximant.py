@@ -6,6 +6,16 @@ the 2m+1 uniform nodes, and the samples (divided by 2m+1) become the
 weights of translates of the beta-generator.  The result reproduces the
 target coefficients exactly on |k| <= m and aliases the band alpha ghat
 onto higher frequencies, which is what the error budgets measure.
+
+The spectral image and both error routes run on an ``ImagePlan``: for one
+(lambda, beta, m, K_out) it holds the multipliers gamma_k = alpha_{k'}
+beta_k^{-1} on the index box |k|_inf <= K_out of dimension d (lambda_k^{-1}
+on the band), the gather index from each box position to its residue k'
+and the mask of the positions outside the band.  These do not depend on
+the source, so a sweep row builds one plan and passes it through the
+``plan=`` keyword of ``spectral_image``, ``approximation_error`` and their
+``approximant_md`` counterparts; called without one, each builds a
+one-off plan.  d = 1 is the box of dimension 1.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .spectral import SpectralFunction, evaluate_many, lp_norm
 
 __all__ = [
     "ClassElement",
+    "ImagePlan",
     "TranslateApproximant",
     "SpectralImage",
     "k_prime",
@@ -42,6 +53,8 @@ __all__ = [
     "kernel_section",
     "class_inner_product",
 ]
+
+NODE_GUARD = 10**7  # largest d >= 2 coefficient box or node window
 
 
 def k_prime(k: int, m: int) -> int:
@@ -79,15 +92,10 @@ class ClassElement:
 
     def target_spectral(self) -> SpectralFunction:
         """Coefficients of f on the support box of g."""
-        d = self.dimension
-        if d == 1:
-            inv = np.asarray(self.lam.inv_values(self.g.axis_indices()))
-            vals = inv * self.g.values
-        else:
-            box = md_index_box(self.g.radius, d)
-            inv = np.asarray(self.lam.inv_values(box)).reshape(self.g.values.shape)
-            vals = inv * self.g.values
-        return SpectralFunction(d, self.g.radius, vals, copy=False)
+        d, g = self.dimension, self.g
+        ks = g.axis_indices() if d == 1 else md_index_box(g.radius, d)
+        inv = np.asarray(self.lam.inv_values(ks)).reshape(g.values.shape)
+        return SpectralFunction(d, g.radius, inv * g.values, copy=False)
 
     def evaluate(self, x) -> complex:
         return spectral.evaluate(self.target_spectral(), x)
@@ -236,46 +244,112 @@ class SpectralImage:
     tail_bound: float  # l2 bound on the discarded coefficients
 
 
+class ImagePlan:
+    """The part of the spectral image that every source of a row shares.
+
+    For fixed (lam, beta, m, K_out) the image of a source g has the
+    coefficient gamma_k ghat(k') at each k of the box |k|_inf <= K_out,
+    where k' is the residue of k in the band [-m, m]^d.  Off the band
+    gamma_k = alpha_{k'} beta_k^{-1}; on it gamma_k = lambda_k^{-1}, so the
+    target is reproduced there.  ``index`` maps each box position (C order)
+    to the flat band position of k' and ``outer`` marks |k|_inf > m.
+    Building the plan evaluates beta^{-1} on the box once; each source then
+    costs one gather and one product.  A sweep row builds one plan and
+    passes it to the public image and error functions through ``plan=``.
+    """
+
+    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int):
+        d = lam.dimension
+        if beta.dimension != d:
+            raise SequenceError("sequence dimensions differ")
+        if K_out < m:
+            raise ValueError("K_out must be >= m")
+        if d > 1 and (2 * K_out + 1) ** d > NODE_GUARD:
+            raise ValueError("K_out box exceeds the coefficient guard")
+        inv_lam, _, alpha = band_arrays(lam, beta, m)
+        ks = np.arange(-K_out, K_out + 1) if d == 1 else md_index_box(K_out, d)
+        kp = (k_prime_array(ks, m) + m).reshape(-1, d)
+        self.index = np.ravel_multi_index(tuple(kp.T), alpha.shape).astype(np.int32)
+        self.outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
+        self.gamma = alpha.ravel()[self.index] * np.asarray(beta.inv_values(ks))
+        self.gamma[~self.outer] = inv_lam.ravel()  # the band, in C order
+        self.tail_scale = image_tail_bound(alpha, beta, K_out, 1.0)
+        self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, d
+
+    def coefficients(self, g: SpectralFunction) -> np.ndarray:
+        """Image coefficients of the source g, shape (2 K_out + 1,)^d."""
+        m, d, R = self.m, self.dimension, g.radius
+        r = min(m, R)
+        band = np.zeros((2 * m + 1,) * d, dtype=complex)
+        band[(slice(m - r, m + r + 1),) * d] = g.values[(slice(R - r, R + r + 1),) * d]
+        vals = band.ravel()[self.index]
+        np.multiply(self.gamma, vals, out=vals)
+        return vals.reshape((2 * self.K_out + 1,) * d)
+
+    def image(self, g: SpectralFunction) -> SpectralImage:
+        """The image of g with the l2 bound on its coefficients beyond K_out."""
+        gmax = float(np.max(np.abs(g.values))) if g.values.size else 0.0
+        func = SpectralFunction(self.dimension, self.K_out, self.coefficients(g), copy=False)
+        return SpectralImage(func, self.K_out, self.tail_scale * gmax)
+
+    def parseval_error(self, elem: ClassElement) -> float:
+        """l2 norm of (image - target) over m < |k|_inf <= K_out."""
+        vals = self.coefficients(elem.g)
+        _subtract_target(vals, elem)
+        return float(np.linalg.norm(vals.ravel()[self.outer]))
+
+
+def _subtract_target(vals: np.ndarray, elem: ClassElement) -> None:
+    """vals -= the target's coefficients, in place where the two centred boxes overlap."""
+    target = elem.target_spectral().values
+    r, R = (vals.shape[0] - 1) // 2, elem.g.radius
+    c = min(r, R)
+    vals[(slice(r - c, r + c + 1),) * vals.ndim] -= target[(slice(R - c, R + c + 1),) * vals.ndim]
+
+
+def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
+    """The given plan, checked against the call, or a one-off plan."""
+    if plan is None:
+        if K_out is None:
+            if elem.dimension == 1:
+                K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
+            else:
+                K_out = max(4 * m, 32, elem.g.bandwidth)
+        return ImagePlan(elem.lam, beta, m, K_out)
+    if (plan.lam, plan.beta, plan.m) != (elem.lam, beta, m) or K_out not in (None, plan.K_out):
+        raise ValueError("the plan was built for another (lam, beta, m, K_out)")
+    return plan
+
+
 def spectral_image(
     elem: ClassElement,
     beta: CoefficientSequence,
     m: int,
     K_out: Optional[int] = None,
+    *,
+    plan: Optional[ImagePlan] = None,
 ) -> SpectralImage:
     """Fourier coefficients of the approximant, computed without sampling.
 
     Inside the band the target coefficients are reproduced exactly; for
     |k| > m the coefficient is gamma_k ghat(k') with
-    gamma_k = alpha_{k'} beta_k^{-1}.
+    gamma_k = alpha_{k'} beta_k^{-1}.  ``plan`` is a prebuilt ImagePlan of
+    the same (lam, beta, m, K_out); without one, a one-off plan is built.
     """
     if elem.dimension != 1:
         raise SequenceError("spectral_image is univariate; see approximant_md")
-    if K_out is None:
-        K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
-    if K_out < m:
-        raise ValueError("K_out must be >= m")
-    lam = elem.lam
-    ks = np.arange(-K_out, K_out + 1)
-    kp = k_prime_array(ks, m)
-    inv_lam_band, inv_beta_band, alpha = band_arrays(lam, beta, m)
-    gamma = alpha[kp + m] * np.asarray(beta.inv_values(ks))
-    vals = gamma * coeff_lookup_1d(elem.g, kp)
-    inner = np.abs(ks) <= m
-    vals[inner] = inv_lam_band * coeff_lookup_1d(elem.g, ks[inner])
-    gmax = float(np.max(np.abs(elem.g.values))) if elem.g.values.size else 0.0
-    tail = image_tail_bound(alpha, beta, K_out, gmax)
-    return SpectralImage(SpectralFunction(1, K_out, vals, copy=False), K_out, tail)
+    return _plan_for(elem, beta, m, K_out, plan).image(elem.g)
 
 
 def image_tail_bound(
     alpha: np.ndarray, beta: CoefficientSequence, K_out: int, gmax: float
 ) -> float:
-    """l2 bound on the approximant's coefficients beyond |k| = K_out.
+    """l2 bound on the approximant's coefficients beyond |k|_inf = K_out.
 
     Each is alpha_{k'} beta_k^{-1} ghat(k'), so max|alpha| max|ghat| times
     the l2 tail of beta^{-1} bounds them all (gmax = max|ghat|).
     """
-    return float(np.max(np.abs(alpha))) * math.sqrt(beta.inv_l2_tail_sq(K_out)) * gmax
+    return float(np.max(np.abs(alpha))) * math.sqrt(box_inv_tail(beta, K_out, 2)) * gmax
 
 
 def approximation_error(
@@ -286,6 +360,8 @@ def approximation_error(
     method: str = "parseval_oracle",
     K_out: Optional[int] = None,
     oversample: int = 8,
+    *,
+    plan: Optional[ImagePlan] = None,
 ) -> float:
     """Norm of (target - approximant) by one of two routes.
 
@@ -293,31 +369,31 @@ def approximation_error(
     differences over m < |k| <= K_out.  ``quadrature`` materializes the
     coefficient difference on the band and takes its L_p norm.  Both are
     truncated at the same K_out, so they can be compared directly.
+    ``plan`` is as for ``spectral_image``.
     """
+    if elem.dimension != 1:
+        raise SequenceError("approximation_error is univariate; see approximant_md")
+    return _error(elem, beta, m, p, method, K_out, oversample, plan, spectral_image)
+
+
+def _error(elem, beta, m, p, method, K_out, oversample, plan, image) -> float:
+    """Both error routes for any d; ``image`` is the public spectral image of d."""
     if p is None:
         p = elem.p
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
-    if K_out is None:
-        K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
+    if method not in ("parseval_oracle", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "parseval_oracle" and p != 2.0:
+        raise ValueError("parseval_oracle applies to p = 2 only")
+    plan = _plan_for(elem, beta, m, K_out, plan)
     if method == "parseval_oracle":
-        if p != 2.0:
-            raise ValueError("parseval_oracle applies to p = 2 only")
-        ks = np.concatenate(
-            [np.arange(-K_out, -m), np.arange(m + 1, K_out + 1)]
-        )
-        kp = k_prime_array(ks, m)
-        _, _, alpha = band_arrays(elem.lam, beta, m)
-        gamma = alpha[kp + m] * np.asarray(beta.inv_values(ks))
-        diff = gamma * coeff_lookup_1d(elem.g, kp) - np.asarray(
-            elem.lam.inv_values(ks)
-        ) * coeff_lookup_1d(elem.g, ks)
-        return float(np.linalg.norm(diff))
-    if method == "quadrature":
-        img = spectral_image(elem, beta, m, K_out=K_out).function
-        diff = img - elem.target_spectral()
-        return lp_norm(diff, p, oversample=oversample)
-    raise ValueError(f"unknown method {method!r}")
+        return plan.parseval_error(elem)
+    diff = image(elem, beta, m, plan=plan).function  # a fresh array, changed in place
+    if elem.g.radius > diff.radius:
+        diff = diff.padded(elem.g.radius)
+    _subtract_target(diff.values, elem)
+    return lp_norm(diff, p, oversample=oversample)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from ._alias import (
     build_alias_profile,
     default_K_out,
     md_single_frequency_errors_sq,
+    md_single_frequency_tail_sq,
 )
-from .approximant import ClassElement, approximation_error, image_tail_bound
+from .approximant import ClassElement, ImagePlan, approximation_error, image_tail_bound
 from .approximant_md import approximation_error_md
 from .config import ProbeConfig, SweepConfig
 from .error_budget import (
@@ -131,7 +132,22 @@ def run_sweep(cfg: SweepConfig) -> list:
         t0 = time.perf_counter()
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
-        if d == 1:
+        if d > 1:
+            K_out = cfg.K_out or max(4 * m, 32, bw + 1)
+            try:
+                sq = md_single_frequency_errors_sq(lam, beta, m)
+            except SequenceError:
+                probe_p = []
+                probes = [(m,) + (0,) * (d - 1)]  # no product structure: edge probe
+            else:
+                probe_p = [float(math.sqrt(np.max(sq)))]
+                k0 = np.unravel_index(int(np.argmax(sq)), sq.shape)
+                probes = [tuple(int(c) - m for c in k0)]
+                if log.isEnabledFor(logging.DEBUG):
+                    _log_alias_truncation(lam, beta, m)
+            err_q, err_p = _plan_errors(cfg, m, K_out, sources, probes, parseval=True)
+            err_p += probe_p
+        else:
             K_out = cfg.K_out or default_K_out(lam, beta, m)
             K_out = max(K_out, bw + 1)
             if p == 2.0:
@@ -142,97 +158,65 @@ def run_sweep(cfg: SweepConfig) -> list:
                 quad_K = min(K_out, max(4096, 16 * m, bw + 1))
             if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
                 _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
-        else:
-            K_out = cfg.K_out or max(4 * m, 32, bw + 1)
-            quad_K = K_out
-        err_q: list = []
-        err_p: list = []
-        if p == 2.0:
-            if d == 1:
-                profile = build_alias_profile(lam, beta, m, K_out=K_out)
-                for g in sources:
-                    err_p.append(profile.element_error(g))
-                probe_errs = profile.single_frequency_errors()
-                k0 = int(np.argmax(probe_errs)) - m
-                err_p.append(float(np.max(probe_errs)))
-                for g in sources:
-                    elem = ClassElement(lam, g, p)
-                    err_q.append(
-                        approximation_error(
-                            elem, beta, m, p, "quadrature", K_out=quad_K,
-                            oversample=cfg.oversample,
-                        )
-                    )
-                worst = ClassElement(lam, SpectralFunction.single(k0), p)
-                err_q.append(
-                    approximation_error(
-                        worst, beta, m, p, "quadrature", K_out=quad_K,
-                        oversample=cfg.oversample,
-                    )
-                )
-                eps = epsilon_p2(lam, beta, m, J_max=cfg.J_max)
-            else:
-                for g in sources:
-                    elem = ClassElement(lam, g, p)
-                    err_p.append(
-                        approximation_error_md(elem, beta, m, p, "parseval_oracle", K_out=K_out)
-                    )
-                    err_q.append(
-                        approximation_error_md(elem, beta, m, p, "quadrature", K_out=K_out)
-                    )
-                try:
-                    sq = md_single_frequency_errors_sq(lam, beta, m)
-                    err_p.append(float(math.sqrt(np.max(sq))))
-                    k0 = np.unravel_index(int(np.argmax(sq)), sq.shape)
-                    k0 = tuple(int(c) - m for c in k0)
-                except SequenceError:
-                    k0 = (m,) + (0,) * (d - 1)  # no product structure: edge probe
-                probe_elem = ClassElement(lam, SpectralFunction.single(k0, dimension=d), p)
-                err_q.append(
-                    approximation_error_md(probe_elem, beta, m, p, "quadrature", K_out=K_out)
-                )
-                eps = epsilon_p2_md(lam, beta, m, J_max=cfg.J_max)
-        else:
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
-            for g in sources:
-                elem = ClassElement(lam, g, p)
-                err_q.append(
-                    approximation_error(
-                        elem, beta, m, p, "quadrature", K_out=quad_K,
-                        oversample=cfg.oversample,
-                    )
-                )
-            count = cfg.probe_count if cfg.probe_count is not None else 8
-            ranking = np.argsort(profile.sq_profile)[::-1][:count]
-            for idx in ranking:
-                k0 = int(idx) - m
-                elem = ClassElement(lam, SpectralFunction.single(k0), p)
-                err_q.append(
-                    approximation_error(
-                        elem, beta, m, p, "quadrature", K_out=quad_K,
-                        oversample=cfg.oversample,
-                    )
-                )
-            eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max)
-        seconds = time.perf_counter() - t0 if cfg.timing else None
-        rows.append(
-            SweepRow(
-                family=lam.family,
-                d=d,
-                p=p,
-                param=_seq_param(lam),
-                m=m,
-                n_translates=(2 * m + 1) ** d,
-                error_quadrature=max(err_q) if err_q else None,
-                error_parseval=max(err_p) if err_p else None,
-                epsilon=eps.value,
-                epsilon_tail=eps.tail_bound,
-                epsilon_variant=eps.variant,
-                predicted=prediction.value_at(m) if prediction.applies else None,
-                seconds=seconds,
-            )
-        )
+            if p == 2.0:
+                err_p = [profile.element_error(g) for g in sources]
+                probe_errs = profile.single_frequency_errors()
+                err_p.append(float(np.max(probe_errs)))
+                probes = [int(np.argmax(probe_errs)) - m]
+            else:
+                err_p = []
+                count = cfg.probe_count if cfg.probe_count is not None else 8
+                probes = [int(i) - m for i in np.argsort(profile.sq_profile)[::-1][:count]]
+            err_q, _ = _plan_errors(cfg, m, quad_K, sources, probes, parseval=False)
+        rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
     return rows
+
+
+def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
+    """Quadrature errors of the sources and the single-frequency probes and,
+    with ``parseval``, the oracle errors of the sources.
+
+    All of them share one image plan on the box of radius K.  The plan is
+    the row's largest array and is freed on return, before the next row
+    builds its alias profile.
+    """
+    lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
+    error = approximation_error if d == 1 else approximation_error_md
+    plan = ImagePlan(lam, beta, m, K)
+    elems = [ClassElement(lam, g, p) for g in sources]
+    err_p = [error(e, beta, m, p, "parseval_oracle", plan=plan) for e in elems] if parseval else []
+    elems += [ClassElement(lam, SpectralFunction.single(k0, dimension=d), p) for k0 in probes]
+    err_q = [
+        error(e, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan) for e in elems
+    ]
+    return err_q, err_p
+
+
+def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:
+    """The row of one m: its budget and prediction next to the given errors."""
+    lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
+    if d > 1:
+        eps = epsilon_p2_md(lam, beta, m, J_max=cfg.J_max)
+    elif p == 2.0:
+        eps = epsilon_p2(lam, beta, m, J_max=cfg.J_max)
+    else:
+        eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max)
+    return SweepRow(
+        family=lam.family,
+        d=d,
+        p=p,
+        param=_seq_param(lam),
+        m=m,
+        n_translates=(2 * m + 1) ** d,
+        error_quadrature=max(err_q) if err_q else None,
+        error_parseval=max(err_p) if err_p else None,
+        epsilon=eps.value,
+        epsilon_tail=eps.tail_bound,
+        epsilon_variant=eps.variant,
+        predicted=prediction.value_at(m) if prediction.applies else None,
+        seconds=time.perf_counter() - t0 if cfg.timing else None,
+    )
 
 
 def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
@@ -249,38 +233,19 @@ def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
     )
 
 
+def _log_alias_truncation(lam, beta, m, T: int = 64) -> None:
+    """Report what the d >= 2 single-frequency probes drop past T alias blocks."""
+    log.debug(
+        "m=%d: single-frequency probes stop at %d alias blocks and drop <= %.3e "
+        "from each squared error",
+        m, T, md_single_frequency_tail_sq(lam, beta, m, T),
+    )
+
+
 def epsilon_table(cfg: SweepConfig) -> list:
     """Budget-only rows (error columns left empty)."""
-    lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
-    prediction = predicted_rate(lam, beta, p, d)
-    rows = []
-    for m in cfg.m_list:
-        t0 = time.perf_counter()
-        if d > 1:
-            eps = epsilon_p2_md(lam, beta, m, J_max=cfg.J_max)
-        elif p == 2.0:
-            eps = epsilon_p2(lam, beta, m, J_max=cfg.J_max)
-        else:
-            eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max)
-        seconds = time.perf_counter() - t0 if cfg.timing else None
-        rows.append(
-            SweepRow(
-                family=lam.family,
-                d=d,
-                p=p,
-                param=_seq_param(lam),
-                m=m,
-                n_translates=(2 * m + 1) ** d,
-                error_quadrature=None,
-                error_parseval=None,
-                epsilon=eps.value,
-                epsilon_tail=eps.tail_bound,
-                epsilon_variant=eps.variant,
-                predicted=prediction.value_at(m) if prediction.applies else None,
-                seconds=seconds,
-            )
-        )
-    return rows
+    prediction = predicted_rate(cfg.lam, cfg.beta, cfg.p, cfg.dimension)
+    return [_row(cfg, prediction, m, time.perf_counter()) for m in cfg.m_list]
 
 
 # ---------------------------------------------------------------------------

@@ -375,12 +375,11 @@ class Korobov(CoefficientSequence):
             raise SequenceError("dimension must be >= 1")
 
     def _axis_values(self, k):
-        a = np.abs(np.asarray(k, dtype=float))
-        return np.where(a == 0, 1.0, a ** self.r)
+        # theta_0 = 1 ** r = 1 exactly, so k = 0 needs no branch
+        return np.maximum(np.abs(np.asarray(k, dtype=float)), 1.0) ** self.r
 
     def _axis_inv_values(self, k):
-        a = np.abs(np.asarray(k, dtype=float))
-        return np.where(a == 0, 1.0, np.maximum(a, 1.0) ** (-self.r))
+        return np.maximum(np.abs(np.asarray(k, dtype=float)), 1.0) ** (-self.r)
 
     def _axis_factor(self, j):
         return Korobov(self.r)

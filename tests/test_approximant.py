@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translates._alias import build_alias_profile, default_K_out
+from translates._alias import build_alias_profile, default_K_out, k_prime_array, md_index_box
 from translates.approximant import (
     ClassElement,
+    ImagePlan,
     approximation_error,
     assemble_Qm,
     build_Hm,
@@ -18,8 +19,17 @@ from translates.approximant import (
     spectral_image,
     vm_samples,
 )
-from translates.sequences import Exponential, Korobov, truncated
-from translates.spectral import SpectralFunction, evaluate_many, random_real_spectral
+from translates.approximant_md import approximation_error_md, spectral_image_md
+from translates.sequences import (
+    CustomSequence,
+    Exponential,
+    Korobov,
+    ProductSequence,
+    TailRule,
+    box_inv_tail,
+    truncated,
+)
+from translates.spectral import SpectralFunction, evaluate_many, lp_norm, random_real_spectral
 
 LAM2 = Korobov(2.0)
 
@@ -326,3 +336,90 @@ def test_kernel_section_is_generator_translate():
     ks = np.arange(-6, 7)
     expect = lam.inv_values(ks) ** 2 * np.exp(-1j * ks * x)
     assert np.allclose(section.values, expect, rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# ImagePlan against the coefficient-by-coefficient image
+
+
+def _lookup(g, ks):
+    """Coefficients of g at the indices ks (shape (N,) or (N, d)), zero outside its box."""
+    ks = ks.reshape(-1, g.dimension)
+    ok = np.all(np.abs(ks) <= g.radius, axis=1)
+    out = np.zeros(len(ks), dtype=complex)
+    out[ok] = g.values[tuple((ks[ok] + g.radius).T)]
+    return out
+
+
+def _direct(elem, beta, m, K):
+    """Image values, tail bound and the two errors, one coefficient at a time.
+
+    Off the band the image is gamma_k ghat(k') with gamma_k = alpha_{k'}
+    beta_k^{-1}, evaluated at each k; on it lambda_k^{-1} ghat(k).
+    """
+    lam, g, d = elem.lam, elem.g, elem.dimension
+    ks = np.arange(-K, K + 1) if d == 1 else md_index_box(K, d)
+    kp = k_prime_array(ks, m)
+    alpha = np.asarray(lam.inv_values(kp)) / np.asarray(beta.inv_values(kp))
+    gamma = alpha * np.asarray(beta.inv_values(ks))
+    vals = gamma * _lookup(g, kp)
+    inner = np.max(np.abs(ks.reshape(-1, d)), axis=1) <= m
+    vals[inner] = np.asarray(lam.inv_values(ks[inner])) * _lookup(g, ks[inner])
+    band = np.arange(-m, m + 1) if d == 1 else md_index_box(m, d)
+    alpha_max = float(np.max(np.abs(np.asarray(lam.inv_values(band)) / beta.inv_values(band))))
+    tail = alpha_max * math.sqrt(box_inv_tail(beta, K, 2)) * float(np.max(np.abs(g.values)))
+    img = SpectralFunction(d, K, vals.reshape((2 * K + 1,) * d))
+    outer = ~inner
+    diff = gamma[outer] * _lookup(g, kp[outer]) - np.asarray(
+        lam.inv_values(ks[outer])
+    ) * _lookup(g, ks[outer])
+    quad = lp_norm(img - elem.target_spectral(), 2.0)
+    return img.values, tail, float(np.linalg.norm(diff)), quad
+
+
+CPLX = CustomSequence(
+    {k: max(abs(k), 1) ** 2 * complex(np.exp(0.3j * k)) for k in range(-6, 7)},
+    TailRule("power", rate=2.0),
+)
+
+
+@pytest.mark.parametrize(
+    "lam, beta, m, K, bw",
+    [
+        (LAM2, LAM2, 3, 10, 25),  # source wider than K_out
+        (LAM2, Korobov(3.0), 4, 4, 9),  # explicit K_out == m
+        (LAM2, CPLX, 3, 40, 6),  # complex generator sequence
+        (Korobov(2.0, 2), ProductSequence((CPLX, Korobov(2.0))), 2, 9, 4),  # complex factor, d = 2
+        (Korobov(2.0, 2), Korobov(2.0, 2), 3, 3, 5),  # d = 2, K_out == m, wider source
+    ],
+)
+def test_plan_matches_direct_image(lam, beta, m, K, bw):
+    rng = np.random.default_rng(bw)
+    d = lam.dimension
+    image = spectral_image if d == 1 else spectral_image_md
+    error = approximation_error if d == 1 else approximation_error_md
+    for g in (random_real_spectral(d, bw, rng), SpectralFunction.single((m,) * d)):
+        elem = ClassElement(lam, g)
+        vals, tail, par, quad = _direct(elem, beta, m, K)
+        img = image(elem, beta, m, K_out=K)
+        assert np.array_equal(img.function.values, vals)
+        assert img.tail_bound == tail
+        assert error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == par
+        assert error(elem, beta, m, 2.0, "quadrature", K_out=K) == quad
+        plan = ImagePlan(lam, beta, m, K)  # a shared plan gives the same numbers
+        assert np.array_equal(image(elem, beta, m, plan=plan).function.values, vals)
+        assert error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == par
+        assert error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == quad
+    if beta is CPLX or isinstance(beta, ProductSequence):
+        assert np.max(np.abs(img.function.values.imag)) > 0.01
+
+
+def test_plan_rejects_other_parameters():
+    elem = ClassElement(LAM2, unit_frequency(1))
+    plan = ImagePlan(LAM2, LAM2, 3, 30)
+    for kwargs in ({"m": 4}, {"K_out": 31}, {"beta": Korobov(3.0)}):
+        args = {"m": 3, "K_out": 30, "beta": LAM2, **kwargs}
+        with pytest.raises(ValueError):
+            spectral_image(elem, args["beta"], args["m"], K_out=args["K_out"], plan=plan)
+    with pytest.raises(ValueError):
+        ImagePlan(LAM2, LAM2, 3, 2)

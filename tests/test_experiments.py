@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from translates import cli
-from translates.approximant import ClassElement, spectral_image
+from translates._alias import build_alias_profile, default_K_out, md_single_frequency_errors_sq
+from translates.approximant import ClassElement, approximation_error, spectral_image
+from translates.approximant_md import approximation_error_md
 from translates.config import (
     ConfigError,
     ProbeConfig,
@@ -25,6 +27,7 @@ from translates.experiments import (
     verify_dominance,
     emit_csv,
     plotdata_text,
+    _random_sources,
 )
 from translates.sequences import CustomSequence, Exponential, Korobov
 from translates.spectral import SpectralFunction
@@ -233,6 +236,80 @@ def test_quadrature_clamp_is_logged(caplog):
     # alpha = 1 (beta = lambda); max|ghat| = 1 is the probes' one coefficient,
     # which no coefficient of a unit-norm source exceeds
     assert bound == pytest.approx(math.sqrt(lam.inv_l2_tail_sq(quad_K)), rel=1e-12)
+
+
+def test_alias_truncation_is_logged(caplog):
+    text = BASIC.replace("r = 2.0", "r = 0.75\ndim = 2").replace("m_list = 2 4 8", "m_list = 2 4")
+    cfg = SweepConfig.from_raw(parse_config(text.replace("g_count = 5", "g_count = 2")))
+    quiet = rows_to_csv_text(run_sweep(cfg))
+    with caplog.at_level(logging.DEBUG, logger="translates"):
+        loud = rows_to_csv_text(run_sweep(cfg))
+    assert loud == quiet
+    records = [r for r in caplog.records if r.name == "translates"]
+    assert [r.args[:2] for r in records] == [(2, 64), (4, 64)]
+    m, T, bound = records[1].args
+    lam = Korobov(0.75, dimension=2)
+    dropped = md_single_frequency_errors_sq(lam, lam, m, T=2000) - md_single_frequency_errors_sq(
+        lam, lam, m, T=T
+    )
+    assert 0 < np.max(dropped) <= bound
+
+
+def _sweep_errors_one_call_each(cfg):
+    """(error_quadrature, error_parseval) of each row of run_sweep, with one
+    public per-source call for every source and probe and no shared plan."""
+    lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
+    out = []
+    for m in cfg.m_list:
+        sources = _random_sources(cfg, m)
+        bw = max(g.bandwidth for g in sources)
+        if d > 1:
+            K = max(4 * m, 32, bw + 1)
+            sq = md_single_frequency_errors_sq(lam, beta, m)
+            k0 = tuple(int(c) - m for c in np.unravel_index(int(np.argmax(sq)), sq.shape))
+            elems = [ClassElement(lam, g, p) for g in sources]
+            par = [approximation_error_md(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
+            par.append(float(math.sqrt(np.max(sq))))
+            elems.append(ClassElement(lam, SpectralFunction.single(k0), p))
+            quad = [approximation_error_md(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+        else:
+            K_out = max(default_K_out(lam, beta, m), bw + 1)
+            K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
+            profile = build_alias_profile(lam, beta, m, K_out=K_out)
+            if p == 2.0:
+                errs = profile.single_frequency_errors()
+                par = [profile.element_error(g) for g in sources] + [float(np.max(errs))]
+                probes = [int(np.argmax(errs)) - m]
+            else:
+                par = []
+                probes = [int(i) - m for i in np.argsort(profile.sq_profile)[::-1][:8]]
+            elems = [ClassElement(lam, g, p) for g in sources]
+            elems += [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
+            quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+        out.append((max(quad), max(par) if par else None))
+    return out
+
+
+@pytest.mark.parametrize(
+    "lam, p, dim, m_list",
+    [
+        ("r = 1.0", 2.0, 1, "4 16"),
+        ("s = 0.5", 2.0, 1, "4 16"),
+        ("r = 2.0", 3.0, 1, "4 16"),
+        ("r = 2.0", 2.0, 2, "2 4"),
+    ],
+)
+def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
+    family = "korobov" if lam.startswith("r") else "exponential"
+    text = (
+        BASIC.replace("family = korobov\nr = 2.0", f"family = {family}\n{lam}\ndim = {dim}")
+        .replace("p = 2.0", f"p = {p}")
+        .replace("m_list = 2 4 8", f"m_list = {m_list}")
+        .replace("g_count = 5", "g_count = 3")
+    )
+    cfg = SweepConfig.from_raw(parse_config(text))
+    rows = run_sweep(cfg)
+    assert [(r.error_quadrature, r.error_parseval) for r in rows] == _sweep_errors_one_call_each(cfg)
 
 
 def test_row_dominance_invariant():

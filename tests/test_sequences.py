@@ -30,6 +30,19 @@ def test_korobov_values():
     assert eval_lambda(k, -3) == 9.0
 
 
+@pytest.mark.parametrize("r", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+def test_korobov_values_bitwise_equal_branch_formula(r):
+    # theta_0 = 1 ** r is exactly 1, so the k = 0 branch of the earlier
+    # np.where formulas is redundant
+    k = np.arange(-10**5, 10**5 + 1)
+    a = np.abs(k.astype(float))
+    seq = Korobov(r)
+    old_inv = np.where(a == 0, 1.0, np.maximum(a, 1.0) ** (-r))
+    old_val = np.where(a == 0, 1.0, a**r)
+    assert np.array_equal(seq._axis_inv_values(k).view(np.int64), old_inv.view(np.int64))
+    assert np.array_equal(seq._axis_values(k).view(np.int64), old_val.view(np.int64))
+
+
 def test_exponential_reciprocals_decay():
     # the generator coefficients (reciprocals) carry the e^{-s|k|} decay
     e = Exponential(0.5)
