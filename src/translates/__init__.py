@@ -12,14 +12,7 @@ from .approximant import (
     spectral_image,
     vm_samples,
 )
-from .approximant_md import (
-    MultiIndexWindow,
-    approximation_error_md,
-    assemble_Qm_md,
-    build_Hm_md,
-    k_prime_md,
-    spectral_image_md,
-)
+from . import approximant_md  # noqa: F401  (loaded before any tracer patches approximant)
 from .error_budget import (
     EpsilonReport,
     RatePrediction,

@@ -32,7 +32,7 @@ def band_arrays(lam: CoefficientSequence, beta: CoefficientSequence, m: int):
     band.
     """
     d = lam.dimension
-    jp = np.arange(-m, m + 1) if d == 1 else md_index_box(m, d)
+    jp = index_box(m, d)
     shape = (2 * m + 1,) * d
     inv_lam = np.asarray(lam.inv_values(jp)).reshape(shape)
     inv_beta = np.asarray(beta.inv_values(jp)).reshape(shape)
@@ -156,28 +156,31 @@ def coeff_lookup_1d(g, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def md_index_box(radius: int, d: int) -> np.ndarray:
-    """All indices of the box [-radius, radius]^d, shape (n^d, d), C order."""
-    axes = [np.arange(-radius, radius + 1)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+def index_box(radius: int, d: int) -> np.ndarray:
+    """All indices of the box [-radius, radius]^d in C order.
+
+    For d = 1 the plain range of shape (n,), the index form univariate
+    sequences take; otherwise shape (n^d, d).
+    """
+    ax = np.arange(-radius, radius + 1)
+    if d == 1:
+        return ax
+    return np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def _md_axis_sums(lam, beta, m: int, T: int):
     """Per axis j of a product pair: the column sums C_j of |beta_j^{-1}|^2
     over the blocks |t| <= T, and D_j = |beta_j^{-1}|^2, A_j = |alpha_j|^2
     on the band; also the beta factors."""
-    d = lam.dimension
     n = 2 * m + 1
     jp = np.arange(-m, m + 1)
     ts = np.arange(-T, T + 1)
     C, D, A, axes = [], [], [], []
-    for j in range(d):
-        axl = lam._axis_factor(j) if d > 1 else lam
-        axb = beta._axis_factor(j) if d > 1 else beta
+    for axl, axb in zip(lam.axis_factors(), beta.axis_factors()):
         inv_l = np.asarray(axl.inv_values(jp))
         inv_b = np.asarray(axb.inv_values(jp))
         if np.any(inv_b == 0):
-            raise SequenceError("generator sequence vanishes inside the band")
+            raise SequenceError("generator sequence vanishes inside the reproduced band")
         offs = jp[None, :] + (n * ts)[:, None]
         C.append(np.sum(np.abs(np.asarray(axb.inv_values(offs))) ** 2, axis=0))
         D.append(np.abs(inv_b) ** 2)
@@ -194,7 +197,7 @@ def md_single_frequency_errors_sq(
 ) -> np.ndarray:
     """Squared p = 2 error of every pure-frequency source e_{k0}, |k0|_inf <= m.
 
-    Requires product-structured sequences: the alias sums factor per
+    Requires sequences with ``axis_factors``: the alias sums factor per
     axis, so the (2m+1)^d values cost d univariate passes.  The sums stop
     at T alias blocks per side; ``md_single_frequency_tail_sq`` bounds the
     rest.

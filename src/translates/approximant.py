@@ -1,21 +1,22 @@
-"""Univariate approximation by translates of a single generator.
+"""Approximation by translates of a single generator on the d-torus.
 
 The pipeline: a filter polynomial with coefficients alpha_k =
-beta_k / lambda_k on |k| <= m is convolved with the source g, sampled at
-the 2m+1 uniform nodes, and the samples (divided by 2m+1) become the
-weights of translates of the beta-generator.  The result reproduces the
-target coefficients exactly on |k| <= m and aliases the band alpha ghat
-onto higher frequencies, which is what the error budgets measure.
+beta_k / lambda_k on the box |k|_inf <= m is convolved with the source g,
+sampled at the (2m+1)^d uniform nodes (lexicographic order), and the
+samples divided by (2m+1)^d become the weights of translates of the
+beta-generator.  The result reproduces the target coefficients exactly on
+the box and aliases the band alpha ghat coordinatewise onto higher
+frequencies, which is what the error budgets measure.  d = 1 is the box
+of dimension 1; every function here takes any d.
 
 The spectral image and both error routes run on an ``ImagePlan``: for one
 (lambda, beta, m, K_out) it holds the multipliers gamma_k = alpha_{k'}
-beta_k^{-1} on the index box |k|_inf <= K_out of dimension d (lambda_k^{-1}
-on the band), the gather index from each box position to its residue k'
-and the mask of the positions outside the band.  These do not depend on
-the source, so a sweep row builds one plan and passes it through the
-``plan=`` keyword of ``spectral_image``, ``approximation_error`` and their
-``approximant_md`` counterparts; called without one, each builds a
-one-off plan.  d = 1 is the box of dimension 1.
+beta_k^{-1} on the index box |k|_inf <= K_out (lambda_k^{-1} on the band),
+the gather index from each box position to its residue k' and the mask
+of the positions outside the band.  These do not depend on the source, so
+a sweep row builds one plan and passes it through the ``plan=`` keyword
+of ``spectral_image`` and ``approximation_error``; called without one,
+each builds a one-off plan.
 """
 
 from __future__ import annotations
@@ -27,15 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from ._alias import (
-    band_arrays,
-    coeff_lookup_1d,
-    default_K_out,
-    k_prime_array,
-    md_index_box,
-)
+from ._alias import band_arrays, default_K_out, index_box, k_prime_array
 from .sequences import CoefficientSequence, SequenceError, box_inv_tail
-from .spectral import SpectralFunction, evaluate_many, lp_norm
+from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm
 
 __all__ = [
     "ClassElement",
@@ -54,7 +49,12 @@ __all__ = [
     "class_inner_product",
 ]
 
-NODE_GUARD = 10**7  # largest d >= 2 coefficient box or node window
+NODE_GUARD = 10**7  # largest node window, or d >= 2 coefficient box
+
+
+def _centre(R: int, r: int, d: int) -> tuple:
+    """Slices of the sub-box of radius r <= R in a box of radius R."""
+    return (slice(R - r, R + r + 1),) * d
 
 
 def k_prime(k: int, m: int) -> int:
@@ -93,8 +93,7 @@ class ClassElement:
     def target_spectral(self) -> SpectralFunction:
         """Coefficients of f on the support box of g."""
         d, g = self.dimension, self.g
-        ks = g.axis_indices() if d == 1 else md_index_box(g.radius, d)
-        inv = np.asarray(self.lam.inv_values(ks)).reshape(g.values.shape)
+        inv = np.asarray(self.lam.inv_values(index_box(g.radius, d))).reshape(g.values.shape)
         return SpectralFunction(d, g.radius, inv * g.values, copy=False)
 
     def evaluate(self, x) -> complex:
@@ -104,10 +103,18 @@ class ClassElement:
 def default_K_gen(beta: CoefficientSequence, m: int, tol: float = 1e-10) -> int:
     """Generator truncation radius for physical-space evaluation.
 
-    Power-decay reciprocals use max(50 m, 1000); exponential ones the
-    radius making the l1 tail drop below tol; truncated generators the
-    table radius itself.
+    Univariate power-decay reciprocals use max(50 m, 1000); exponential
+    ones the radius making the l1 tail drop below tol; truncated
+    generators the table radius itself.  In d >= 2 dimensions the radius
+    is max(50 m, 1000), halved (not below m) until the generator box
+    (2K+1)^d fits the node guard.
     """
+    d = beta.dimension
+    if d > 1:
+        K = max(50 * m, 1000)
+        while (2 * K + 1) ** d > NODE_GUARD and K > m:
+            K = max(m, K // 2)
+        return K
     rule = beta.tail_rule()
     if rule.kind == "finite":
         return max(rule.radius, m)
@@ -147,24 +154,14 @@ class TranslateApproximant:
 
     def nodes(self) -> np.ndarray:
         """Node positions, shape (n_translates, d), lexicographic in l."""
-        ls = np.stack(
-            np.meshgrid(*([np.arange(2 * self.m + 1)] * self.dimension), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, self.dimension)
-        return self.delta * ls
+        d = self.dimension
+        return self.delta * (index_box(self.m, d) + self.m).reshape(-1, d)
 
     def generator(self) -> SpectralFunction:
         """The truncated generator as a band-limited function."""
-        d = self.dimension
-        if d == 1:
-            ks = np.arange(-self.K_gen, self.K_gen + 1)
-            vals = np.asarray(self.beta.inv_values(ks), dtype=complex)
-        else:
-            box = md_index_box(self.K_gen, d)
-            vals = np.asarray(self.beta.inv_values(box), dtype=complex).reshape(
-                (2 * self.K_gen + 1,) * d
-            )
-        return SpectralFunction(d, self.K_gen, vals, copy=False)
+        d, K = self.dimension, self.K_gen
+        vals = np.asarray(self.beta.inv_values(index_box(K, d)), dtype=complex)
+        return SpectralFunction(d, K, vals.reshape((2 * K + 1,) * d), copy=False)
 
     def generator_tail_l1(self) -> float:
         """l1 bound on the discarded generator coefficients."""
@@ -193,28 +190,24 @@ class TranslateApproximant:
 def build_Hm(
     lam: CoefficientSequence, beta: CoefficientSequence, m: int
 ) -> SpectralFunction:
-    """Filter polynomial with coefficients beta_k / lambda_k on |k| <= m."""
-    if lam.dimension != 1 or beta.dimension != 1:
-        raise SequenceError("build_Hm is univariate")
+    """Filter polynomial with coefficients beta_k / lambda_k on |k|_inf <= m."""
+    if lam.dimension != beta.dimension:
+        raise SequenceError("sequence dimensions differ")
     _, _, alpha = band_arrays(lam, beta, m)
-    return SpectralFunction(1, m, alpha.astype(complex), copy=False)
+    return SpectralFunction(lam.dimension, m, alpha.astype(complex), copy=False)
 
 
 def vm_samples(g: SpectralFunction, Hm: SpectralFunction, m: int) -> np.ndarray:
-    """Samples of (Hm * g) at the nodes delta * l, l = 0..2m.
+    """Samples of (Hm * g) at the nodes delta * l, l in {0..2m}^d.
 
-    The coefficient products are folded onto residues mod 2m+1 and a
-    length-(2m+1) inverse transform produces all node values at once.
+    The coefficient products are folded onto residues mod 2m+1 per axis
+    and one inverse transform of shape (2m+1,)^d produces all node values
+    at once.
     """
-    if g.dimension != 1 or Hm.dimension != 1:
-        raise SequenceError("vm_samples is univariate")
-    n = 2 * m + 1
-    r = min(g.radius, Hm.radius)
-    ks = np.arange(-r, r + 1)
-    prods = coeff_lookup_1d(Hm, ks) * coeff_lookup_1d(g, ks)
-    spec = np.zeros(n, dtype=complex)
-    np.add.at(spec, ks % n, prods)
-    return np.fft.ifft(spec) * n
+    prods, n, d = convolve(Hm, g), 2 * m + 1, g.dimension
+    spec = np.zeros((n,) * d, dtype=complex)
+    np.add.at(spec, np.ix_(*[prods.axis_indices() % n] * d), prods.values)
+    return np.fft.ifftn(spec) * n**d
 
 
 def assemble_Qm(
@@ -223,16 +216,17 @@ def assemble_Qm(
     m: int,
     K_gen: Optional[int] = None,
 ) -> TranslateApproximant:
-    """Build the 2m+1 translate weights for a class element."""
-    if elem.dimension != 1:
-        raise SequenceError("assemble_Qm is univariate; see approximant_md")
+    """Build the (2m+1)^d translate weights for a class element."""
+    d = elem.dimension
+    if (2 * m + 1) ** d > NODE_GUARD:
+        raise ValueError(f"(2m+1)^d = {(2 * m + 1) ** d} exceeds the node guard")
+    Hm = build_Hm(elem.lam, beta, m)
     if K_gen is None:
         K_gen = default_K_gen(beta, m)
     if K_gen < m:
         raise ValueError("K_gen must be >= m")
-    Hm = build_Hm(elem.lam, beta, m)
-    weights = vm_samples(elem.g, Hm, m) / (2 * m + 1)
-    return TranslateApproximant(beta, m, weights, K_gen, dimension=1)
+    weights = vm_samples(elem.g, Hm, m) / (2 * m + 1) ** d
+    return TranslateApproximant(beta, m, weights, K_gen, dimension=d)
 
 
 @dataclass(frozen=True)
@@ -267,7 +261,7 @@ class ImagePlan:
         if d > 1 and (2 * K_out + 1) ** d > NODE_GUARD:
             raise ValueError("K_out box exceeds the coefficient guard")
         inv_lam, _, alpha = band_arrays(lam, beta, m)
-        ks = np.arange(-K_out, K_out + 1) if d == 1 else md_index_box(K_out, d)
+        ks = index_box(K_out, d)
         kp = (k_prime_array(ks, m) + m).reshape(-1, d)
         self.index = np.ravel_multi_index(tuple(kp.T), alpha.shape).astype(np.int32)
         self.outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
@@ -281,7 +275,7 @@ class ImagePlan:
         m, d, R = self.m, self.dimension, g.radius
         r = min(m, R)
         band = np.zeros((2 * m + 1,) * d, dtype=complex)
-        band[(slice(m - r, m + r + 1),) * d] = g.values[(slice(R - r, R + r + 1),) * d]
+        band[_centre(m, r, d)] = g.values[_centre(R, r, d)]
         vals = band.ravel()[self.index]
         np.multiply(self.gamma, vals, out=vals)
         return vals.reshape((2 * self.K_out + 1,) * d)
@@ -302,9 +296,9 @@ class ImagePlan:
 def _subtract_target(vals: np.ndarray, elem: ClassElement) -> None:
     """vals -= the target's coefficients, in place where the two centred boxes overlap."""
     target = elem.target_spectral().values
-    r, R = (vals.shape[0] - 1) // 2, elem.g.radius
+    r, R, d = (vals.shape[0] - 1) // 2, elem.g.radius, vals.ndim
     c = min(r, R)
-    vals[(slice(r - c, r + c + 1),) * vals.ndim] -= target[(slice(R - c, R + c + 1),) * vals.ndim]
+    vals[_centre(r, c, d)] -= target[_centre(R, c, d)]
 
 
 def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
@@ -336,8 +330,6 @@ def spectral_image(
     gamma_k = alpha_{k'} beta_k^{-1}.  ``plan`` is a prebuilt ImagePlan of
     the same (lam, beta, m, K_out); without one, a one-off plan is built.
     """
-    if elem.dimension != 1:
-        raise SequenceError("spectral_image is univariate; see approximant_md")
     return _plan_for(elem, beta, m, K_out, plan).image(elem.g)
 
 
@@ -363,21 +355,17 @@ def approximation_error(
     *,
     plan: Optional[ImagePlan] = None,
 ) -> float:
-    """Norm of (target - approximant) by one of two routes.
+    """Norm of (target - approximant), truncated at |k|_inf <= K_out.
 
     ``parseval_oracle`` (p = 2 only) sums the exact coefficient
-    differences over m < |k| <= K_out.  ``quadrature`` materializes the
-    coefficient difference on the band and takes its L_p norm.  Both are
-    truncated at the same K_out, so they can be compared directly.
-    ``plan`` is as for ``spectral_image``.
+    differences over m < |k|_inf <= K_out.  ``quadrature`` materializes
+    the coefficient difference on the box and takes its L_p norm on a
+    sampling grid.  Both share the truncation.  At p = 2 they are the same
+    l2 sum of the same differences, so they agree to rounding by
+    construction; the independent check of the image is the
+    physical-space ``TranslateApproximant.evaluate``.  ``plan`` is as for
+    ``spectral_image``.
     """
-    if elem.dimension != 1:
-        raise SequenceError("approximation_error is univariate; see approximant_md")
-    return _error(elem, beta, m, p, method, K_out, oversample, plan, spectral_image)
-
-
-def _error(elem, beta, m, p, method, K_out, oversample, plan, image) -> float:
-    """Both error routes for any d; ``image`` is the public spectral image of d."""
     if p is None:
         p = elem.p
     if not 1.0 < p < math.inf:
@@ -389,7 +377,7 @@ def _error(elem, beta, m, p, method, K_out, oversample, plan, image) -> float:
     plan = _plan_for(elem, beta, m, K_out, plan)
     if method == "parseval_oracle":
         return plan.parseval_error(elem)
-    diff = image(elem, beta, m, plan=plan).function  # a fresh array, changed in place
+    diff = spectral_image(elem, beta, m, plan=plan).function  # a fresh array, changed in place
     if elem.g.radius > diff.radius:
         diff = diff.padded(elem.g.radius)
     _subtract_target(diff.values, elem)
@@ -406,15 +394,10 @@ def kernel_section(lam: CoefficientSequence, x, radius: int) -> SpectralFunction
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != d:
         raise SequenceError("point dimension mismatch")
-    if d == 1:
-        ks = np.arange(-radius, radius + 1)
-        inv2 = np.asarray(lam.inv_values(ks)) ** 2
-        vals = inv2 * np.exp(-1j * ks * x[0])
-    else:
-        box = md_index_box(radius, d)
-        inv2 = np.asarray(lam.inv_values(box)) ** 2
-        vals = (inv2 * np.exp(-1j * box @ x)).reshape((2 * radius + 1,) * d)
-    return SpectralFunction(d, radius, vals, copy=False)
+    ks = index_box(radius, d)
+    inv2 = np.asarray(lam.inv_values(ks)) ** 2
+    vals = inv2 * np.exp(-1j * ks.reshape(-1, d) @ x)
+    return SpectralFunction(d, radius, vals.reshape((2 * radius + 1,) * d), copy=False)
 
 
 def class_inner_product(
@@ -425,10 +408,6 @@ def class_inner_product(
         raise SequenceError("dimension mismatch")
     r = min(f1.radius, f2.radius)  # outside either box the product vanishes
     d = f1.dimension
-    sl1 = (slice(f1.radius - r, f1.radius + r + 1),) * d
-    sl2 = (slice(f2.radius - r, f2.radius + r + 1),) * d
-    if d == 1:
-        lam2 = np.asarray(lam.values(np.arange(-r, r + 1))) ** 2
-    else:
-        lam2 = np.asarray(lam.values(md_index_box(r, d))).reshape((2 * r + 1,) * d) ** 2
-    return complex(np.sum(lam2 * f1.values[sl1] * np.conj(f2.values[sl2])))
+    lam2 = np.asarray(lam.values(index_box(r, d))).reshape((2 * r + 1,) * d) ** 2
+    v1, v2 = f1.values[_centre(f1.radius, r, d)], f2.values[_centre(f2.radius, r, d)]
+    return complex(np.sum(lam2 * v1 * np.conj(v2)))

@@ -160,18 +160,11 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
         raise ConfigError(f"{cfg.path}: [{section}]: {exc}") from None
     degree = cfg.get(section, "truncate", default=None, cast=int)
     if degree is not None:
-        if seq.dimension == 1:
-            seq = truncated(seq, degree)
-        else:
-            try:
-                factors = tuple(
-                    truncated(seq._axis_factor(j), degree) for j in range(seq.dimension)
-                )
-            except SequenceError:
-                raise ConfigError(
-                    f"{cfg.path}: [{section}]: truncate needs a product-structured family"
-                ) from None
-            seq = ProductSequence(factors)
+        factors = seq.axis_factors()
+        if factors is None:
+            raise ConfigError(f"{cfg.path}: [{section}]: truncate needs a product family")
+        factors = tuple(truncated(f, degree) for f in factors)
+        seq = factors[0] if seq.dimension == 1 else ProductSequence(factors)
     return seq
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import band_arrays, k_prime_array, md_index_box
+from ._alias import band_arrays, index_box, k_prime_array
 from .sequences import (
     CoefficientSequence,
     Exponential,
@@ -351,27 +351,19 @@ def inv_sup_outside_box(seq: CoefficientSequence, m: int, scan: int = 256) -> fl
     """sup of |seq^{-1}| outside the box |k|_inf <= m."""
     if seq.dimension == 1:
         return seq.inv_sup_tail(m, scan=scan)
-    try:
-        outs = []
-        alls = []
-        for j in range(seq.dimension):
-            ax = seq._axis_factor(j)
-            outs.append(ax.inv_sup_tail(m, scan=scan))
-            alls.append(_axis_inv_sup_all(ax, scan=scan))
-        best = 0.0
-        for a in range(seq.dimension):
-            prod = outs[a]
-            for b in range(seq.dimension):
-                if b != a:
-                    prod *= alls[b]
-            best = max(best, prod)
-        return best
-    except SequenceError:
+    axes = seq.axis_factors()
+    if axes is None:
         # no product structure: scan a finite shell, no rule tail available
-        R = m + scan
-        box = md_index_box(R, seq.dimension)
+        box = index_box(m + scan, seq.dimension)
         outer = np.max(np.abs(box), axis=1) > m
         return float(np.max(np.abs(seq.inv_values(box[outer]))))
+    # outside the box one axis at least is outside [-m, m]
+    outs = [ax.inv_sup_tail(m, scan=scan) for ax in axes]
+    alls = [_axis_inv_sup_all(ax, scan=scan) for ax in axes]
+    return max(
+        math.prod([outs[a]] + [alls[b] for b in range(len(axes)) if b != a])
+        for a in range(len(axes))
+    )
 
 
 def epsilon_p2_md(
@@ -406,15 +398,15 @@ def epsilon_p2_md(
     sup_term = inv_sup_outside_box(lam, m)
     n = 2 * m + 1
     jp = np.arange(-m, m + 1)
-    try:
+    factors = (lam.axis_factors(), beta.axis_factors())
+    if None not in factors:
         base, lows, widths = [], [], []
         trunc = 0
-        for j in range(d):
-            axl, axb = lam._axis_factor(j), beta._axis_factor(j)
+        for axl, axb in zip(*factors):
             inv_l = np.asarray(axl.inv_values(jp))
             inv_b = np.asarray(axb.inv_values(jp))
             if np.any(inv_b == 0):
-                raise SequenceError("generator sequence vanishes inside the band")
+                raise SequenceError("generator sequence vanishes inside the reproduced band")
             alpha = np.abs(inv_l / inv_b)
             J = J_max if J_max is not None else _default_J(axb.tail_rule())
             S, width, T = _block_sum_bracket(alpha, axb, m, J)
@@ -429,18 +421,18 @@ def epsilon_p2_md(
             width_sq = width_sq * (1.0 + rel) + 3.0 * rel * gamma_sq
         else:
             width_sq = math.inf
-    except SequenceError:
+    else:
         # direct enumeration under the guard, rule-free tail
         J = J_max if J_max is not None else 32
         while (2 * J + 1) ** d * n**d > 4 * 10**7 and J > 1:
             J //= 2
-        box_j = md_index_box(J, d)
+        box_j = index_box(J, d)
         box_j = box_j[np.max(np.abs(box_j), axis=1) > 0]
-        box_k = md_index_box(m, d)
+        box_k = index_box(m, d)
         inv_l = np.asarray(lam.inv_values(box_k))
         inv_b = np.asarray(beta.inv_values(box_k))
         if np.any(inv_b == 0):
-            raise SequenceError("generator sequence vanishes inside the band")
+            raise SequenceError("generator sequence vanishes inside the reproduced band")
         alpha = np.abs(inv_l / inv_b)
         gamma_sq = 0.0
         for jv in box_j:
@@ -515,26 +507,30 @@ def _series_sum(lam: CoefficientSequence, m: int, power: int, N: int = 10**5) ->
     return total + tail_fn(m * N) / (2 * m)
 
 
-def _probe_view(dimension, fn):
-    view = CoefficientSequence()
-    view.dimension = dimension
-    view.family = "probe-view"
-    view.values = fn  # type: ignore[method-assign]
-    return view
+@dataclass(frozen=True)
+class _PowerRatio(CoefficientSequence):
+    """theta_k / max(|k|_2, 1)^rho, a sequence that ``check_nondecreasing_type`` scans."""
+
+    seq: CoefficientSequence
+    rho: float
+    family: str = field(default="power-ratio", init=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.seq.dimension
+
+    def values(self, k):
+        k = np.asarray(k, dtype=np.int64)
+        if self.dimension == 1:
+            nrm = np.abs(k).astype(float)
+        else:
+            nrm = np.sqrt(np.sum(k.astype(float) ** 2, axis=-1))
+        return np.asarray(self.seq.values(k)) / np.maximum(nrm, 1.0) ** self.rho
 
 
 def _ratio_power_probe(seq: CoefficientSequence, rho: float, radius: int) -> bool:
     """Probe {theta_k / |k|_2^rho} for nondecreasing type."""
-
-    def fn(k):
-        k = np.asarray(k, dtype=np.int64)
-        if seq.dimension == 1:
-            nrm = np.abs(k).astype(float)
-        else:
-            nrm = np.sqrt(np.sum(k.astype(float) ** 2, axis=-1))
-        return np.asarray(seq.values(k)) / np.maximum(nrm, 1.0) ** rho
-
-    return check_nondecreasing_type(_probe_view(seq.dimension, fn), radius).holds
+    return check_nondecreasing_type(_PowerRatio(seq, rho), radius).holds
 
 
 def _bounded_inv_ratio(beta, lam, radius) -> bool:
@@ -545,7 +541,7 @@ def _bounded_inv_ratio(beta, lam, radius) -> bool:
     the shrink factor of ``check_nondecreasing_type``.
     """
     d = lam.dimension
-    ks = np.arange(-radius, radius + 1) if d == 1 else md_index_box(radius, d)
+    ks = index_box(radius, d)
     if d == 1 and lam.tail_rule().inv_sup(radius) == 0:
         return False  # lam^{-1} vanishes beyond the probe range
     ib = np.abs(np.asarray(beta.inv_values(ks)))

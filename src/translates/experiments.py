@@ -28,7 +28,6 @@ from ._alias import (
     md_single_frequency_tail_sq,
 )
 from .approximant import ClassElement, ImagePlan, approximation_error, image_tail_bound
-from .approximant_md import approximation_error_md
 from .config import ProbeConfig, SweepConfig
 from .error_budget import (
     epsilon_general_p,
@@ -37,7 +36,6 @@ from .error_budget import (
     predicted_rate,
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
-from .sequences import SequenceError
 from .spectral import SpectralFunction, lp_norm, random_real_spectral
 
 __all__ = [
@@ -134,17 +132,16 @@ def run_sweep(cfg: SweepConfig) -> list:
         bw = max((g.bandwidth for g in sources), default=m)
         if d > 1:
             K_out = cfg.K_out or max(4 * m, 32, bw + 1)
-            try:
+            if lam.axis_factors() and beta.axis_factors():
                 sq = md_single_frequency_errors_sq(lam, beta, m)
-            except SequenceError:
-                probe_p = []
-                probes = [(m,) + (0,) * (d - 1)]  # no product structure: edge probe
-            else:
                 probe_p = [float(math.sqrt(np.max(sq)))]
                 k0 = np.unravel_index(int(np.argmax(sq)), sq.shape)
                 probes = [tuple(int(c) - m for c in k0)]
                 if log.isEnabledFor(logging.DEBUG):
                     _log_alias_truncation(lam, beta, m)
+            else:
+                probe_p = []
+                probes = [(m,) + (0,) * (d - 1)]  # no product structure: edge probe
             err_q, err_p = _plan_errors(cfg, m, K_out, sources, probes, parseval=True)
             err_p += probe_p
         else:
@@ -182,13 +179,15 @@ def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
     builds its alias profile.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
-    error = approximation_error if d == 1 else approximation_error_md
     plan = ImagePlan(lam, beta, m, K)
     elems = [ClassElement(lam, g, p) for g in sources]
-    err_p = [error(e, beta, m, p, "parseval_oracle", plan=plan) for e in elems] if parseval else []
+    err_p = [
+        approximation_error(e, beta, m, p, "parseval_oracle", plan=plan) for e in elems
+    ] if parseval else []
     elems += [ClassElement(lam, SpectralFunction.single(k0, dimension=d), p) for k0 in probes]
     err_q = [
-        error(e, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan) for e in elems
+        approximation_error(e, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
+        for e in elems
     ]
     return err_q, err_p
 

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._alias import index_box
 from .sequences import CoefficientSequence, SequenceError
 from .spectral import SpectralFunction
 
@@ -87,8 +88,7 @@ def lattice_count(s: int, d: int) -> int:
 
 
 def _ball_indices(s: int, d: int) -> np.ndarray:
-    ax = np.arange(-s, s + 1)
-    box = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    box = index_box(s, d).reshape(-1, d)
     keep = np.sum(box.astype(np.int64) ** 2, axis=1) <= s * s
     return box[keep]
 
@@ -181,15 +181,9 @@ def default_probe_generator(
     usable function), gaining a |k|^d damping over the plain generator.
     """
     d = lam.dimension
-    if d == 1:
-        ks = np.arange(-truncation, truncation + 1)
-        damp = np.maximum(np.abs(ks).astype(float), 1.0) ** d
-        vals = np.asarray(lam.inv_values(ks)) / damp
-        return SpectralFunction(1, truncation, vals.astype(complex), copy=False)
-    ax = np.arange(-truncation, truncation + 1)
-    box = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1)
-    nrm = np.maximum(np.sum(np.abs(box), axis=-1).astype(float), 1.0)
-    vals = np.asarray(lam.inv_values(box.reshape(-1, d))).reshape(nrm.shape) / nrm**d
+    ks = index_box(truncation, d)
+    nrm = np.maximum(np.sum(np.abs(ks.reshape(-1, d)), axis=1).astype(float), 1.0)
+    vals = (np.asarray(lam.inv_values(ks)) / nrm**d).reshape((2 * truncation + 1,) * d)
     return SpectralFunction(d, truncation, vals.astype(complex), copy=False)
 
 

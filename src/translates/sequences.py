@@ -279,26 +279,29 @@ class CoefficientSequence:
         raise NotImplementedError
 
     def values(self, k) -> np.ndarray:
-        k = self._check_indices(k)
-        if self.dimension == 1:
-            return self._axis_values(k)
-        out = np.ones(k.shape[:-1])
-        for j in range(self.dimension):
-            out = out * self._axis_factor(j)._axis_values(k[..., j])
-        return out
+        return self._over_axes(k, "_axis_values")
 
     def inv_values(self, k) -> np.ndarray:
+        return self._over_axes(k, "_axis_inv_values")
+
+    def _over_axes(self, k, method: str) -> np.ndarray:
+        """The univariate ``method`` at k, multiplied over the axis factors."""
         k = self._check_indices(k)
         if self.dimension == 1:
-            return self._axis_inv_values(k)
+            return getattr(self, method)(k)
         out = np.ones(k.shape[:-1])
-        for j in range(self.dimension):
-            out = out * self._axis_factor(j)._axis_inv_values(k[..., j])
+        for j, factor in enumerate(self.axis_factors()):
+            out = out * getattr(factor, method)(k[..., j])
         return out
 
-    def _axis_factor(self, j: int) -> "CoefficientSequence":
-        """Univariate factor along axis j (product families override)."""
-        raise SequenceError(f"{self.family} is not a product over axes")
+    def axis_factors(self) -> Optional[tuple]:
+        """Univariate factors with theta_k = prod_j theta^(j)_{k_j}, or None.
+
+        A univariate sequence is its own single factor; a multivariate one
+        that is not a product over axes returns None and must override
+        ``values`` and ``inv_values``.
+        """
+        return (self,) if self.dimension == 1 else None
 
     def _check_indices(self, k) -> np.ndarray:
         k = np.asarray(k)
@@ -381,8 +384,8 @@ class Korobov(CoefficientSequence):
     def _axis_inv_values(self, k):
         return np.maximum(np.abs(np.asarray(k, dtype=float)), 1.0) ** (-self.r)
 
-    def _axis_factor(self, j):
-        return Korobov(self.r)
+    def axis_factors(self):
+        return (Korobov(self.r),) * self.dimension
 
     def tail_rule(self):
         return TailRule("power", rate=self.r, scale=1.0, radius=0, exact=True)
@@ -417,8 +420,8 @@ class Exponential(CoefficientSequence):
         a = np.abs(np.asarray(k, dtype=float))
         return np.exp(-self.s * a)
 
-    def _axis_factor(self, j):
-        return Exponential(self.s)
+    def axis_factors(self):
+        return (Exponential(self.s),) * self.dimension
 
     def tail_rule(self):
         return TailRule("exponential", rate=self.s, scale=1.0, radius=0, exact=True)
@@ -521,9 +524,9 @@ class Constant(CoefficientSequence):
     def _axis_inv_values(self, k):
         return np.full(np.shape(np.asarray(k, dtype=float)), 1.0 / self.v)
 
-    def _axis_factor(self, j):
-        # theta is v on all of Z^d, so only one axis carries the value
-        return Constant(self.v) if j == 0 else Constant(1.0)
+    def axis_factors(self):
+        # theta is v on all of Z^d, so only the first axis carries the value
+        return (Constant(self.v),) + (Constant(1.0),) * (self.dimension - 1)
 
     def tail_rule(self):
         return TailRule("constant", scale=abs(self.v), radius=0)
@@ -547,8 +550,8 @@ class ProductSequence(CoefficientSequence):
                 raise SequenceError("product factors must be univariate")
         object.__setattr__(self, "dimension", len(self.factors))
 
-    def _axis_factor(self, j):
-        return self.factors[j]
+    def axis_factors(self):
+        return tuple(self.factors)
 
     def _axis_values(self, k):  # pragma: no cover - dimension 1 product
         return self.factors[0]._axis_values(k)
@@ -670,9 +673,8 @@ def box_inv_tail(seq: CoefficientSequence, K: int, power: int) -> float:
     """
     if seq.dimension == 1:
         return seq.inv_l1_tail(K) if power == 1 else seq.inv_l2_tail_sq(K)
-    try:
-        axes = [seq._axis_factor(j) for j in range(seq.dimension)]
-    except SequenceError:
+    axes = seq.axis_factors()
+    if axes is None:
         return math.inf
     ks = np.arange(-K, K + 1)
     inside = [float(np.sum(np.abs(ax.inv_values(ks)) ** power)) for ax in axes]

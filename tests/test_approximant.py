@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translates._alias import build_alias_profile, default_K_out, k_prime_array, md_index_box
+from translates._alias import build_alias_profile, default_K_out, index_box, k_prime_array
 from translates.approximant import (
     ClassElement,
     ImagePlan,
@@ -19,7 +19,6 @@ from translates.approximant import (
     spectral_image,
     vm_samples,
 )
-from translates.approximant_md import approximation_error_md, spectral_image_md
 from translates.sequences import (
     CustomSequence,
     Exponential,
@@ -358,14 +357,14 @@ def _direct(elem, beta, m, K):
     beta_k^{-1}, evaluated at each k; on it lambda_k^{-1} ghat(k).
     """
     lam, g, d = elem.lam, elem.g, elem.dimension
-    ks = np.arange(-K, K + 1) if d == 1 else md_index_box(K, d)
+    ks = np.arange(-K, K + 1) if d == 1 else index_box(K, d)
     kp = k_prime_array(ks, m)
     alpha = np.asarray(lam.inv_values(kp)) / np.asarray(beta.inv_values(kp))
     gamma = alpha * np.asarray(beta.inv_values(ks))
     vals = gamma * _lookup(g, kp)
     inner = np.max(np.abs(ks.reshape(-1, d)), axis=1) <= m
     vals[inner] = np.asarray(lam.inv_values(ks[inner])) * _lookup(g, ks[inner])
-    band = np.arange(-m, m + 1) if d == 1 else md_index_box(m, d)
+    band = np.arange(-m, m + 1) if d == 1 else index_box(m, d)
     alpha_max = float(np.max(np.abs(np.asarray(lam.inv_values(band)) / beta.inv_values(band))))
     tail = alpha_max * math.sqrt(box_inv_tail(beta, K, 2)) * float(np.max(np.abs(g.values)))
     img = SpectralFunction(d, K, vals.reshape((2 * K + 1,) * d))
@@ -396,20 +395,18 @@ CPLX = CustomSequence(
 def test_plan_matches_direct_image(lam, beta, m, K, bw):
     rng = np.random.default_rng(bw)
     d = lam.dimension
-    image = spectral_image if d == 1 else spectral_image_md
-    error = approximation_error if d == 1 else approximation_error_md
     for g in (random_real_spectral(d, bw, rng), SpectralFunction.single((m,) * d)):
         elem = ClassElement(lam, g)
         vals, tail, par, quad = _direct(elem, beta, m, K)
-        img = image(elem, beta, m, K_out=K)
+        img = spectral_image(elem, beta, m, K_out=K)
         assert np.array_equal(img.function.values, vals)
         assert img.tail_bound == tail
-        assert error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == par
-        assert error(elem, beta, m, 2.0, "quadrature", K_out=K) == quad
+        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == par
+        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K) == quad
         plan = ImagePlan(lam, beta, m, K)  # a shared plan gives the same numbers
-        assert np.array_equal(image(elem, beta, m, plan=plan).function.values, vals)
-        assert error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == par
-        assert error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == quad
+        assert np.array_equal(spectral_image(elem, beta, m, plan=plan).function.values, vals)
+        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == par
+        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == quad
     if beta is CPLX or isinstance(beta, ProductSequence):
         assert np.max(np.abs(img.function.values.imag)) > 0.01
 

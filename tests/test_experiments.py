@@ -1,14 +1,19 @@
 import logging
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from translates import cli
-from translates._alias import build_alias_profile, default_K_out, md_single_frequency_errors_sq
+from translates._alias import (
+    build_alias_profile,
+    default_K_out,
+    index_box,
+    md_single_frequency_errors_sq,
+)
 from translates.approximant import ClassElement, approximation_error, spectral_image
-from translates.approximant_md import approximation_error_md
 from translates.config import (
     ConfigError,
     ProbeConfig,
@@ -29,7 +34,17 @@ from translates.experiments import (
     plotdata_text,
     _random_sources,
 )
-from translates.sequences import CustomSequence, Exponential, Korobov
+from translates.error_budget import epsilon_p2_md, inv_sup_outside_box
+from translates.sequences import (
+    CoefficientSequence,
+    CustomSequence,
+    Exponential,
+    Korobov,
+    ProductSequence,
+    SequenceError,
+    box_inv_tail,
+    truncated,
+)
 from translates.spectral import SpectralFunction
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +114,13 @@ def test_build_sequence_families():
     assert float(beta.values(np.array(5))) == 25.0
 
 
+def test_truncate_caps_each_axis_factor():
+    cfg = parse_config("[beta]\nfamily = korobov\nr = 2.0\ndim = 2\ntruncate = 3\n")
+    beta = build_sequence(cfg, "beta")
+    assert isinstance(beta, ProductSequence)
+    assert beta.inv_values(np.array([[3, -2], [4, 0], [0, -4]])).tolist() == [1 / 36, 0.0, 0.0]
+
+
 def test_probe_config():
     cfg = parse_config(
         "[lambda]\nfamily = korobov\nr = 1.0\n"
@@ -163,9 +185,11 @@ def test_csv_schema_and_roundtrip(tmp_path):
 
 
 def test_csv_golden_file():
-    cfg = SweepConfig.from_raw(load_config(DATA / "golden_sweep.cfg"))
-    text = rows_to_csv_text(run_sweep(cfg))
-    assert text == (DATA / "golden_sweep.csv").read_text()
+    # d = 1 at p = 2, the d = 2 route and the p = 3 quadrature route
+    for name in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3"):
+        cfg = SweepConfig.from_raw(load_config(DATA / f"{name}.cfg"))
+        text = rows_to_csv_text(run_sweep(cfg))
+        assert text == (DATA / f"{name}.csv").read_text(), name
 
 
 def test_unicode_path(tmp_path):
@@ -255,6 +279,55 @@ def test_alias_truncation_is_logged(caplog):
     assert 0 < np.max(dropped) <= bound
 
 
+class Radial(CoefficientSequence):
+    """(1 + |k|_2^2)^(3/2) on Z^2, which is no product over axes."""
+
+    dimension = 2
+
+    def values(self, k):
+        return (1.0 + np.sum(np.asarray(k, dtype=float) ** 2, axis=-1)) ** 1.5
+
+    def inv_values(self, k):
+        return 1.0 / self.values(k)
+
+
+def test_non_product_pair_takes_the_fallbacks():
+    seq, m = Radial(), 2
+    assert seq.axis_factors() is None
+    assert box_inv_tail(seq, 3, 2) == math.inf
+    box = index_box(m + 8, 2)
+    shell = box[np.max(np.abs(box), axis=1) > m]
+    assert inv_sup_outside_box(seq, m, scan=8) == np.max(seq.inv_values(shell))
+    rep = epsilon_p2_md(seq, seq, m, J_max=4)
+    assert rep.truncation_radius == 4 and rep.tail_bound == math.inf and rep.tail_dominated
+    # run_sweep has no single-frequency errors here: it probes the edge frequency (m, 0)
+    one_row = parse_config(BASIC.replace("m_list = 2 4 8", "m_list = 2"))
+    cfg = replace(SweepConfig.from_raw(one_row), lam=seq, beta=seq)
+    [row] = run_sweep(cfg)
+    sources = _random_sources(cfg, m)
+    K = max(4 * m, 32, max(g.bandwidth for g in sources) + 1)
+    elems = [ClassElement(seq, g) for g in sources]
+    assert row.error_parseval == max(
+        approximation_error(e, seq, m, 2.0, "parseval_oracle", K_out=K) for e in elems
+    )
+    elems.append(ClassElement(seq, SpectralFunction.single((m, 0))))
+    assert row.error_quadrature == max(
+        approximation_error(e, seq, m, 2.0, "quadrature", K_out=K) for e in elems
+    )
+
+
+def test_generator_vanishing_in_band_raises_on_the_d2_paths():
+    lam = Korobov(2.0, dimension=2)
+    beta = ProductSequence((truncated(Korobov(2.0), 1), Korobov(2.0)))  # zero at k_1 = 2
+    with pytest.raises(SequenceError, match="vanishes"):
+        epsilon_p2_md(lam, beta, 2)
+    with pytest.raises(SequenceError, match="vanishes"):
+        md_single_frequency_errors_sq(lam, beta, 2)
+    one_row = parse_config(BASIC.replace("m_list = 2 4 8", "m_list = 2"))
+    with pytest.raises(SequenceError, match="vanishes"):
+        run_sweep(replace(SweepConfig.from_raw(one_row), lam=lam, beta=beta))
+
+
 def _sweep_errors_one_call_each(cfg):
     """(error_quadrature, error_parseval) of each row of run_sweep, with one
     public per-source call for every source and probe and no shared plan."""
@@ -268,10 +341,10 @@ def _sweep_errors_one_call_each(cfg):
             sq = md_single_frequency_errors_sq(lam, beta, m)
             k0 = tuple(int(c) - m for c in np.unravel_index(int(np.argmax(sq)), sq.shape))
             elems = [ClassElement(lam, g, p) for g in sources]
-            par = [approximation_error_md(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
+            par = [approximation_error(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
             par.append(float(math.sqrt(np.max(sq))))
             elems.append(ClassElement(lam, SpectralFunction.single(k0), p))
-            quad = [approximation_error_md(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+            quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
         else:
             K_out = max(default_K_out(lam, beta, m), bw + 1)
             K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))

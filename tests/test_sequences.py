@@ -190,6 +190,20 @@ def test_korobov_product_dimension():
     assert eval_lambda(k2, (0, 5)) == 25.0
 
 
+def test_axis_factors():
+    factors = (Korobov(1.0), Exponential(0.5))
+    assert ProductSequence(factors).axis_factors() == factors
+    assert Korobov(2.0, dimension=3).axis_factors() == (Korobov(2.0),) * 3
+    assert Exponential(0.5, dimension=2).axis_factors() == (Exponential(0.5),) * 2
+    assert Constant(3.0, dimension=2).axis_factors() == (Constant(3.0), Constant(1.0))
+    mask = MaskPower(1.5)
+    assert mask.axis_factors() == (mask,)  # a univariate sequence is its own factor
+    ks = np.random.default_rng(2).integers(-20, 21, size=(200, 2))
+    for seq in (Korobov(1.5, 2), Exponential(0.5, 2), Constant(3.0, 2), ProductSequence(factors)):
+        parts = [f.values(ks[:, j]) for j, f in enumerate(seq.axis_factors())]
+        assert np.array_equal(seq.values(ks), parts[0] * parts[1])
+
+
 def test_custom_requires_contiguous_table():
     with pytest.raises(SequenceError):
         CustomSequence({0: 1.0, 2: 1.0, -2: 1.0}, TailRule("power", rate=1.0))
