@@ -11,7 +11,7 @@ k' in [-m, m].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class AliasProfile:
 
     ``sq_profile[i]`` is sum over t != 0 of |gamma_{k' + (2m+1)t}|^2 for
     the residue k' = i - m, truncated at |k| <= K_out; ``tail_sq`` bounds
-    the discarded part of each class.  The exact p = 2 error of the
-    operator on an element with source coefficients ghat is
+    the discarded part of each class.  ``build_alias_profile`` describes
+    how the sums are formed.  The exact p = 2 error of the operator on an
+    element with source coefficients ghat is
 
         err^2 = sum_{k'} |ghat(k')|^2 sq_profile(k')
               + sum_{m < |k| <= bw} ( |lam_k^{-1} ghat(k)|^2
@@ -84,6 +85,9 @@ class AliasProfile:
 
     which ``element_error`` evaluates in O(bandwidth) after the one-off
     grid pass, regrouping the direct coefficient sum without changing it.
+    The image plan and lam^{-1} on m < |k| <= bw depend on the bandwidth
+    only, so the profile keeps them for the last bandwidth it was asked
+    about and every source of that bandwidth reuses them.
     """
 
     lam: CoefficientSequence
@@ -92,6 +96,7 @@ class AliasProfile:
     K_out: int
     sq_profile: np.ndarray
     tail_sq: float
+    _outer: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def worst_single_frequency(self) -> float:
@@ -103,8 +108,6 @@ class AliasProfile:
 
     def element_error(self, g) -> float:
         """p = 2 error for a source g with bandwidth <= K_out."""
-        from .approximant import ImagePlan  # the operator module builds on this one
-
         m = self.m
         bw = g.bandwidth
         if bw > self.K_out:
@@ -113,12 +116,22 @@ class AliasProfile:
         gband = coeff_lookup_1d(g, jp)
         total = float(np.sum(np.abs(gband) ** 2 * self.sq_profile))
         if bw > m:
-            plan = ImagePlan(self.lam, self.beta, m, bw)
-            ks = np.arange(-bw, bw + 1)[plan.outer]
-            bterm = np.asarray(self.lam.inv_values(ks)) * coeff_lookup_1d(g, ks)
+            plan, ks, inv_lam = self._outer_terms(bw)
+            bterm = inv_lam * coeff_lookup_1d(g, ks)
             cross = plan.coefficients(g)[plan.outer] * np.conj(bterm)
             total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
         return math.sqrt(max(total, 0.0))
+
+    def _outer_terms(self, bw: int):
+        """The image plan on |k| <= bw, the frequencies m < |k| <= bw and
+        lam^{-1} there; kept for the last bandwidth asked for."""
+        from .approximant import ImagePlan  # the operator module builds on this one
+
+        if self._outer is None or self._outer[0].K_out != bw:
+            plan = ImagePlan(self.lam, self.beta, self.m, bw)
+            ks = np.arange(-bw, bw + 1)[plan.outer]
+            self._outer = (plan, ks, np.asarray(self.lam.inv_values(ks)))
+        return self._outer
 
 
 def build_alias_profile(
@@ -127,24 +140,53 @@ def build_alias_profile(
     m: int,
     K_out: int | None = None,
 ) -> AliasProfile:
+    """The alias profile of (lam, beta, m), enumerated to T = ceil((K_out - m) / (2m+1))
+    blocks per side, so the profile's own ``K_out`` is (2m+1) T + m.
+
+    Each side's column sums come from ``_alias_column_sums``, which streams
+    the blocks through a buffer of about ``_BLOCK`` indices and adds every
+    column row by row in the order t = 1, 2, ..., T, so memory does not grow
+    with K_out.  For a ``symmetric`` beta the negative side is the positive
+    side reversed, bit for bit, and is not evaluated.  The profile is then
+    |alpha|^2 (positive + negative), the two sides added in that order.
+    """
     if K_out is None:
         K_out = default_K_out(lam, beta, m)
     _, _, alpha = band_arrays(lam, beta, m)
     n = 2 * m + 1
     T = max(1, -(-(K_out - m) // n))  # ceil
-    jp = np.arange(-m, m + 1)
-    acc = np.zeros(n)
-    block = max(1, 4_000_000 // n)
-    for t0 in range(1, T + 1, block):
-        ts = np.arange(t0, min(T, t0 + block - 1) + 1)
-        pos = (n * ts)[:, None] + jp[None, :]
-        neg = -(n * ts)[:, None] + jp[None, :]
-        acc += np.sum(np.abs(np.asarray(beta.inv_values(pos))) ** 2, axis=0)
-        acc += np.sum(np.abs(np.asarray(beta.inv_values(neg))) ** 2, axis=0)
-    sq = np.abs(alpha) ** 2 * acc
+    pos = _alias_column_sums(beta, m, T, 1)
+    neg = pos[::-1] if beta.symmetric else _alias_column_sums(beta, m, T, -1)
+    sq = np.abs(alpha) ** 2 * (pos + neg)
     alpha_max = float(np.max(np.abs(alpha)))
     tail_sq = alpha_max**2 * beta.inv_l2_tail_sq(n * T + m)
     return AliasProfile(lam, beta, m, n * T + m, sq, tail_sq)
+
+
+_BLOCK = 1 << 15  # alias indices per streamed block: 256 KiB of float64
+
+
+def _alias_column_sums(beta: CoefficientSequence, m: int, T: int, sign: int) -> np.ndarray:
+    """sum_{t=1}^{T} |beta^{-1}(sign (2m+1) t + k')|^2 for each residue k' in [-m, m].
+
+    The rows t are evaluated in blocks of about ``_BLOCK`` indices.  Row 0
+    of the buffer carries the running column sum into the next block, so
+    ``np.sum(axis=0)``, which adds the rows of a C-ordered array one after
+    another, adds each column in the order t = 1, 2, ..., T: the same sum,
+    bit for bit, as one reduction over all T rows (for 2m+1 > 1 columns).
+    """
+    n = 2 * m + 1
+    jp = np.arange(-m, m + 1)
+    rows = max(1, _BLOCK // n)
+    buf = np.zeros((min(rows, T) + 1, n))
+    for t0 in range(1, T + 1, rows):
+        ts = np.arange(t0, min(T, t0 + rows - 1) + 1)
+        block = buf[: ts.size + 1]
+        ks = (sign * n * ts)[:, None] + jp[None, :]
+        np.abs(np.asarray(beta.inv_values(ks)), out=block[1:])
+        np.square(block[1:], out=block[1:])
+        buf[0] = np.sum(block, axis=0)
+    return buf[0].copy()
 
 
 def coeff_lookup_1d(g, ks: np.ndarray) -> np.ndarray:

@@ -322,7 +322,14 @@ class CoefficientSequence:
 
     @property
     def symmetric(self) -> bool:
-        return True
+        """True only if theta_{-k} = theta_k for every k, bit for bit.
+
+        The d = 1 alias profile relies on it: for a symmetric beta it takes
+        ``inv_values(-k)`` to be ``inv_values(k)`` and evaluates one side
+        only.  A subclass that does not say otherwise is not trusted to be
+        symmetric; the families that see k only through |k| override this.
+        """
+        return False
 
     # Truncation bounds on the reciprocal sequence (univariate).  The scan
     # part is exact; the far tail comes from the tail rule.
@@ -387,6 +394,10 @@ class Korobov(CoefficientSequence):
     def axis_factors(self):
         return (Korobov(self.r),) * self.dimension
 
+    @property
+    def symmetric(self):
+        return True
+
     def tail_rule(self):
         return TailRule("power", rate=self.r, scale=1.0, radius=0, exact=True)
 
@@ -423,6 +434,10 @@ class Exponential(CoefficientSequence):
     def axis_factors(self):
         return (Exponential(self.s),) * self.dimension
 
+    @property
+    def symmetric(self):
+        return True
+
     def tail_rule(self):
         return TailRule("exponential", rate=self.s, scale=1.0, radius=0, exact=True)
 
@@ -457,6 +472,10 @@ class MaskPower(CoefficientSequence):
     def _axis_inv_values(self, k):
         return self._mask(k)
 
+    @property
+    def symmetric(self):
+        return True
+
     def tail_rule(self):
         # |F| <= bound_c gives reciprocal bound bound_c * |k|^{-r}
         return TailRule("power", rate=self.r, scale=1.0 / self.oscillation.bound_c, radius=0)
@@ -487,6 +506,10 @@ class ExponentMask(CoefficientSequence):
     def _axis_inv_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
         return np.exp(-self.s * a) * self.envelope.F(a)
+
+    @property
+    def symmetric(self):
+        return True
 
     def tail_rule(self):
         f0 = float(self.envelope.F(0.0))
@@ -527,6 +550,10 @@ class Constant(CoefficientSequence):
     def axis_factors(self):
         # theta is v on all of Z^d, so only the first axis carries the value
         return (Constant(self.v),) + (Constant(1.0),) * (self.dimension - 1)
+
+    @property
+    def symmetric(self):
+        return True
 
     def tail_rule(self):
         return TailRule("constant", scale=abs(self.v), radius=0)

@@ -271,11 +271,15 @@ def synthesize(f: SpectralFunction, N: int) -> GridSamples:
         raise SpectralError("N must be >= 1")
     d = f.dimension
     spec = np.zeros((N,) * d, dtype=complex)
-    ks = f.axis_indices() % N
-    idx = np.ix_(*([ks] * d))
-    np.add.at(spec, idx, f.values)
+    _fold_into(f, spec)
     vals = np.fft.ifftn(spec) * (N**d)
     return GridSamples(d, N, vals)
+
+
+def _fold_into(f: SpectralFunction, spec: np.ndarray) -> None:
+    """Add the coefficients of f into the zeroed N-grid spectrum, frequencies mod N."""
+    ks = f.axis_indices() % spec.shape[0]
+    np.add.at(spec, np.ix_(*([ks] * f.dimension)), f.values)
 
 
 def analyze(samples: GridSamples, radius: int) -> SpectralFunction:
@@ -362,6 +366,15 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     is a trigonometric polynomial of degree below the grid size (p an even
     integer) and converges spectrally when f has no zeros; where f vanishes
     it converges algebraically, like N^-(p+1).
+
+    The grid arrays (spectrum, samples, |samples|^p) of the last grid
+    shape are kept and reused while the shape repeats, as it does for every
+    source and probe of a sweep row, so those calls allocate no grid.  Only
+    grids of at most ``_KEEP_GRID`` points are kept (10.5 MB at the cap); a
+    larger grid is allocated for its call and freed after it.  The values
+    are those of ``synthesize`` on fresh arrays, bit for bit.  The reuse
+    makes lp_norm non-re-entrant: do not call it from several threads at
+    once.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm supports 1 < p < inf only")
@@ -371,8 +384,30 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
         return f.l2()
     g = f.trimmed()
     N = _smooth_length(oversample * (2 * g.bandwidth + 1))
-    vals = synthesize(g, N).values
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    spec, vals, absp = _grid_buffers((N,) * g.dimension)
+    spec.fill(0)
+    _fold_into(g, spec)
+    np.fft.ifftn(spec, out=vals)
+    vals *= N**g.dimension
+    np.abs(vals, out=absp)
+    np.power(absp, p, out=absp)
+    return float(np.mean(absp) ** (1.0 / p))
+
+
+_grid = None  # (spectrum, samples, |samples|^p) of the last kept lp_norm grid
+_KEEP_GRID = 1 << 18  # grid points up to which lp_norm keeps its arrays
+
+
+def _grid_buffers(shape: tuple) -> tuple:
+    """The lp_norm grid arrays of this shape: the kept ones, or new ones."""
+    global _grid
+    if _grid is not None and _grid[0].shape == shape:
+        return _grid
+    _grid = None  # free the old grid before allocating the new one
+    grid = (np.empty(shape, complex), np.empty(shape, complex), np.empty(shape))
+    if math.prod(shape) <= _KEEP_GRID:
+        _grid = grid
+    return grid
 
 
 def partial_sum(g: SpectralFunction, r: int, s: int) -> SpectralFunction:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translates._alias import build_alias_profile, default_K_out, index_box, k_prime_array
+from translates import _alias
+from translates._alias import (
+    band_arrays,
+    build_alias_profile,
+    default_K_out,
+    index_box,
+    k_prime_array,
+)
 from translates.approximant import (
     ClassElement,
     ImagePlan,
@@ -20,6 +27,7 @@ from translates.approximant import (
     vm_samples,
 )
 from translates.sequences import (
+    CoefficientSequence,
     CustomSequence,
     Exponential,
     Korobov,
@@ -285,6 +293,99 @@ def test_profile_matches_direct_parseval():
         prof = build_alias_profile(lam, lam, m, K_out=K)
         direct = approximation_error(elem, lam, m, 2.0, "parseval_oracle", K_out=prof.K_out)
         assert prof.element_error(g) == pytest.approx(direct, rel=1e-12)
+
+
+def _profile_one_array(lam, beta, m, K_out):
+    """Oracle: each side's alias sums as one reduction over all T block rows."""
+    n = 2 * m + 1
+    T = max(1, -(-(K_out - m) // n))
+    blocks, jp = (n * np.arange(1, T + 1))[:, None], np.arange(-m, m + 1)[None, :]
+    pos = np.sum(np.abs(np.asarray(beta.inv_values(blocks + jp))) ** 2, axis=0)
+    neg = np.sum(np.abs(np.asarray(beta.inv_values(-blocks + jp))) ** 2, axis=0)
+    _, _, alpha = band_arrays(lam, beta, m)
+    return np.abs(alpha) ** 2 * (pos + neg)
+
+
+# complex and lopsided out to |k| = 40, past the first alias blocks of m <= 3
+_ASYM = CustomSequence(
+    {k: (1 + abs(k)) ** 1.5 * (1 + 0.1 * (k % 3) + 0.3j * (k > 0)) for k in range(-40, 41)},
+    TailRule("power", rate=1.5),
+)
+
+
+class _Undeclared(CoefficientSequence):
+    """Lopsided reciprocals (1 + |k|)^-1.5, doubled for k > 0, from a
+    subclass that does not override ``symmetric``."""
+
+    def _axis_inv_values(self, k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k > 0, 2.0, 1.0) * (1.0 + np.abs(k)) ** -1.5
+
+    def _axis_values(self, k):
+        return 1.0 / self._axis_inv_values(k)
+
+    def tail_rule(self):
+        return TailRule("power", rate=1.5, scale=0.5)
+
+
+@pytest.mark.parametrize(
+    "lam, beta, m, K_out",
+    [
+        (Korobov(1.0), Korobov(1.0), 4, 4),  # T = 1
+        (Korobov(1.0), Korobov(1.0), 4, 2**19),  # 17 blocks, the last one partial
+        (Korobov(2.0), Korobov(1.0), 7, 100_003),  # lam != beta
+        (Korobov(1.0), Exponential(0.01), 300, 3 * 10**5),  # wide band, few rows a block
+        (_ASYM, _ASYM, 3, 70_000),  # asymmetric complex table: both sides evaluated
+        (Korobov(1.0), _ASYM, 2, 12_345),
+        (Korobov(1.0), _Undeclared(), 3, 20_000),  # symmetry not declared: both sides
+    ],
+)
+def test_streamed_profile_equals_one_array_sum(lam, beta, m, K_out):
+    prof = build_alias_profile(lam, beta, m, K_out=K_out)
+    want = _profile_one_array(lam, beta, m, K_out)
+    assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_streamed_profile_with_one_row_blocks(monkeypatch):
+    # blocks smaller than a row: every row is its own block and the carry
+    # row does all the adding
+    monkeypatch.setattr(_alias, "_BLOCK", 5)
+    for beta in (Korobov(1.5), _ASYM):
+        prof = build_alias_profile(Korobov(1.0), beta, 3, K_out=2_000)
+        want = _profile_one_array(Korobov(1.0), beta, 3, 2_000)
+        assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_symmetric_profile_evaluates_one_side(monkeypatch):
+    counted = []
+    inv_values = Korobov.inv_values
+
+    def counting(self, k):
+        counted.append(np.asarray(k).copy())
+        return inv_values(self, k)
+
+    monkeypatch.setattr(Korobov, "inv_values", counting)
+    m, K_out = 5, 10_000
+    build_alias_profile(Korobov(1.0), Korobov(1.0), m, K_out=K_out)
+    n = 2 * m + 1
+    T = -(-(K_out - m) // n)
+    alias = np.concatenate([k.ravel() for k in counted if k.ndim == 2])
+    assert alias.size == T * n and np.all(alias > m)
+
+
+def test_element_error_keeps_one_plan_per_bandwidth():
+    rng = np.random.default_rng(62)
+    lam, m = Korobov(2.0), 4
+    prof = build_alias_profile(lam, lam, m, K_out=5_000)
+    plans = []
+    for bw in (20, 20, 9, 9, 20):
+        g = random_real_spectral(1, bw, rng)
+        err = prof.element_error(g)
+        # a new profile builds the plan for this source alone
+        assert err == build_alias_profile(lam, lam, m, K_out=5_000).element_error(g)
+        plans.append(prof._outer[0])
+    assert plans[0] is plans[1] and plans[2] is plans[3]
+    assert [p.K_out for p in plans] == [20, 20, 9, 9, 20]
 
 
 def test_class_element_norm_and_target():

@@ -295,11 +295,42 @@ def test_tail_rule_divergence_flags():
     assert Constant(2.0).inv_l1_tail(10) == math.inf
 
 
+_SYMMETRIC = (
+    Korobov(1.3),
+    Exponential(0.7),
+    MaskPower(1.5, MaskSpec("log_damped", c=0.5, bound_c=2.0)),
+    ExponentMask(0.5, MaskSpec()),
+    Constant(-2.5),
+    ProductSequence((Korobov(0.8),)),
+    CustomSequence({0: 2.0 - 1.0j, 1: 1.0 + 3.0j, -1: 1.0 + 3.0j}, TailRule("power", rate=1.2)),
+)
+
+
 @given(st.integers(min_value=-500, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_symmetric_families_hypothesis(k):
-    for seq in (Korobov(1.3), Exponential(0.7)):
-        assert float(seq.values(k)) == float(seq.values(-k))
+    # The d = 1 alias profile takes the negative side of a symmetric beta to
+    # be the positive side reversed, so the reciprocals must agree bit for bit.
+    ks = np.array([k, 3 * k + 1, 40 * k - 7])
+    for seq in _SYMMETRIC:
+        assert seq.symmetric
+        for method in (seq.values, seq.inv_values):
+            here, mirrored = np.asarray(method(ks)), np.asarray(method(-ks))
+            assert here.view(np.int64).tolist() == mirrored.view(np.int64).tolist()
+    pair = ProductSequence((Korobov(1.3), Exponential(0.7)))
+    kk = np.stack([ks, ks[::-1] + 2], axis=-1)
+    assert pair.symmetric
+    assert pair.inv_values(kk).view(np.int64).tolist() == (
+        pair.inv_values(-kk).view(np.int64).tolist()
+    )
+
+
+def test_asymmetric_custom_sequence_reports_it():
+    lopsided = CustomSequence({0: 1.0, 1: 2.0, -1: 0.5}, TailRule("power", rate=1.0))
+    conjugate = CustomSequence({0: 1.0, 1: 1.0 + 1.0j, -1: 1.0 - 1.0j}, TailRule("power", rate=2.0))
+    assert not lopsided.symmetric
+    assert not conjugate.symmetric  # theta_{-k} = conj(theta_k) is not theta_{-k} = theta_k
+    assert not ProductSequence((Korobov(1.0), lopsided)).symmetric
 
 
 @given(st.floats(min_value=0.1, max_value=4.0), st.integers(min_value=1, max_value=300))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from translates import spectral
 from translates.spectral import (
     GridSamples,
     SpectralError,
@@ -149,6 +150,41 @@ def test_lp_norm_matches_nominal_grid(bw, p):
     # against a 128x grid), so they agree only to that order.
     tol = {1.5: 1e-4, 3.0: 1e-5, 4.0: 1e-12}[p]
     assert lp_norm(noise, p) == pytest.approx(_nominal_grid_norm(noise, p), rel=tol)
+
+
+def _lp_norm_fresh_arrays(f, p, oversample=8):
+    """Oracle: lp_norm's grid rule on arrays allocated for this call."""
+    g = f.trimmed()
+    vals = synthesize(g, _smooth_length(oversample * (2 * g.bandwidth + 1))).values
+    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_lp_norm_reused_grid_equals_fresh_arrays(p):
+    rng = np.random.default_rng(int(10 * p))
+    wide = random_real_spectral(1, 4096, rng)
+    narrow = random_real_spectral(1, 40, rng)
+    surface = random_real_spectral(2, 12, rng)
+    # large and small grids alternate, and two functions of one bandwidth
+    # follow each other, so a leftover spectrum or a stale shape would show
+    for f in (
+        wide, narrow, SpectralFunction.single(40, 0.3 - 2.0j), surface, narrow,
+        SpectralFunction.single((12, -5), 1.5), surface, wide, surface,
+        random_real_spectral(2, 2, rng), narrow,
+    ):
+        assert lp_norm(f, p) == _lp_norm_fresh_arrays(f, p)
+        assert lp_norm(f, p, oversample=3) == _lp_norm_fresh_arrays(f, p, oversample=3)
+
+
+def test_lp_norm_keeps_no_grid_above_the_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_KEEP_GRID", 2_000)
+    rng = np.random.default_rng(33)
+    small = random_real_spectral(1, 40, rng)  # 648 grid points
+    wide = random_real_spectral(1, 200, rng)  # 3240 grid points
+    surface = random_real_spectral(2, 3, rng)  # 60^2 grid points
+    for f in (small, wide, small, surface, small, small, wide):
+        assert lp_norm(f, 3.0) == _lp_norm_fresh_arrays(f, 3.0)
+        assert (spectral._grid is not None) == (f is small)
 
 
 def test_lp_norm_rejects_endpoints():
