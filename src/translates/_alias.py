@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import CoefficientSequence, SequenceError, product_increment
+from .sequences import CoefficientSequence, SequenceError, index_box, product_increment
 
 
 def k_prime_array(k, m: int):
@@ -71,21 +71,22 @@ def default_K_out(
 
 @dataclass
 class AliasProfile:
-    """Per-residue alias sums for a fixed (lambda, beta, m) triple.
+    """Per-residue alias sums for a fixed (lambda, beta, m) triple in any dimension d.
 
-    ``sq_profile[i]`` is sum over t != 0 of |gamma_{k' + (2m+1)t}|^2 for
-    the residue k' = i - m, truncated at |k| <= K_out; ``tail_sq`` bounds
-    the discarded part of each class.  ``build_alias_profile`` describes
-    how the sums are formed.  The exact p = 2 error of the operator on an
-    element with source coefficients ghat is
+    ``sq_profile`` has shape (2m+1,)^d; its entry at the residue k' in
+    [-m, m]^d is the sum over the nonzero blocks t of
+    |gamma_{k' + (2m+1)t}|^2, truncated at |k|_inf <= K_out; ``tail_sq``
+    bounds the discarded part of each class.  ``build_alias_profile``
+    describes how the sums are formed.  The exact p = 2 error of the
+    operator on an element with source coefficients ghat is
 
         err^2 = sum_{k'} |ghat(k')|^2 sq_profile(k')
-              + sum_{m < |k| <= bw} ( |lam_k^{-1} ghat(k)|^2
+              + sum_{m < |k|_inf <= bw} ( |lam_k^{-1} ghat(k)|^2
                               - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] )
 
-    which ``element_error`` evaluates in O(bandwidth) after the one-off
+    which ``element_error`` evaluates in O(bandwidth^d) after the one-off
     grid pass, regrouping the direct coefficient sum without changing it.
-    The image plan and lam^{-1} on m < |k| <= bw depend on the bandwidth
+    The image plan and lam^{-1} on m < |k|_inf <= bw depend on the bandwidth
     only, so the profile keeps them for the last bandwidth it was asked
     about and every source of that bandwidth reuses them.
     """
@@ -98,39 +99,30 @@ class AliasProfile:
     tail_sq: float
     _outer: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def worst_single_frequency(self) -> float:
-        """Max over |k0| <= m of the error for the pure source e_{k0}."""
-        return float(np.sqrt(np.max(self.sq_profile)))
-
-    def single_frequency_errors(self) -> np.ndarray:
-        return np.sqrt(self.sq_profile)
-
     def element_error(self, g) -> float:
         """p = 2 error for a source g with bandwidth <= K_out."""
-        m = self.m
-        bw = g.bandwidth
+        m, bw = self.m, g.bandwidth
+        if g.dimension != self.lam.dimension:
+            raise SequenceError("source and profile dimensions differ")
         if bw > self.K_out:
             raise ValueError("source bandwidth exceeds the profile truncation")
-        jp = np.arange(-m, m + 1)
-        gband = coeff_lookup_1d(g, jp)
-        total = float(np.sum(np.abs(gband) ** 2 * self.sq_profile))
+        total = float(np.sum(np.abs(box_values(g, m)) ** 2 * self.sq_profile))
         if bw > m:
-            plan, ks, inv_lam = self._outer_terms(bw)
-            bterm = inv_lam * coeff_lookup_1d(g, ks)
-            cross = plan.coefficients(g)[plan.outer] * np.conj(bterm)
+            plan, inv_lam = self._outer_terms(bw)
+            bterm = inv_lam * box_values(g, bw).ravel()[plan.outer]
+            cross = plan.coefficients(g).ravel()[plan.outer] * np.conj(bterm)
             total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
         return math.sqrt(max(total, 0.0))
 
     def _outer_terms(self, bw: int):
-        """The image plan on |k| <= bw, the frequencies m < |k| <= bw and
-        lam^{-1} there; kept for the last bandwidth asked for."""
+        """The image plan on |k|_inf <= bw and lam^{-1} on m < |k|_inf <= bw;
+        kept for the last bandwidth asked for."""
         from .approximant import ImagePlan  # the operator module builds on this one
 
         if self._outer is None or self._outer[0].K_out != bw:
             plan = ImagePlan(self.lam, self.beta, self.m, bw)
-            ks = np.arange(-bw, bw + 1)[plan.outer]
-            self._outer = (plan, ks, np.asarray(self.lam.inv_values(ks)))
+            ks = index_box(bw, plan.dimension)[plan.outer]
+            self._outer = (plan, np.asarray(self.lam.inv_values(ks)))
         return self._outer
 
 
@@ -140,26 +132,53 @@ def build_alias_profile(
     m: int,
     K_out: int | None = None,
 ) -> AliasProfile:
-    """The alias profile of (lam, beta, m), enumerated to T = ceil((K_out - m) / (2m+1))
-    blocks per side, so the profile's own ``K_out`` is (2m+1) T + m.
+    """The alias profile of a product pair (lam, beta) at m, enumerated to
+    T = ceil((K_out - m) / (2m+1)) blocks per side and axis, so the
+    profile's own ``K_out`` is (2m+1) T + m.
+
+    The alias sums factor over the axes j of ``axis_factors()``.  Let E_j
+    be the column sums of |beta_j^{-1}|^2 over the blocks 0 < |t| <= T,
+    and D_j = |beta_j^{-1}|^2 and A_j = |alpha_j|^2 on the band.  Over the
+    nonzero blocks of the box |t|_inf <= T the profile is
+
+        prod_j A_j (prod_j (D_j + E_j) - prod_j D_j),
+
+    which ``product_increment(D, E)`` forms on the (2m+1)^d box without
+    cancelling.  For d = 1 it is |alpha|^2 (positive + negative).  Past T
+    each column sum misses at most the l2 tail of beta_j beyond
+    (2m+1) T + m, so ``tail_sq`` is prod_j max A_j times
+    ``product_increment`` of the largest column sums max(D_j + E_j) and
+    those tails.
 
     Each side's column sums come from ``_alias_column_sums``, which streams
     the blocks through a buffer of about ``_BLOCK`` indices and adds every
     column row by row in the order t = 1, 2, ..., T, so memory does not grow
-    with K_out.  For a ``symmetric`` beta the negative side is the positive
-    side reversed, bit for bit, and is not evaluated.  The profile is then
-    |alpha|^2 (positive + negative), the two sides added in that order.
+    with K_out.  For a ``symmetric`` factor beta_j the negative side is the
+    positive side reversed, bit for bit, and is not evaluated.  ``K_out``
+    must be given for d >= 2, since ``default_K_out`` is univariate.
     """
+    factors = (lam.axis_factors(), beta.axis_factors())
+    if lam.dimension != beta.dimension or None in factors:
+        raise SequenceError("the alias profile needs two product sequences of one dimension")
     if K_out is None:
         K_out = default_K_out(lam, beta, m)
-    _, _, alpha = band_arrays(lam, beta, m)
-    n = 2 * m + 1
+    d, n = lam.dimension, 2 * m + 1
     T = max(1, -(-(K_out - m) // n))  # ceil
-    pos = _alias_column_sums(beta, m, T, 1)
-    neg = pos[::-1] if beta.symmetric else _alias_column_sums(beta, m, T, -1)
-    sq = np.abs(alpha) ** 2 * (pos + neg)
-    alpha_max = float(np.max(np.abs(alpha)))
-    tail_sq = alpha_max**2 * beta.inv_l2_tail_sq(n * T + m)
+    A, D, E, a_max, c_max, tails = [], [], [], [], [], []
+    for j, (axl, axb) in enumerate(zip(*factors)):
+        _, inv_b, alpha = band_arrays(axl, axb, m)
+        pos = _alias_column_sums(axb, m, T, 1)
+        neg = pos[::-1] if axb.symmetric else _alias_column_sums(axb, m, T, -1)
+        d_j, e_j = np.abs(inv_b) ** 2, pos + neg
+        axis = (None,) * j + (slice(None),) + (None,) * (d - 1 - j)  # broadcast along axis j
+        A.append((np.abs(alpha) ** 2)[axis])
+        D.append(d_j[axis])
+        E.append(e_j[axis])
+        a_max.append(float(np.max(np.abs(alpha))) ** 2)
+        c_max.append(float(np.max(d_j + e_j)))
+        tails.append(axb.inv_l2_tail_sq(n * T + m))
+    sq = math.prod(A) * product_increment(D, E)
+    tail_sq = math.prod(a_max) * product_increment(c_max, tails)
     return AliasProfile(lam, beta, m, n * T + m, sq, tail_sq)
 
 
@@ -189,46 +208,19 @@ def _alias_column_sums(beta: CoefficientSequence, m: int, T: int, sign: int) -> 
     return buf[0].copy()
 
 
-def coeff_lookup_1d(g, ks: np.ndarray) -> np.ndarray:
-    """Coefficients of g at arbitrary frequencies, zero outside its box."""
-    ks = np.asarray(ks)
-    out = np.zeros(ks.shape, dtype=complex)
-    ok = np.abs(ks) <= g.radius
-    out[ok] = g.values[ks[ok] + g.radius]
+def centre(R: int, r: int, d: int) -> tuple:
+    """Slices of the sub-box of radius r <= R in a box of radius R."""
+    return (slice(R - r, R + r + 1),) * d
+
+
+def box_values(g, r: int) -> np.ndarray:
+    """Coefficients of g on the box |k|_inf <= r, shape (2r+1,)^d: cut
+    from g's own box, zero where g has none."""
+    R, d = g.radius, g.dimension
+    c = min(r, R)
+    out = np.zeros((2 * r + 1,) * d, dtype=complex)
+    out[centre(r, c, d)] = g.values[centre(R, c, d)]
     return out
-
-
-def index_box(radius: int, d: int) -> np.ndarray:
-    """All indices of the box [-radius, radius]^d in C order.
-
-    For d = 1 the plain range of shape (n,), the index form univariate
-    sequences take; otherwise shape (n^d, d).
-    """
-    ax = np.arange(-radius, radius + 1)
-    if d == 1:
-        return ax
-    return np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1).reshape(-1, d)
-
-
-def _md_axis_sums(lam, beta, m: int, T: int):
-    """Per axis j of a product pair: the column sums C_j of |beta_j^{-1}|^2
-    over the blocks |t| <= T, and D_j = |beta_j^{-1}|^2, A_j = |alpha_j|^2
-    on the band; also the beta factors."""
-    n = 2 * m + 1
-    jp = np.arange(-m, m + 1)
-    ts = np.arange(-T, T + 1)
-    C, D, A, axes = [], [], [], []
-    for axl, axb in zip(lam.axis_factors(), beta.axis_factors()):
-        inv_l = np.asarray(axl.inv_values(jp))
-        inv_b = np.asarray(axb.inv_values(jp))
-        if np.any(inv_b == 0):
-            raise SequenceError("generator sequence vanishes inside the reproduced band")
-        offs = jp[None, :] + (n * ts)[:, None]
-        C.append(np.sum(np.abs(np.asarray(axb.inv_values(offs))) ** 2, axis=0))
-        D.append(np.abs(inv_b) ** 2)
-        A.append(np.abs(inv_l / inv_b) ** 2)
-        axes.append(axb)
-    return C, D, A, axes
 
 
 def md_single_frequency_errors_sq(
@@ -239,35 +231,7 @@ def md_single_frequency_errors_sq(
 ) -> np.ndarray:
     """Squared p = 2 error of every pure-frequency source e_{k0}, |k0|_inf <= m.
 
-    Requires sequences with ``axis_factors``: the alias sums factor per
-    axis, so the (2m+1)^d values cost d univariate passes.  The sums stop
-    at T alias blocks per side; ``md_single_frequency_tail_sq`` bounds the
-    rest.
+    The ``sq_profile`` of ``build_alias_profile`` summed over the alias
+    blocks |t|_inf <= T; the profile's ``tail_sq`` bounds the rest.
     """
-    C, D, A, _ = _md_axis_sums(lam, beta, m, T)
-    d = lam.dimension
-    shape = (2 * m + 1,) * d
-    prod_c = np.ones(shape)
-    prod_d = np.ones(shape)
-    prod_a = np.ones(shape)
-    for j in range(d):
-        sl = [None] * d
-        sl[j] = slice(None)
-        prod_c = prod_c * C[j][tuple(sl)]
-        prod_d = prod_d * D[j][tuple(sl)]
-        prod_a = prod_a * A[j][tuple(sl)]
-    return prod_a * (prod_c - prod_d)
-
-
-def md_single_frequency_tail_sq(lam, beta, m: int, T: int = 64) -> float:
-    """Bound on what ``md_single_frequency_errors_sq`` drops from each value.
-
-    Past T blocks, axis j misses at most the l2 tail of its beta factor
-    beyond (2m+1) T + m from each column sum.  The product of the column
-    sums then grows by at most ``product_increment`` of the largest column
-    sums and those tails, scaled by the largest |alpha|^2 product.
-    """
-    C, _, A, axes = _md_axis_sums(lam, beta, m, T)
-    extra = [ax.inv_l2_tail_sq((2 * m + 1) * T + m) for ax in axes]
-    a_max = math.prod(float(np.max(a)) for a in A)
-    return a_max * product_increment([float(np.max(c)) for c in C], extra)
+    return build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m).sq_profile

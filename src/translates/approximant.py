@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from ._alias import band_arrays, default_K_out, index_box, k_prime_array
+from ._alias import band_arrays, box_values, centre, default_K_out, index_box, k_prime_array
 from .sequences import CoefficientSequence, SequenceError, box_inv_tail
 from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm
 
@@ -50,11 +50,6 @@ __all__ = [
 ]
 
 NODE_GUARD = 10**7  # largest node window, or d >= 2 coefficient box
-
-
-def _centre(R: int, r: int, d: int) -> tuple:
-    """Slices of the sub-box of radius r <= R in a box of radius R."""
-    return (slice(R - r, R + r + 1),) * d
 
 
 def k_prime(k: int, m: int) -> int:
@@ -272,13 +267,9 @@ class ImagePlan:
 
     def coefficients(self, g: SpectralFunction) -> np.ndarray:
         """Image coefficients of the source g, shape (2 K_out + 1,)^d."""
-        m, d, R = self.m, self.dimension, g.radius
-        r = min(m, R)
-        band = np.zeros((2 * m + 1,) * d, dtype=complex)
-        band[_centre(m, r, d)] = g.values[_centre(R, r, d)]
-        vals = band.ravel()[self.index]
+        vals = box_values(g, self.m).ravel()[self.index]
         np.multiply(self.gamma, vals, out=vals)
-        return vals.reshape((2 * self.K_out + 1,) * d)
+        return vals.reshape((2 * self.K_out + 1,) * self.dimension)
 
     def image(self, g: SpectralFunction) -> SpectralImage:
         """The image of g with the l2 bound on its coefficients beyond K_out."""
@@ -298,7 +289,7 @@ def _subtract_target(vals: np.ndarray, elem: ClassElement) -> None:
     target = elem.target_spectral().values
     r, R, d = (vals.shape[0] - 1) // 2, elem.g.radius, vals.ndim
     c = min(r, R)
-    vals[_centre(r, c, d)] -= target[_centre(R, c, d)]
+    vals[centre(r, c, d)] -= target[centre(R, c, d)]
 
 
 def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
@@ -409,5 +400,5 @@ def class_inner_product(
     r = min(f1.radius, f2.radius)  # outside either box the product vanishes
     d = f1.dimension
     lam2 = np.asarray(lam.values(index_box(r, d))).reshape((2 * r + 1,) * d) ** 2
-    v1, v2 = f1.values[_centre(f1.radius, r, d)], f2.values[_centre(f2.radius, r, d)]
+    v1, v2 = f1.values[centre(f1.radius, r, d)], f2.values[centre(f2.radius, r, d)]
     return complex(np.sum(lam2 * v1 * np.conj(v2)))

@@ -397,17 +397,13 @@ def epsilon_p2_md(
         )
     sup_term = inv_sup_outside_box(lam, m)
     n = 2 * m + 1
-    jp = np.arange(-m, m + 1)
     factors = (lam.axis_factors(), beta.axis_factors())
     if None not in factors:
         base, lows, widths = [], [], []
         trunc = 0
         for axl, axb in zip(*factors):
-            inv_l = np.asarray(axl.inv_values(jp))
-            inv_b = np.asarray(axb.inv_values(jp))
-            if np.any(inv_b == 0):
-                raise SequenceError("generator sequence vanishes inside the reproduced band")
-            alpha = np.abs(inv_l / inv_b)
+            _, inv_b, alpha = band_arrays(axl, axb, m)
+            alpha = np.abs(alpha)
             J = J_max if J_max is not None else _default_J(axb.tail_rule())
             S, width, T = _block_sum_bracket(alpha, axb, m, J)
             base.append(float(np.max(alpha * np.abs(inv_b))) ** 2)  # t = 0 block
@@ -429,11 +425,7 @@ def epsilon_p2_md(
         box_j = index_box(J, d)
         box_j = box_j[np.max(np.abs(box_j), axis=1) > 0]
         box_k = index_box(m, d)
-        inv_l = np.asarray(lam.inv_values(box_k))
-        inv_b = np.asarray(beta.inv_values(box_k))
-        if np.any(inv_b == 0):
-            raise SequenceError("generator sequence vanishes inside the reproduced band")
-        alpha = np.abs(inv_l / inv_b)
+        alpha = np.abs(band_arrays(lam, beta, m)[2]).ravel()
         gamma_sq = 0.0
         for jv in box_j:
             freqs = box_k + n * jv[None, :]

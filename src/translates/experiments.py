@@ -25,7 +25,6 @@ from ._alias import (
     build_alias_profile,
     default_K_out,
     md_single_frequency_errors_sq,
-    md_single_frequency_tail_sq,
 )
 from .approximant import ClassElement, ImagePlan, approximation_error, image_tail_bound
 from .config import ProbeConfig, SweepConfig
@@ -133,10 +132,8 @@ def run_sweep(cfg: SweepConfig) -> list:
         if d > 1:
             K_out = cfg.K_out or max(4 * m, 32, bw + 1)
             if lam.axis_factors() and beta.axis_factors():
-                sq = md_single_frequency_errors_sq(lam, beta, m)
-                probe_p = [float(math.sqrt(np.max(sq)))]
-                k0 = np.unravel_index(int(np.argmax(sq)), sq.shape)
-                probes = [tuple(int(c) - m for c in k0)]
+                worst, k0 = _worst_probe(md_single_frequency_errors_sq(lam, beta, m), m)
+                probe_p, probes = [worst], [k0]
                 if log.isEnabledFor(logging.DEBUG):
                     _log_alias_truncation(lam, beta, m)
             else:
@@ -157,10 +154,9 @@ def run_sweep(cfg: SweepConfig) -> list:
                 _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
             if p == 2.0:
-                err_p = [profile.element_error(g) for g in sources]
-                probe_errs = profile.single_frequency_errors()
-                err_p.append(float(np.max(probe_errs)))
-                probes = [int(np.argmax(probe_errs)) - m]
+                worst, k0 = _worst_probe(profile.sq_profile, m)
+                err_p = [profile.element_error(g) for g in sources] + [worst]
+                probes = [k0]
             else:
                 err_p = []
                 count = cfg.probe_count if cfg.probe_count is not None else 8
@@ -168,6 +164,14 @@ def run_sweep(cfg: SweepConfig) -> list:
             err_q, _ = _plan_errors(cfg, m, quad_K, sources, probes, parseval=False)
         rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
     return rows
+
+
+def _worst_probe(sq, m) -> tuple:
+    """The largest single-frequency error sqrt(sq) on the band [-m, m]^d and
+    the frequency k0 that attains it, the first in C order among ties."""
+    errs = np.sqrt(sq)
+    i = np.unravel_index(int(np.argmax(errs)), errs.shape)
+    return float(errs[i]), tuple(int(c) - m for c in i)
 
 
 def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
@@ -234,10 +238,11 @@ def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
 
 def _log_alias_truncation(lam, beta, m, T: int = 64) -> None:
     """Report what the d >= 2 single-frequency probes drop past T alias blocks."""
+    profile = build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m)
     log.debug(
         "m=%d: single-frequency probes stop at %d alias blocks and drop <= %.3e "
         "from each squared error",
-        m, T, md_single_frequency_tail_sq(lam, beta, m, T),
+        m, T, profile.tail_sq,
     )
 
 

@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import index_box
-from .sequences import CoefficientSequence, SequenceError
+from .sequences import CoefficientSequence, SequenceError, index_box
 from .spectral import SpectralFunction
 
 __all__ = [
@@ -79,12 +78,7 @@ def lattice_count(s: int, d: int) -> int:
         raise ValueError("need s >= 0 and d >= 1")
     if s > 0 and float(s) ** d > 1e8:
         raise ValueError("lattice enumeration guard exceeded (s^d > 1e8)")
-    if s == 0:
-        return 1
-    ax = np.arange(-s, s + 1)
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    sq = sum(g.astype(np.int64) ** 2 for g in grids)
-    return int(np.count_nonzero(sq <= s * s))
+    return len(_ball_indices(s, d))
 
 
 def _ball_indices(s: int, d: int) -> np.ndarray:

@@ -324,9 +324,9 @@ class CoefficientSequence:
     def symmetric(self) -> bool:
         """True only if theta_{-k} = theta_k for every k, bit for bit.
 
-        The d = 1 alias profile relies on it: for a symmetric beta it takes
-        ``inv_values(-k)`` to be ``inv_values(k)`` and evaluates one side
-        only.  A subclass that does not say otherwise is not trusted to be
+        The alias profile relies on it: for a symmetric axis factor of beta
+        it takes ``inv_values(-k)`` to be ``inv_values(k)`` and evaluates one
+        side only.  A subclass that does not say otherwise is not trusted to be
         symmetric; the families that see k only through |k| override this.
         """
         return False
@@ -674,21 +674,35 @@ class CustomSequence(CoefficientSequence):
         return f"custom(radius={self._radius}, tail={self.tail.kind})"
 
 
-def product_increment(base, extra) -> float:
+def index_box(radius: int, d: int) -> np.ndarray:
+    """All indices of the box [-radius, radius]^d in C order.
+
+    For d = 1 the plain range of shape (n,), the index form univariate
+    sequences take; otherwise shape (n^d, d).
+    """
+    ax = np.arange(-radius, radius + 1)
+    if d == 1:
+        return ax
+    return np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def product_increment(base, extra):
     """prod_j (base_j + extra_j) - prod_j base_j, without cancellation.
 
     Telescoped as sum_j extra_j prod_{i<j} (base_i + extra_i) prod_{i>j} base_i:
     for nonnegative entries every term is nonnegative, so the result keeps
-    its relative accuracy however small ``extra`` is next to ``base``.
+    its relative accuracy however small ``extra`` is next to ``base``.  The
+    entries may be floats or arrays that broadcast together; the result is
+    then the broadcast array, entry by entry the same sum.
     """
     total = 0.0
     for j in range(len(base)):
-        term = float(extra[j])
+        term = extra[j]
         for i in range(j):
-            term *= base[i] + extra[i]
+            term = term * (base[i] + extra[i])
         for i in range(j + 1, len(base)):
-            term *= base[i]
-        total += term
+            term = term * base[i]
+        total = total + term
     return total
 
 
@@ -795,8 +809,7 @@ def _scan_constant_md(seq, radius):
     d = seq.dimension
     if (2 * radius + 1) ** (2 * d) > 4 * 10**8:
         raise SequenceError("probe radius too large for exhaustive multivariate scan")
-    axes = [np.arange(-radius, radius + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = index_box(radius, d)
     vals = seq.values(grid)
     if np.iscomplexobj(vals):
         raise SequenceError("nondecreasing-type probes need real-valued sequences")

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from translates._alias import k_prime_array
+from translates._alias import (
+    build_alias_profile,
+    index_box,
+    k_prime_array,
+    md_single_frequency_errors_sq,
+)
 from translates.approximant import (
     ClassElement,
+    ImagePlan,
     TranslateApproximant,
     approximation_error,
     assemble_Qm,
@@ -11,7 +17,15 @@ from translates.approximant import (
     spectral_image,
     vm_samples,
 )
-from translates.sequences import Korobov, ProductSequence, SequenceError, truncated
+from translates.sequences import (
+    CustomSequence,
+    Exponential,
+    Korobov,
+    ProductSequence,
+    SequenceError,
+    TailRule,
+    truncated,
+)
 from translates.spectral import SpectralFunction, convolve, evaluate_many, random_real_spectral
 
 LAM2D = Korobov(2.0, dimension=2)
@@ -135,20 +149,81 @@ def test_md_error_examples():
     assert quad == pytest.approx(got, rel=1e-6)
 
 
-def test_md_reduction_bit_for_bit():
-    rng = np.random.default_rng(11)
-    lam = Korobov(2.0)
-    g = random_real_spectral(1, 6, rng)
-    elem = ClassElement(lam, g)
-    a = approximation_error(elem, lam, 3, 2.0, "parseval_oracle", K_out=333)
-    b = approximation_error(elem, lam, 3, 2.0, "parseval_oracle", K_out=333)
-    assert a == b
-    A1 = assemble_Qm(elem, lam, 3, K_gen=50)
-    A2 = assemble_Qm(elem, lam, 3, K_gen=50)
-    assert np.array_equal(A1.weights, A2.weights)
-    i1 = spectral_image(elem, lam, 3, K_out=50).function
-    i2 = spectral_image(elem, lam, 3, K_out=50).function
-    assert np.array_equal(i1.values, i2.values)
+# lopsided and complex out to |k| = 40: a factor that is not symmetric
+_ASYM = CustomSequence(
+    {k: (1 + abs(k)) ** 1.5 * (1 + 0.1 * (k % 3) + 0.3j * (k > 0)) for k in range(-40, 41)},
+    TailRule("power", rate=1.5),
+)
+
+
+def _brute_profile(lam, beta, m, T):
+    """Oracle: the d = 2 alias sums over the blocks 0 < |t|_inf <= T, each
+    term from the pair's own multivariate values."""
+    n = 2 * m + 1
+    band = index_box(m, 2)
+    blocks = index_box(T, 2)
+    blocks = blocks[np.any(blocks != 0, axis=1)]
+    freqs = (band[:, None, :] + n * blocks[None, :, :]).reshape(-1, 2)
+    terms = np.abs(np.asarray(beta.inv_values(freqs))).reshape(band.shape[0], -1) ** 2
+    alpha = np.asarray(lam.inv_values(band)) / np.asarray(beta.inv_values(band))
+    return (np.abs(alpha) ** 2 * np.sum(terms, axis=1)).reshape(n, n)
+
+
+@pytest.mark.parametrize(
+    "lam, beta, m, T",
+    [
+        (LAM2D, LAM2D, 2, 6),
+        (LAM2D, LAM2D, 16, 4),  # small alias sums next to the t = 0 block
+        (Korobov(0.75, dimension=2), Korobov(0.75, dimension=2), 3, 5),
+        # lam != beta, with an asymmetric complex factor on either axis
+        (
+            ProductSequence((Korobov(2.0), Korobov(1.0))),
+            ProductSequence((Korobov(1.5), _ASYM)),
+            2,
+            6,
+        ),
+        (
+            ProductSequence((Korobov(1.0), Exponential(0.5))),
+            ProductSequence((_ASYM, Korobov(2.0))),
+            9,
+            3,
+        ),
+    ],
+)
+def test_d2_profile_matches_brute_force(lam, beta, m, T):
+    prof = build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m)
+    assert prof.K_out == (2 * m + 1) * T + m
+    want = _brute_profile(lam, beta, m, T)
+    np.testing.assert_allclose(prof.sq_profile, want, rtol=1e-12, atol=0)
+    assert np.array_equal(md_single_frequency_errors_sq(lam, beta, m, T=T), prof.sq_profile)
+
+
+def test_d2_element_error_matches_the_plan():
+    rng = np.random.default_rng(17)
+    lam = ProductSequence((Korobov(2.0), Korobov(1.0)))
+    beta = ProductSequence((Korobov(1.5), _ASYM))
+    m = 3
+    prof = build_alias_profile(lam, beta, m, K_out=40)
+    plan = ImagePlan(lam, beta, m, prof.K_out)
+    for bw in (2, 3, 9, 9):  # inside the band, on its edge, past it (twice: the kept plan)
+        g = random_real_spectral(2, bw, rng)
+        want = plan.parseval_error(ClassElement(lam, g))
+        assert prof.element_error(g) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(SequenceError):
+        prof.element_error(random_real_spectral(1, 2, rng))
+
+
+@pytest.mark.parametrize(
+    "lam, beta",
+    [
+        (LAM2D, LAM2D),
+        (Korobov(1.0, dimension=2), ProductSequence((Korobov(0.75), Exponential(0.5)))),
+    ],
+)
+def test_d2_profile_is_mirror_symmetric(lam, beta):
+    sq = build_alias_profile(lam, beta, 5, K_out=2_000).sq_profile
+    for axis in (0, 1):
+        assert np.flip(sq, axis).view(np.int64).tolist() == sq.view(np.int64).tolist()
 
 
 def test_tensor_product_consistency():

@@ -316,6 +316,14 @@ def test_non_product_pair_takes_the_fallbacks():
     )
 
 
+def test_alias_profile_rejects_a_non_product_pair():
+    seq = Radial()
+    with pytest.raises(SequenceError, match="product"):
+        build_alias_profile(seq, seq, 2, K_out=40)
+    with pytest.raises(SequenceError, match="product"):
+        md_single_frequency_errors_sq(seq, seq, 2)
+
+
 def test_generator_vanishing_in_band_raises_on_the_d2_paths():
     lam = Korobov(2.0, dimension=2)
     beta = ProductSequence((truncated(Korobov(2.0), 1), Korobov(2.0)))  # zero at k_1 = 2
@@ -350,7 +358,7 @@ def _sweep_errors_one_call_each(cfg):
             K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
             if p == 2.0:
-                errs = profile.single_frequency_errors()
+                errs = np.sqrt(profile.sq_profile)
                 par = [profile.element_error(g) for g in sources] + [float(np.max(errs))]
                 probes = [int(np.argmax(errs)) - m]
             else:
