@@ -18,7 +18,6 @@ from .error_budget import (
     RatePrediction,
     epsilon_general_p,
     epsilon_p2,
-    epsilon_p2_md,
     gamma_k,
     predicted_rate,
 )

@@ -43,30 +43,26 @@ def band_arrays(lam: CoefficientSequence, beta: CoefficientSequence, m: int):
     return inv_lam, inv_beta, inv_lam / inv_beta
 
 
-def default_K_out(
-    lam: CoefficientSequence,
-    beta: CoefficientSequence,
-    m: int,
-    *,
-    rel: float = 1e-3,
-    floor: int = 64,
-    cap: int = 2**21,
-) -> int:
+def default_K_out(lam: CoefficientSequence, beta: CoefficientSequence, m: int) -> int:
     """Truncation radius whose alias tail is negligible at the error scale.
 
-    Picks K so that the per-residue-class l2 tail of |gamma| beyond K is
-    below ``rel`` times the budget's sup term.  The cap keeps slowly
-    decaying sequences affordable; the remaining tail is still reported
-    by the callers that truncate.
+    For d = 1 it picks K so that the per-residue-class l2 tail of |gamma|
+    beyond K is below 1e-3 times the budget's sup term, at least
+    max(64, 8m) and at most 2^21, which keeps slowly decaying sequences
+    affordable; the remaining tail is still reported by the callers that
+    truncate.  For d >= 2, where the box has (2K+1)^d points, K is
+    max(4m, 32).
     """
-    inv_lam, inv_beta, alpha = band_arrays(lam, beta, m)
+    if lam.dimension > 1:
+        return max(4 * m, 32)
+    inv_lam, _, alpha = band_arrays(lam, beta, m)
     scale = lam.inv_sup_tail(m)
     if not math.isfinite(scale) or scale <= 0:
         scale = float(np.max(np.abs(inv_lam)))
     alpha_max = float(np.max(np.abs(alpha)))
-    target_sq = (rel * scale / max(alpha_max, 1e-300)) ** 2 * (2 * m + 1)
-    K = beta.tail_rule().radius_for_l2(target_sq, cap=cap)
-    return int(max(floor, 8 * m, min(K, cap)))
+    target_sq = (1e-3 * scale / max(alpha_max, 1e-300)) ** 2 * (2 * m + 1)
+    K = beta.tail_rule().radius_for_l2(target_sq, cap=2**21)
+    return int(max(64, 8 * m, min(K, 2**21)))
 
 
 @dataclass
@@ -154,8 +150,8 @@ def build_alias_profile(
     the blocks through a buffer of about ``_BLOCK`` indices and adds every
     column row by row in the order t = 1, 2, ..., T, so memory does not grow
     with K_out.  For a ``symmetric`` factor beta_j the negative side is the
-    positive side reversed, bit for bit, and is not evaluated.  ``K_out``
-    must be given for d >= 2, since ``default_K_out`` is univariate.
+    positive side reversed, bit for bit, and is not evaluated.  Without
+    ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
     """
     factors = (lam.axis_factors(), beta.axis_factors())
     if lam.dimension != beta.dimension or None in factors:

@@ -201,7 +201,7 @@ def vm_samples(g: SpectralFunction, Hm: SpectralFunction, m: int) -> np.ndarray:
     """
     prods, n, d = convolve(Hm, g), 2 * m + 1, g.dimension
     spec = np.zeros((n,) * d, dtype=complex)
-    np.add.at(spec, np.ix_(*[prods.axis_indices() % n] * d), prods.values)
+    spectral.fold_into(prods, spec)
     return np.fft.ifftn(spec) * n**d
 
 
@@ -296,10 +296,7 @@ def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
     """The given plan, checked against the call, or a one-off plan."""
     if plan is None:
         if K_out is None:
-            if elem.dimension == 1:
-                K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
-            else:
-                K_out = max(4 * m, 32, elem.g.bandwidth)
+            K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
         return ImagePlan(elem.lam, beta, m, K_out)
     if (plan.lam, plan.beta, plan.m) != (elem.lam, beta, m) or K_out not in (None, plan.K_out):
         raise ValueError("the plan was built for another (lam, beta, m, K_out)")

@@ -31,7 +31,6 @@ from .config import ProbeConfig, SweepConfig
 from .error_budget import (
     epsilon_general_p,
     epsilon_p2,
-    epsilon_p2_md,
     predicted_rate,
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
@@ -122,15 +121,15 @@ def _load_source(cfg: SweepConfig) -> SpectralFunction:
 def run_sweep(cfg: SweepConfig) -> list:
     """One row per m: empirical worst-case errors, budget, prediction."""
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
-    prediction = predicted_rate(lam, beta, p, d)
+    prediction = predicted_rate(lam, beta, p)
     fixed = [_load_source(cfg)] if cfg.g_file else None
     rows = []
     for m in cfg.m_list:
         t0 = time.perf_counter()
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
+        K_out = max(cfg.K_out or default_K_out(lam, beta, m), bw + 1)
         if d > 1:
-            K_out = cfg.K_out or max(4 * m, 32, bw + 1)
             if lam.axis_factors() and beta.axis_factors():
                 worst, k0 = _worst_probe(md_single_frequency_errors_sq(lam, beta, m), m)
                 probe_p, probes = [worst], [k0]
@@ -142,8 +141,6 @@ def run_sweep(cfg: SweepConfig) -> list:
             err_q, err_p = _plan_errors(cfg, m, K_out, sources, probes, parseval=True)
             err_p += probe_p
         else:
-            K_out = cfg.K_out or default_K_out(lam, beta, m)
-            K_out = max(K_out, bw + 1)
             if p == 2.0:
                 quad_K = min(K_out, 131072)
             else:
@@ -199,9 +196,7 @@ def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
 def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:
     """The row of one m: its budget and prediction next to the given errors."""
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
-    if d > 1:
-        eps = epsilon_p2_md(lam, beta, m, J_max=cfg.J_max)
-    elif p == 2.0:
+    if p == 2.0:
         eps = epsilon_p2(lam, beta, m, J_max=cfg.J_max)
     else:
         eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max)
@@ -248,7 +243,7 @@ def _log_alias_truncation(lam, beta, m, T: int = 64) -> None:
 
 def epsilon_table(cfg: SweepConfig) -> list:
     """Budget-only rows (error columns left empty)."""
-    prediction = predicted_rate(cfg.lam, cfg.beta, cfg.p, cfg.dimension)
+    prediction = predicted_rate(cfg.lam, cfg.beta, cfg.p)
     return [_row(cfg, prediction, m, time.perf_counter()) for m in cfg.m_list]
 
 

@@ -141,30 +141,23 @@ class TailRule:
 
     def radius_for_l1(self, target: float, cap: int = 10**7) -> int:
         """Smallest K (up to cap) with inv_l1(K) <= target, else cap."""
-        lo = max(self.radius, 1)
-        if self.inv_l1(cap) > target:
-            return cap
-        hi = lo
-        while self.inv_l1(hi) > target:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.inv_l1(mid) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return self._radius_for(self.inv_l1, target, cap)
 
     def radius_for_l2(self, target_sq: float, cap: int = 10**7) -> int:
+        """Smallest K (up to cap) with inv_l2_sq(K) <= target_sq, else cap."""
+        return self._radius_for(self.inv_l2_sq, target_sq, cap)
+
+    def _radius_for(self, bound, target: float, cap: int) -> int:
+        """Smallest K >= max(radius, 1), up to cap, with bound(K) <= target."""
         lo = max(self.radius, 1)
-        if self.inv_l2_sq(cap) > target_sq:
+        if bound(cap) > target:
             return cap
         hi = lo
-        while self.inv_l2_sq(hi) > target_sq:
+        while bound(hi) > target:
             hi *= 2
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.inv_l2_sq(mid) <= target_sq:
+            if bound(mid) <= target:
                 hi = mid
             else:
                 lo = mid + 1
@@ -366,9 +359,6 @@ class CoefficientSequence:
         head = np.abs(self._axis_inv_values(np.concatenate([ks, -ks]))) ** power
         return _round_up(math.fsum([*head.tolist(), rule_sum(rule.radius)]))
 
-    def describe(self) -> str:
-        return self.family
-
 
 @dataclass(frozen=True)
 class Korobov(CoefficientSequence):
@@ -401,9 +391,6 @@ class Korobov(CoefficientSequence):
     def tail_rule(self):
         return TailRule("power", rate=self.r, scale=1.0, radius=0, exact=True)
 
-    def describe(self):
-        return f"korobov(r={self.r:g}, d={self.dimension})"
-
 
 @dataclass(frozen=True)
 class Exponential(CoefficientSequence):
@@ -425,7 +412,8 @@ class Exponential(CoefficientSequence):
 
     def _axis_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
-        return np.exp(self.s * a)
+        with np.errstate(over="ignore"):  # theta may overflow to inf
+            return np.exp(self.s * a)
 
     def _axis_inv_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
@@ -440,9 +428,6 @@ class Exponential(CoefficientSequence):
 
     def tail_rule(self):
         return TailRule("exponential", rate=self.s, scale=1.0, radius=0, exact=True)
-
-    def describe(self):
-        return f"exponential(s={self.s:g}, d={self.dimension})"
 
 
 @dataclass(frozen=True)
@@ -480,9 +465,6 @@ class MaskPower(CoefficientSequence):
         # |F| <= bound_c gives reciprocal bound bound_c * |k|^{-r}
         return TailRule("power", rate=self.r, scale=1.0 / self.oscillation.bound_c, radius=0)
 
-    def describe(self):
-        return f"mask_power(r={self.r:g}, profile={self.oscillation.profile})"
-
 
 @dataclass(frozen=True)
 class ExponentMask(CoefficientSequence):
@@ -501,7 +483,8 @@ class ExponentMask(CoefficientSequence):
 
     def _axis_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
-        return np.exp(self.s * a) / self.envelope.F(a)
+        with np.errstate(over="ignore"):  # theta may overflow to inf
+            return np.exp(self.s * a) / self.envelope.F(a)
 
     def _axis_inv_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
@@ -514,9 +497,6 @@ class ExponentMask(CoefficientSequence):
     def tail_rule(self):
         f0 = float(self.envelope.F(0.0))
         return TailRule("exponential", rate=self.s, scale=1.0 / f0, radius=0)
-
-    def describe(self):
-        return f"exponent_mask(s={self.s:g}, profile={self.envelope.profile})"
 
 
 @dataclass(frozen=True)
@@ -558,9 +538,6 @@ class Constant(CoefficientSequence):
     def tail_rule(self):
         return TailRule("constant", scale=abs(self.v), radius=0)
 
-    def describe(self):
-        return f"constant(v={self.v:g}, d={self.dimension})"
-
 
 @dataclass(frozen=True)
 class ProductSequence(CoefficientSequence):
@@ -594,10 +571,6 @@ class ProductSequence(CoefficientSequence):
     @property
     def symmetric(self):
         return all(f.symmetric for f in self.factors)
-
-    def describe(self):
-        inner = ", ".join(f.describe() for f in self.factors)
-        return f"product({inner})"
 
 
 @dataclass(frozen=True)
@@ -669,9 +642,6 @@ class CustomSequence(CoefficientSequence):
         return bool(
             np.allclose(self._dense, self._dense[::-1], rtol=0.0, atol=0.0)
         )
-
-    def describe(self):
-        return f"custom(radius={self._radius}, tail={self.tail.kind})"
 
 
 def index_box(radius: int, d: int) -> np.ndarray:

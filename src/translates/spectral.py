@@ -271,12 +271,12 @@ def synthesize(f: SpectralFunction, N: int) -> GridSamples:
         raise SpectralError("N must be >= 1")
     d = f.dimension
     spec = np.zeros((N,) * d, dtype=complex)
-    _fold_into(f, spec)
+    fold_into(f, spec)
     vals = np.fft.ifftn(spec) * (N**d)
     return GridSamples(d, N, vals)
 
 
-def _fold_into(f: SpectralFunction, spec: np.ndarray) -> None:
+def fold_into(f: SpectralFunction, spec: np.ndarray) -> None:
     """Add the coefficients of f into the zeroed N-grid spectrum, frequencies mod N."""
     ks = f.axis_indices() % spec.shape[0]
     np.add.at(spec, np.ix_(*([ks] * f.dimension)), f.values)
@@ -386,7 +386,7 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     N = _smooth_length(oversample * (2 * g.bandwidth + 1))
     spec, vals, absp = _grid_buffers((N,) * g.dimension)
     spec.fill(0)
-    _fold_into(g, spec)
+    fold_into(g, spec)
     np.fft.ifftn(spec, out=vals)
     vals *= N**g.dimension
     np.abs(vals, out=absp)

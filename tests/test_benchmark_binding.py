@@ -38,7 +38,7 @@ def test_every_traced_target_resolves():
 _TWO_PASSES = """
 import importlib.util, sys
 import translates
-from translates import approximant
+from translates import approximant, error_budget, experiments
 from translates.sequences import Korobov
 from translates.spectral import SpectralFunction
 
@@ -46,6 +46,18 @@ assert "translates.approximant_md" in sys.modules, "import translates skips appr
 md = sys.modules["translates.approximant_md"]
 orig = approximant.approximation_error
 assert md.approximation_error_md is orig
+budget = error_budget.epsilon_p2
+assert error_budget.epsilon_p2_md is budget
+
+
+def budget_names():
+    return [
+        (mod.__name__, key, value is budget)
+        for mod in (translates, error_budget, experiments)
+        for key, value in vars(mod).items()
+        if key.startswith("epsilon_p2")
+    ]
+
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
@@ -55,10 +67,14 @@ for _ in range(2):
     tracer = tracing.Tracer()
     with tracer.installed():
         md.approximation_error_md(elem, lam, 2, 2.0, K_out=8)
+        error_budget.epsilon_p2_md(lam, lam, 2, J_max=4)
     counts = tracer.summary()
     assert counts["approximant.approximation_error.calls"] == 1, counts
     assert counts["approximant_md.approximation_error_md.calls"] == 1, counts
+    assert counts["error_budget.epsilon_p2.calls"] == 1, counts
+    assert counts["error_budget.epsilon_p2_md.calls"] == 1, counts
     assert md.approximation_error_md is orig and approximant.approximation_error is orig
+    assert all(same for _, _, same in budget_names()), budget_names()
 """
 
 

@@ -108,7 +108,7 @@ def test_epsilon_md_reduction_and_product():
     r1 = epsilon_p2(LAM2, LAM2, 2)
     rmd = epsilon_p2_md(LAM2, LAM2, 2)
     assert rmd.value == r1.value
-    assert rmd.variant == "p2_multivariate"
+    assert epsilon_p2_md is epsilon_p2 and rmd.variant == "p2_univariate"
 
     lam2d = Korobov(2.0, dimension=2)
     J = 40

@@ -324,6 +324,24 @@ def test_alias_profile_rejects_a_non_product_pair():
         md_single_frequency_errors_sq(seq, seq, 2)
 
 
+def test_d2_alias_profile_takes_the_default_K_out():
+    lam, beta, m = Korobov(2.0, dimension=2), ProductSequence((Korobov(2.0), Korobov(1.0))), 3
+    assert default_K_out(lam, beta, m) == 32
+    auto, given = build_alias_profile(lam, beta, m), build_alias_profile(lam, beta, m, K_out=32)
+    assert auto.K_out == given.K_out and auto.tail_sq == given.tail_sq
+    assert np.array_equal(auto.sq_profile, given.sq_profile)
+
+
+def test_d2_sweep_never_truncates_below_the_source_bandwidth():
+    # at m = 4 the sources have bandwidth 8: k_out = 5 would cut their targets
+    text = BASIC.replace("r = 2.0", "r = 2.0\ndim = 2").replace("m_list = 2 4 8", "m_list = 4")
+    low, edge = (
+        run_sweep(SweepConfig.from_raw(parse_config(text.replace("seed", f"k_out = {k}\nseed"))))
+        for k in (5, 9)
+    )
+    assert low == edge
+
+
 def test_generator_vanishing_in_band_raises_on_the_d2_paths():
     lam = Korobov(2.0, dimension=2)
     beta = ProductSequence((truncated(Korobov(2.0), 1), Korobov(2.0)))  # zero at k_1 = 2
