@@ -3,19 +3,23 @@
 Sampling a function at the 2m+1 uniform nodes folds every frequency k
 onto its representative k' in [-m, m] with k = k' (mod 2m+1).  Both the
 operator's spectral image and the theoretical error budgets are sums
-over these residue classes, so they share the block grid built here:
-row t of the grid holds the frequencies k' + (2m+1) t for all residues
-k' in [-m, m].
+over these residue classes and share the residue map and band arrays
+built here.  The alias profile sums the rows t of a block grid, k' +
+(2m+1) t for all k' in [-m, m]; ``error_budget._block_sum_bracket``
+walks a grid of its own.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .sequences import CoefficientSequence, SequenceError, index_box, product_increment
+
+log = logging.getLogger("translates")
 
 
 def k_prime_array(k, m: int):
@@ -228,6 +232,13 @@ def md_single_frequency_errors_sq(
     """Squared p = 2 error of every pure-frequency source e_{k0}, |k0|_inf <= m.
 
     The ``sq_profile`` of ``build_alias_profile`` summed over the alias
-    blocks |t|_inf <= T; the profile's ``tail_sq`` bounds the rest.
+    blocks |t|_inf <= T; the profile's ``tail_sq`` bounds the rest and is
+    logged at DEBUG level.
     """
-    return build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m).sq_profile
+    profile = build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m)
+    log.debug(
+        "m=%d: single-frequency probes stop at %d alias blocks and drop <= %.3e "
+        "from each squared error",
+        m, T, profile.tail_sq,
+    )
+    return profile.sq_profile

@@ -1,8 +1,9 @@
 """Flat ``key = value`` config files with bracketed section headers.
 
 No nesting, no quoting: one assignment per line, ``#`` comments, and
-section headers like ``[lambda]``.  Parse errors carry the line number
-and key so a bad config is diagnosable from the CLI message.
+section headers like ``[lambda]``.  Parse errors, and keys that their
+section does not read, carry the line number and key so a bad config is
+diagnosable from the CLI message.
 
 Sequence sections (``[lambda]``, ``[beta]``) take a ``family`` key plus
 family parameters:
@@ -47,30 +48,38 @@ class ConfigError(ValueError):
 
 @dataclass
 class RawConfig:
-    """Sections mapping keys to (value, line_number) pairs."""
+    """Sections mapping keys to (value, line_number) pairs; ``read`` holds
+    the (section, key) pairs ``get`` was asked for."""
 
     sections: dict = field(default_factory=dict)
     path: str = "<text>"
-
-    def section(self, name: str) -> dict:
-        return {k: v for k, (v, _) in self.sections.get(name, {}).items()}
+    read: set = field(default_factory=set, repr=False, compare=False)
 
     def has(self, name: str) -> bool:
         return name in self.sections
 
     def get(self, section: str, key: str, default=None, cast=str, required=False):
         sec = self.sections.get(section, {})
+        self.read.add((section, key))
         if key not in sec:
             if required:
                 raise ConfigError(f"{self.path}: missing key '{key}' in [{section}]")
             return default
-        value, line = sec[key]
         try:
-            return cast(value)
+            return cast(sec[key][0])
         except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self.path}:{line}: key '{key}' in [{section}]: cannot parse {value!r}"
-            ) from None
+            raise self.error(section, key, f"cannot parse {sec[key][0]!r}") from None
+
+    def error(self, section: str, key: str, message: str) -> ConfigError:
+        """A ConfigError at the line of ``key`` in ``section``."""
+        line = self.sections[section][key][1]
+        return ConfigError(f"{self.path}:{line}: key '{key}' in [{section}]: {message}")
+
+    def reject_unread(self, section: str) -> None:
+        """Raise on the first key of ``section`` that no ``get`` asked for."""
+        for key in self.sections.get(section, {}):
+            if (section, key) not in self.read:
+                raise self.error(section, key, "unknown key")
 
 
 def parse_config(text: str, path: str = "<text>") -> RawConfig:
@@ -137,20 +146,17 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
             seq = Exponential(cfg.get(section, "s", required=True, cast=float), dimension=dim)
         elif family == "constant":
             seq = Constant(cfg.get(section, "v", required=True, cast=float), dimension=dim)
-        elif family == "mask_power":
+        elif family in ("mask_power", "exponent_mask"):
+            if dim != 1:
+                raise cfg.error(section, "dim", f"{family} is one-dimensional, got {dim}")
+            power = family == "mask_power"
             spec = MaskSpec(
                 profile=cfg.get(section, "profile", default="one"),
                 c=cfg.get(section, "c", default=0.0, cast=float),
-                bound_c=cfg.get(section, "bound_c", default=2.0, cast=float),
+                bound_c=cfg.get(section, "bound_c", default=2.0 if power else 1.0, cast=float),
             )
-            seq = MaskPower(cfg.get(section, "r", required=True, cast=float), spec)
-        elif family == "exponent_mask":
-            spec = MaskSpec(
-                profile=cfg.get(section, "profile", default="one"),
-                c=cfg.get(section, "c", default=0.0, cast=float),
-                bound_c=cfg.get(section, "bound_c", default=1.0, cast=float),
-            )
-            seq = ExponentMask(cfg.get(section, "s", required=True, cast=float), spec)
+            rate = cfg.get(section, "r" if power else "s", required=True, cast=float)
+            seq = MaskPower(rate, spec) if power else ExponentMask(rate, spec)
         else:
             raise ConfigError(
                 f"{cfg.path}: unknown family {family!r} in [{section}] "
@@ -165,6 +171,7 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
             raise ConfigError(f"{cfg.path}: [{section}]: truncate needs a product family")
         factors = tuple(truncated(f, degree) for f in factors)
         seq = factors[0] if seq.dimension == 1 else ProductSequence(factors)
+    cfg.reject_unread(section)
     return seq
 
 
@@ -187,7 +194,7 @@ class SweepConfig:
     seed: int
     oversample: int
     timing: bool
-    probe_count: Optional[int]  # None = all single-frequency probes
+    probe_count: Optional[int]  # >= 1; None = every residue of the band
     K_out: Optional[int]
     # p = 2: cap on the alias blocks summed exactly per side, the rest is
     # bracketed in closed form; general p: reciprocal truncation radius
@@ -218,20 +225,16 @@ class SweepConfig:
             raise ConfigError(f"{cfg.path}: m_list must be strictly increasing positive")
         if lam.dimension > 1 and p != 2.0:
             raise ConfigError(f"{cfg.path}: multivariate sweeps support p = 2 only")
-        probe_raw = cfg.get(sec, "probe_count", default="auto")
-        if probe_raw == "auto":
-            probe_count = None if p == 2.0 else 8
-        elif probe_raw == "all":
-            probe_count = None
-        else:
-            try:
-                probe_count = int(probe_raw)
-            except ValueError:
-                raise ConfigError(f"{cfg.path}: probe_count must be auto, all or an int") from None
+        named = {"auto": 1 if p == 2.0 else 8, "all": None}
+        raw = cfg.get(sec, "probe_count", default="auto")
+        probe_count = named[raw] if raw in named else cfg.get(sec, "probe_count", cast=int)
+        if probe_count is not None and probe_count < 1:
+            raise cfg.error(sec, "probe_count", "must be auto, all or an integer >= 1")
         k_raw = cfg.get(sec, "k_out", default="auto")
         j_raw = cfg.get(sec, "j_max", default="auto")
         seed = cfg.get(sec, "seed", default=0, cast=int)
-        return cls(
+        out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
+        config = cls(
             lam=lam,
             beta=beta,
             p=p,
@@ -245,8 +248,10 @@ class SweepConfig:
             probe_count=probe_count,
             K_out=None if k_raw == "auto" else int(k_raw),
             J_max=None if j_raw == "auto" else int(j_raw),
-            out=out_override or cfg.get(sec, "out", default=None),
+            out=out_override or out,
         )
+        cfg.reject_unread(sec)
+        return config
 
 
 @dataclass(frozen=True)
@@ -276,7 +281,8 @@ class ProbeConfig:
         if not n_list or any(n < 10 for n in n_list):
             raise ConfigError(f"{cfg.path}: n_list entries must be >= 10")
         seed = cfg.get(sec, "seed", default=0, cast=int)
-        return cls(
+        out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
+        config = cls(
             lam=lam,
             n_list=n_list,
             trials=cfg.get(sec, "trials", default=20, cast=int),
@@ -287,5 +293,7 @@ class ProbeConfig:
             growth_a=cfg.get(sec, "growth_a", default=1.0, cast=float),
             growth_b=cfg.get(sec, "growth_b", default=0.0, cast=float),
             seed=seed_override if seed_override is not None else seed,
-            out=out_override or cfg.get(sec, "out", default=None),
+            out=out_override or out,
         )
+        cfg.reject_unread(sec)
+        return config

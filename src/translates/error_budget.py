@@ -320,6 +320,8 @@ def inv_sup_outside_box(seq: CoefficientSequence, m: int, scan: int = 256) -> fl
         return float(np.max(np.abs(seq.inv_values(box[outer]))))
     # outside the box one axis at least is outside [-m, m]
     outs = [ax.inv_sup_tail(m, scan=scan) for ax in axes]
+    if len(axes) == 1:
+        return outs[0]
     alls = [_axis_inv_sup_all(ax, scan=scan) for ax in axes]
     return max(
         math.prod([outs[a]] + [alls[b] for b in range(len(axes)) if b != a])

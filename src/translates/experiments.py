@@ -45,7 +45,6 @@ __all__ = [
     "epsilon_table",
     "fit_rate",
     "emit_csv",
-    "emit_plotdata",
     "rows_to_csv_text",
     "read_csv_rows",
     "verify_dominance",
@@ -119,7 +118,18 @@ def _load_source(cfg: SweepConfig) -> SpectralFunction:
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """One row per m: empirical worst-case errors, budget, prediction."""
+    """One row per m: empirical worst-case errors, budget, prediction.
+
+    Every row runs the same stages for every d and p: sources, radii, alias
+    sums (the squared p = 2 error of each single frequency on the band),
+    probes (the ``probe_count`` largest sums, ties in C order), errors on
+    one image plan, budget.  Only the alias sums depend on d: d = 1 builds
+    the alias profile, whose ``element_error`` gives the sources' p = 2
+    errors; a d >= 2 product pair takes ``md_single_frequency_errors_sq``
+    and its sources keep the plan's Parseval route, since ``element_error``
+    would change their truncation and leave that traced benchmark layer
+    unreached; other pairs probe the edge frequency (m, 0, ..., 0).
+    """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
     fixed = [_load_source(cfg)] if cfg.g_file else None
@@ -129,46 +139,28 @@ def run_sweep(cfg: SweepConfig) -> list:
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
         K_out = max(cfg.K_out or default_K_out(lam, beta, m), bw + 1)
-        if d > 1:
-            if lam.axis_factors() and beta.axis_factors():
-                worst, k0 = _worst_probe(md_single_frequency_errors_sq(lam, beta, m), m)
-                probe_p, probes = [worst], [k0]
-                if log.isEnabledFor(logging.DEBUG):
-                    _log_alias_truncation(lam, beta, m)
-            else:
-                probe_p = []
-                probes = [(m,) + (0,) * (d - 1)]  # no product structure: edge probe
-            err_q, err_p = _plan_errors(cfg, m, K_out, sources, probes, parseval=True)
-            err_p += probe_p
-        else:
-            if p == 2.0:
-                quad_K = min(K_out, 131072)
-            else:
-                # each quadrature needs a grid; keep the band affordable
-                # and report the alias tail it drops
-                quad_K = min(K_out, max(4096, 16 * m, bw + 1))
-            if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
-                _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
+        # each p != 2 quadrature needs a grid: keep the band affordable
+        quad_K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
+        if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
+            _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
+        profile = sq = None
+        if d == 1:
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
-            if p == 2.0:
-                worst, k0 = _worst_probe(profile.sq_profile, m)
-                err_p = [profile.element_error(g) for g in sources] + [worst]
-                probes = [k0]
-            else:
-                err_p = []
-                count = cfg.probe_count if cfg.probe_count is not None else 8
-                probes = [int(i) - m for i in np.argsort(profile.sq_profile)[::-1][:count]]
-            err_q, _ = _plan_errors(cfg, m, quad_K, sources, probes, parseval=False)
+            sq = profile.sq_profile
+        elif lam.axis_factors() and beta.axis_factors():
+            sq = md_single_frequency_errors_sq(lam, beta, m)
+        if sq is None:
+            probes = [(m,) + (0,) * (d - 1)]
+        else:
+            order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
+            probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
+        err_q, err_p = _plan_errors(cfg, m, quad_K, sources, probes, p == 2.0 and profile is None)
+        if p == 2.0 and profile is not None:
+            err_p = [profile.element_error(g) for g in sources]
+        if p == 2.0 and sq is not None:
+            err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's oracle error
         rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
     return rows
-
-
-def _worst_probe(sq, m) -> tuple:
-    """The largest single-frequency error sqrt(sq) on the band [-m, m]^d and
-    the frequency k0 that attains it, the first in C order among ties."""
-    errs = np.sqrt(sq)
-    i = np.unravel_index(int(np.argmax(errs)), errs.shape)
-    return float(errs[i]), tuple(int(c) - m for c in i)
 
 
 def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
@@ -228,16 +220,6 @@ def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
     log.debug(
         "m=%d: quadrature radius %d < K_out %d drops an l2 tail <= %.3e",
         m, quad_K, K_out, image_tail_bound(alpha, beta, quad_K, gmax),
-    )
-
-
-def _log_alias_truncation(lam, beta, m, T: int = 64) -> None:
-    """Report what the d >= 2 single-frequency probes drop past T alias blocks."""
-    profile = build_alias_profile(lam, beta, m, K_out=(2 * m + 1) * T + m)
-    log.debug(
-        "m=%d: single-frequency probes stop at %d alias blocks and drop <= %.3e "
-        "from each squared error",
-        m, T, profile.tail_sq,
     )
 
 
@@ -351,10 +333,6 @@ def plotdata_text(rows) -> str:
             err = r.epsilon
         lines.append(f"{r.m} {_fmt(err)}")
     return "\n".join(lines) + "\n"
-
-
-def emit_plotdata(rows, path) -> None:
-    Path(path).write_text(plotdata_text(rows))
 
 
 def read_csv_rows(path) -> list:

@@ -99,6 +99,29 @@ def test_config_validation_rules():
         SweepConfig.from_raw(
             parse_config(BASIC.replace("r = 2.0", "r = 2.0\ndim = 2").replace("p = 2.0", "p = 3.0"))
         )
+    # BASIC opens with a blank line, so "timing = off" is line 11
+    for count in ("0", "-1"):
+        with pytest.raises(ConfigError, match=r":12: key 'probe_count' in \[sweep\]"):
+            SweepConfig.from_raw(
+                parse_config(BASIC.replace("timing = off", f"timing = off\nprobe_count = {count}"))
+            )
+    with pytest.raises(ConfigError, match=r":12: key 'k_ot' in \[sweep\]: unknown key"):
+        SweepConfig.from_raw(parse_config(BASIC.replace("timing = off", "timing = off\nk_ot = 5")))
+    with pytest.raises(ConfigError, match=r":4: key 'c' in \[lambda\]: unknown key"):
+        build_sequence(parse_config("[lambda]\nfamily = korobov\nr = 2.0\nc = 0.5\n"), "lambda")
+    with pytest.raises(ConfigError, match=r":4: key 'dim' in \[lambda\]: mask_power is one-dim"):
+        build_sequence(parse_config("[lambda]\nfamily = mask_power\nr = 1.5\ndim = 2\n"), "lambda")
+    with pytest.raises(ConfigError, match=r":3: key 'dim' in \[beta\]: exponent_mask is one-dim"):
+        build_sequence(parse_config("[beta]\nfamily = exponent_mask\ndim = 3\ns = 0.5\n"), "beta")
+    with pytest.raises(ConfigError, match=r":6: key 'trails' in \[probe\]: unknown key"):
+        ProbeConfig.from_raw(
+            parse_config("[lambda]\nfamily = korobov\nr = 1.0\n[probe]\nn_list = 10\ntrails = 3\n")
+        )
+    # each family reads its own keys, and nothing else
+    mask = "[lambda]\nfamily = mask_power\nr = 1.5\nprofile = log_damped\nc = 0.5\nbound_c = 2.0\n"
+    assert build_sequence(parse_config(mask + "dim = 1\n"), "lambda").r == 1.5
+    with pytest.raises(ConfigError, match=r":7: key 's' in \[lambda\]: unknown key"):
+        build_sequence(parse_config(mask + "s = 0.5\n"), "lambda")
 
 
 def test_build_sequence_families():
@@ -262,13 +285,24 @@ def test_quadrature_clamp_is_logged(caplog):
     assert bound == pytest.approx(math.sqrt(lam.inv_l2_tail_sq(quad_K)), rel=1e-12)
 
 
-def test_alias_truncation_is_logged(caplog):
+def test_alias_truncation_is_logged(caplog, monkeypatch):
+    from translates import _alias, experiments
+
     text = BASIC.replace("r = 2.0", "r = 0.75\ndim = 2").replace("m_list = 2 4 8", "m_list = 2 4")
     cfg = SweepConfig.from_raw(parse_config(text.replace("g_count = 5", "g_count = 2")))
     quiet = rows_to_csv_text(run_sweep(cfg))
+    built = []
+
+    def counting(lam, beta, m, K_out=None):
+        built.append(m)
+        return build_alias_profile(lam, beta, m, K_out=K_out)
+
+    for module in (_alias, experiments):
+        monkeypatch.setattr(module, "build_alias_profile", counting)
     with caplog.at_level(logging.DEBUG, logger="translates"):
         loud = rows_to_csv_text(run_sweep(cfg))
     assert loud == quiet
+    assert built == [2, 4]  # one alias profile per row serves the probes and the log
     records = [r for r in caplog.records if r.name == "translates"]
     assert [r.args[:2] for r in records] == [(2, 64), (4, 64)]
     m, T, bound = records[1].args
@@ -409,6 +443,50 @@ def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
     cfg = SweepConfig.from_raw(parse_config(text))
     rows = run_sweep(cfg)
     assert [(r.error_quadrature, r.error_parseval) for r in rows] == _sweep_errors_one_call_each(cfg)
+
+
+def _probes_by_row(monkeypatch, cfg) -> dict:
+    """The single-frequency probes of each row of run_sweep, as index tuples
+    in the order their quadratures run."""
+    from translates import experiments
+
+    elems: dict = {}
+
+    def recording(elem, beta, m, p=None, method="parseval_oracle", **kwargs):
+        if method == "quadrature":
+            elems.setdefault(m, []).append(elem)
+        return approximation_error(elem, beta, m, p, method, **kwargs)
+
+    monkeypatch.setattr(experiments, "approximation_error", recording)
+    run_sweep(cfg)
+    return {m: [k for e in es[cfg.g_count:] for k, _ in e.g.items()] for m, es in elems.items()}
+
+
+@pytest.mark.parametrize("p, dim", [(3.0, 1), (2.0, 1), (2.0, 2)])
+def test_probe_count_is_honoured_in_every_dimension(monkeypatch, p, dim):
+    text = (
+        BASIC.replace("r = 2.0", f"r = 2.0\ndim = {dim}")
+        .replace("p = 2.0", f"p = {p}")
+        .replace("m_list = 2 4 8", "m_list = 4 8" if dim == 1 else "m_list = 2 4")
+        .replace("g_count = 5", "g_count = 2")
+    )
+    lam = Korobov(2.0, dimension=dim)
+    for count in ("all", "3", "auto"):
+        cfg = SweepConfig.from_raw(parse_config(text.replace("seed", f"probe_count = {count}\nseed")))
+        assert cfg.probe_count == {"all": None, "3": 3, "auto": 1 if p == 2.0 else 8}[count]
+        for m, probes in _probes_by_row(monkeypatch, cfg).items():
+            residues = [tuple(int(c) for c in k) for k in index_box(m, dim).reshape(-1, dim)]
+            if count == "all":  # every residue once: 2m+1 probe quadratures at d = 1
+                assert len(probes) == (2 * m + 1) ** dim and sorted(probes) == residues
+                continue
+            if dim == 1:
+                K_out = max(default_K_out(lam, lam, m), 2 * m + 1)
+                sq = build_alias_profile(lam, lam, m, K_out=K_out).sq_profile
+            else:
+                sq = md_single_frequency_errors_sq(lam, lam, m)
+            # the largest squared errors first, ties in C order (residues is in C order)
+            ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))
+            assert probes == [residues[i] for i in ranked[: cfg.probe_count]]
 
 
 def test_row_dominance_invariant():
