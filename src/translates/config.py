@@ -133,6 +133,18 @@ def _int_list(value: str) -> list:
     return [int(p) for p in parts]
 
 
+def _count(cfg: RawConfig, section: str, key: str, named: dict):
+    """``key`` as one of the ``named`` words (mapped to its value) or an
+    integer >= 1; absent reads as ``auto``."""
+    raw = cfg.get(section, key, default="auto")
+    if raw in named:
+        return named[raw]
+    value = cfg.get(section, key, cast=int)
+    if value < 1:
+        raise cfg.error(section, key, f"must be {', '.join(named)} or an integer >= 1")
+    return value
+
+
 def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
     """Construct the sequence described by a config section."""
     if not cfg.has(section):
@@ -225,13 +237,7 @@ class SweepConfig:
             raise ConfigError(f"{cfg.path}: m_list must be strictly increasing positive")
         if lam.dimension > 1 and p != 2.0:
             raise ConfigError(f"{cfg.path}: multivariate sweeps support p = 2 only")
-        named = {"auto": 1 if p == 2.0 else 8, "all": None}
-        raw = cfg.get(sec, "probe_count", default="auto")
-        probe_count = named[raw] if raw in named else cfg.get(sec, "probe_count", cast=int)
-        if probe_count is not None and probe_count < 1:
-            raise cfg.error(sec, "probe_count", "must be auto, all or an integer >= 1")
-        k_raw = cfg.get(sec, "k_out", default="auto")
-        j_raw = cfg.get(sec, "j_max", default="auto")
+        probe_count = _count(cfg, sec, "probe_count", {"auto": 1 if p == 2.0 else 8, "all": None})
         seed = cfg.get(sec, "seed", default=0, cast=int)
         out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
         config = cls(
@@ -246,8 +252,8 @@ class SweepConfig:
             oversample=cfg.get(sec, "oversample", default=8, cast=int),
             timing=cfg.get(sec, "timing", default=True, cast=_bool),
             probe_count=probe_count,
-            K_out=None if k_raw == "auto" else int(k_raw),
-            J_max=None if j_raw == "auto" else int(j_raw),
+            K_out=_count(cfg, sec, "k_out", {"auto": None}),
+            J_max=_count(cfg, sec, "j_max", {"auto": None}),
             out=out_override or out,
         )
         cfg.reject_unread(sec)
@@ -282,14 +288,28 @@ class ProbeConfig:
             raise ConfigError(f"{cfg.path}: n_list entries must be >= 10")
         seed = cfg.get(sec, "seed", default=0, cast=int)
         out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
+        trials = cfg.get(sec, "trials", default=20, cast=int)
+        restarts = cfg.get(sec, "restarts", default=8, cast=int)
+        c3 = cfg.get(sec, "c3", default=1.0, cast=float)
+        psi_truncation = cfg.get(sec, "psi_truncation", default=512, cast=int)
+        growth = cfg.get(sec, "growth", default="power")
+        for key, value, ok, need in (
+            ("trials", trials, trials >= 1, ">= 1"),
+            ("restarts", restarts, restarts >= 1, ">= 1"),
+            ("c3", c3, 0.0 < c3 < float("inf"), "finite and > 0"),
+            ("psi_truncation", psi_truncation, psi_truncation >= 0, ">= 0"),
+            ("growth", growth, growth in ("power", "log_power"), "power or log_power"),
+        ):
+            if not ok:
+                raise cfg.error(sec, key, f"must be {need}, got {value!r}")
         config = cls(
             lam=lam,
             n_list=n_list,
-            trials=cfg.get(sec, "trials", default=20, cast=int),
-            restarts=cfg.get(sec, "restarts", default=8, cast=int),
-            c3=cfg.get(sec, "c3", default=1.0, cast=float),
-            psi_truncation=cfg.get(sec, "psi_truncation", default=512, cast=int),
-            growth_rule=cfg.get(sec, "growth", default="power"),
+            trials=trials,
+            restarts=restarts,
+            c3=c3,
+            psi_truncation=psi_truncation,
+            growth_rule=growth,
             growth_a=cfg.get(sec, "growth_a", default=1.0, cast=float),
             growth_b=cfg.get(sec, "growth_b", default=0.0, cast=float),
             seed=seed_override if seed_override is not None else seed,

@@ -143,23 +143,15 @@ def sample_F_ns(
         raise ValueError("trials must be >= 1")
     s, d = design.s, design.d
     ball = _ball_indices(s, d)
-    order = np.lexsort(ball.T[::-1])
-    ball = ball[order]
-    # a half-space representative: first nonzero coordinate positive
+    ball = ball[np.lexsort(ball.T[::-1])]
+    # negation reverses lex order, so entry i is minus entry -1-i: signs
+    # are drawn on the lex <= 0 half (0 included) and mirrored onto the rest
     members = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        signs = {}
-        for idx in map(tuple, ball):
-            neg = tuple(-c for c in idx)
-            if neg in signs:
-                signs[idx] = signs[neg]
-            else:
-                signs[idx] = 1.0 if rng.random() < 0.5 else -1.0
+        eps = np.where(rng.random((len(ball) + 1) // 2) < 0.5, 1.0, -1.0)
         f = SpectralFunction.zero(d, s)
-        for idx, eps in signs.items():
-            pos = tuple(c + s for c in idx)
-            f.values[pos] = design.omega * eps
+        f.values[tuple((ball + s).T)] = design.omega * np.concatenate([eps, eps[-2::-1]])
         members.append(f)
     return members
 
@@ -181,6 +173,45 @@ def default_probe_generator(
     return SpectralFunction(d, truncation, vals.astype(complex), copy=False)
 
 
+_kept = None  # (n, psihat bytes, system) of the last equispaced restart
+
+
+def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
+    """``(A2, G, ill)`` for the translates of psihat at ``nodes``.
+
+    ``A2 = [Re A; Im A]`` with ``A[k, l] = psihat_k e^{-i k a_l}``,
+    ``G = A2^T A2`` and ``ill`` the ``cond(G) > 1e14`` verdict.  Only the
+    k >= 0 phases are exponentiated; the k < 0 rows are their conjugates,
+    bit for bit what exp gives, since (-k) a is exactly -(k a) and cos and
+    sin are even and odd.
+    """
+    K = (psihat.size - 1) // 2
+    A = np.empty((2 * K + 1, nodes.size), dtype=complex)
+    np.exp(-1j * np.outer(np.arange(K + 1), nodes), out=A[K:])
+    np.conj(A[2 * K : K : -1], out=A[:K])
+    np.multiply(psihat[:, None], A, out=A)  # psihat first: numpy's SIMD product is not symmetric
+    A2 = np.concatenate([A.real, A.imag])
+    G = A2.T @ A2
+    try:
+        ill = bool(np.linalg.cond(G) > 1e14)
+    except np.linalg.LinAlgError:
+        ill = True
+    return A2, G, ill
+
+
+def _equispaced_system(psihat: np.ndarray, base: np.ndarray) -> tuple:
+    """The restart-0 system at the equispaced ``base``, kept for the last
+    ``(psihat, n)``: every trial of a probe row shares it.  The kept tuple
+    is replaced whole and never mutated, so a concurrent call at worst
+    rebuilds it; it is never handed another key's system.
+    """
+    global _kept
+    kept, key = _kept, psihat.tobytes()
+    if kept is None or kept[0] != base.size or kept[1] != key:
+        kept = _kept = (base.size, key, _system(psihat, base))
+    return kept[2]
+
+
 def best_translate_fit(
     f: SpectralFunction,
     psi: SpectralFunction,
@@ -197,7 +228,10 @@ def best_translate_fit(
     Parseval the L2 residual is the residual over |k| <= K, where the
     translate at node a_l has coefficients psihat_k e^{-i k a_l}.  The
     returned residual (L2, minimum across restarts) upper-bounds the
-    true best distance.
+    true best distance.  Only the k >= 0 phases are exponentiated (see
+    ``_system``), and the equispaced system is kept across calls with the
+    same psi and n, so restart 0 costs only the right-hand side, the
+    solve and the residual.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -206,7 +240,6 @@ def best_translate_fit(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     K = max(f.bandwidth, psi.bandwidth)
-    ks = np.arange(-K, K + 1)
     fhat = f.trimmed().padded(K).values
     psihat = psi.trimmed().padded(K).values
     b2 = np.concatenate([fhat.real, fhat.imag])
@@ -217,18 +250,15 @@ def best_translate_fit(
     best = math.inf
     regularized = False
     for r in range(restarts):
-        nodes = base if r == 0 else (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)
-        A = psihat[:, None] * np.exp(-1j * np.outer(ks, nodes))
-        A2 = np.concatenate([A.real, A.imag])
-        G = A2.T @ A2
+        A2, G, ill = (_equispaced_system(psihat, base) if r == 0 else
+                      _system(psihat, (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)))
         rhs = A2.T @ b2
         try:
-            if np.linalg.cond(G) > 1e14:
+            if ill:
                 raise np.linalg.LinAlgError
             w = np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError:
-            G = G + 1e-12 * np.eye(n)
-            w = np.linalg.solve(G, rhs)
+            w = np.linalg.solve(G + 1e-12 * np.eye(n), rhs)
             regularized = True
         best = min(best, float(np.linalg.norm(b2 - A2 @ w)))
     if full_output:

@@ -32,6 +32,8 @@ from translates.experiments import (
     verify_dominance,
     emit_csv,
     plotdata_text,
+    probe_rows_to_csv_text,
+    run_probe,
     _random_sources,
 )
 from translates.error_budget import epsilon_p2_md, inv_sup_outside_box
@@ -157,6 +159,30 @@ def test_probe_config():
         )
 
 
+def test_probe_config_rejects_bad_values_at_their_line():
+    head = "[lambda]\nfamily = korobov\nr = 1.0\n[probe]\nn_list = 10\n"
+    for key, value in (("trials", "0"), ("restarts", "0"), ("psi_truncation", "-1"),
+                       ("c3", "0"), ("c3", "-1"), ("c3", "nan"), ("c3", "inf"),
+                       ("growth", "cubic"), ("growth", "table")):
+        with pytest.raises(ConfigError, match=rf":6: key '{key}' in \[probe\]: must be"):
+            ProbeConfig.from_raw(parse_config(head + f"{key} = {value}\n"))
+    edge = "trials = 1\nrestarts = 1\npsi_truncation = 0\ngrowth = log_power\n"
+    pc = ProbeConfig.from_raw(parse_config(head + edge))
+    assert (pc.trials, pc.restarts, pc.psi_truncation, pc.growth_rule) == (1, 1, 0, "log_power")
+
+
+def test_sweep_k_out_and_j_max_are_auto_or_positive():
+    for key in ("k_out", "j_max"):
+        for value in ("0", "-3", "abc", "2.5"):
+            with pytest.raises(ConfigError, match=rf":12: key '{key}' in \[sweep\]"):
+                SweepConfig.from_raw(
+                    parse_config(BASIC.replace("timing = off", f"timing = off\n{key} = {value}"))
+                )
+    for extra, want in (("k_out = 40\nj_max = auto", (40, None)), ("j_max = 1", (None, 1))):
+        cfg = SweepConfig.from_raw(parse_config(BASIC.replace("timing = off", f"timing = off\n{extra}")))
+        assert (cfg.K_out, cfg.J_max) == want
+
+
 # ---------------------------------------------------------------------------
 # Rate fitting
 
@@ -213,6 +239,13 @@ def test_csv_golden_file():
         cfg = SweepConfig.from_raw(load_config(DATA / f"{name}.cfg"))
         text = rows_to_csv_text(run_sweep(cfg))
         assert text == (DATA / f"{name}.csv").read_text(), name
+
+
+def test_probe_csv_golden_file():
+    # recorded before the fit kept its equispaced system; two budgets replace it once
+    cfg = ProbeConfig.from_raw(load_config(DATA / "golden_probe.cfg"))
+    text = probe_rows_to_csv_text(run_probe(cfg))
+    assert text == (DATA / "golden_probe.csv").read_text()
 
 
 def test_unicode_path(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from translates import lower_bound
 from translates.lower_bound import (
     GrowthFunction,
     best_translate_fit,
@@ -208,6 +209,63 @@ def test_best_fit_ridge_matches_grid_oracle():
     want = _grid_fit(f, psi, 8, restarts=8, seed=3)
     assert got[1] and want[1]
     assert got[0] == pytest.approx(want[0], rel=0.05)
+
+
+def test_system_mirrors_the_exp_of_every_row_bit_for_bit():
+    K = 512
+    rng = np.random.default_rng(0)
+    psihat = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    two_pi = 2 * math.pi
+    edges = [0.0, 1e-300, np.nextafter(two_pi, 0), two_pi - 1e-9, math.pi, 0.5 * math.pi]
+    jittered = (two_pi * np.arange(40) / 40 + rng.normal(0.0, two_pi / 160, 40)) % two_pi
+    for nodes in (np.array(edges), jittered):
+        phases = np.exp(-1j * np.outer(np.arange(-K, K + 1), nodes))
+        A = psihat[:, None] * phases
+        want = np.concatenate([A.real, A.imag])
+        A2, G, ill = lower_bound._system(psihat, nodes)
+        assert np.array_equal(A2.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(G.view(np.uint64), (want.T @ want).view(np.uint64))
+        assert ill == (np.linalg.cond(want.T @ want) > 1e14)
+
+
+def test_kept_equispaced_system_changes_no_bit(monkeypatch):
+    lam = Korobov(1.0)
+    psi_a = default_probe_generator(lam, 128)
+    psi_b = default_probe_generator(Korobov(2.0), 128)
+    assert psi_a.bandwidth == psi_b.bandwidth
+    calls = [(psi_a, 10), (psi_b, 10), (psi_a, 20), (psi_a, 10)]
+
+    def fit(psi, n):
+        # restarts = 1 returns restart 0's residual, which a wrong kept system would move
+        f = sample_F_ns(design_for_n(n, 1, lam), lam, 1, seed=n)[0]
+        return [best_translate_fit(f, psi, n, restarts=r, seed=(n, 1), full_output=True)
+                for r in (1, 3)]
+
+    monkeypatch.setattr(lower_bound, "_kept", None)
+    interleaved = [fit(psi, n) for psi, n in calls]
+    assert lower_bound._kept[0] == 10
+    fresh = []
+    for psi, n in calls:
+        monkeypatch.setattr(lower_bound, "_kept", None)
+        fresh.append(fit(psi, n))
+    bits = lambda runs: [(np.float64(v).view(np.uint64), flag) for run in runs for v, flag in run]
+    assert bits(interleaved) == bits(fresh)
+
+
+def test_kept_system_flags_every_rank_deficient_trial(monkeypatch):
+    # 8 translates of a bandwidth-2 generator span at most 5 dimensions, so
+    # every restart 0 is ill-conditioned, also when its system is the kept one
+    lam = Korobov(1.0)
+    psi = default_probe_generator(lam, 2)
+    monkeypatch.setattr(lower_bound, "_kept", None)
+    for t, f in enumerate(sample_F_ns(design_for_n(10, 1, lam), lam, 4, seed=4)):
+        for restarts in (1, 3):
+            value, flagged = best_translate_fit(f, psi, 8, restarts=restarts, seed=(3, t),
+                                                full_output=True)
+            assert flagged and math.isfinite(value)
+    des = design_for_n(10, 1, lam)
+    res = probe_Mn(des, lam, psi, trials=3, restarts=1, seed=3)
+    assert res.flag == "heuristic,regularized"
 
 
 def test_probe_statistic_and_envelopes():
