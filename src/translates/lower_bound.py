@@ -111,6 +111,8 @@ def design_for_n(
     """
     if n < 10:
         raise ValueError("the design assumes n >= 10")
+    if not 0.0 < c3 < math.inf:
+        raise ValueError(f"c3 must be finite and > 0, got {c3!r}")
     if lam.dimension != d:
         raise SequenceError("sequence dimension differs from d")
     m = int(math.floor(c3 * n * math.log(n))) + 1

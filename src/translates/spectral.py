@@ -19,6 +19,7 @@ materialized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -340,6 +341,7 @@ def convolve(f1: SpectralFunction, f2: SpectralFunction) -> SpectralFunction:
     return SpectralFunction(f1.dimension, r, f1.values[sl1] * f2.values[sl2], copy=False)
 
 
+@functools.lru_cache(maxsize=None)
 def _smooth_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n: an FFT length with only small radices."""
     best = 1 << max(n - 1, 0).bit_length()  # the next power of two
@@ -372,7 +374,10 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     source and probe of a sweep row, so those calls allocate no grid.  Only
     grids of at most ``_KEEP_GRID`` points are kept (10.5 MB at the cap); a
     larger grid is allocated for its call and freed after it.  The values
-    are those of ``synthesize`` on fresh arrays, bit for bit.  The reuse
+    are those of ``synthesize`` on fresh arrays, bit for bit, except that an
+    f with exactly Hermitian coefficients (no tolerance) is sampled with the
+    real half-spectrum transform ``irfftn``, about twice as cheap, which
+    agrees with the complex samples to rounding.  The reuse
     makes lp_norm non-re-entrant: do not call it from several threads at
     once.
     """
@@ -387,9 +392,13 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     spec, vals, absp = _grid_buffers((N,) * g.dimension)
     spec.fill(0)
     fold_into(g, spec)
-    np.fft.ifftn(spec, out=vals)
-    vals *= N**g.dimension
-    np.abs(vals, out=absp)
+    if g.is_real_valued(tol=0.0):  # real f: the half spectrum, into the float buffer
+        half = spec[..., : N // 2 + 1]
+        samples = np.fft.irfftn(half, s=spec.shape, axes=tuple(range(g.dimension)), out=absp)
+    else:
+        samples = np.fft.ifftn(spec, out=vals)
+    samples *= N**g.dimension
+    np.abs(samples, out=absp)
     np.power(absp, p, out=absp)
     return float(np.mean(absp) ** (1.0 / p))
 

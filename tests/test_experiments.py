@@ -522,6 +522,22 @@ def test_probe_count_is_honoured_in_every_dimension(monkeypatch, p, dim):
             assert probes == [residues[i] for i in ranked[: cfg.probe_count]]
 
 
+def test_p3_sweep_sources_take_the_real_transform(fft_calls):
+    # every source is exactly Hermitian, and so is its error under a symmetric
+    # pair: its normalisation and its quadrature sample with irfftn; the
+    # single-frequency probes are complex and keep ifftn
+    text = (
+        BASIC.replace("r = 2.0", "r = 1.0")
+        .replace("p = 2.0", "p = 3.0")
+        .replace("m_list = 2 4 8", "m_list = 4")
+        .replace("g_count = 5", "g_count = 3")
+    )
+    cfg = SweepConfig.from_raw(parse_config(text))
+    assert cfg.probe_count == 8
+    run_sweep(cfg)
+    assert fft_calls == ["irfftn"] * 3 + ["irfftn"] * 3 + ["ifftn"] * 8
+
+
 def test_row_dominance_invariant():
     cfg = SweepConfig.from_raw(parse_config(BASIC))
     rows = run_sweep(cfg)

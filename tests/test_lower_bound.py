@@ -74,6 +74,13 @@ def test_design_rejects_small_n():
         design_for_n(9, 1, Korobov(1.0))
 
 
+@pytest.mark.parametrize("c3", [-1.0, 0.0, math.nan, math.inf])
+def test_design_rejects_bad_c3(c3):
+    # c3 = -1 used to give m = -23 and a complex omega
+    with pytest.raises(ValueError, match="c3"):
+        design_for_n(10, 1, Korobov(1.0), c3=c3)
+
+
 def test_sample_family_norms_and_determinism():
     lam = Korobov(1.0)
     des = design_for_n(10, 1, lam)

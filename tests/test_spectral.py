@@ -121,10 +121,14 @@ def test_smooth_length_is_smallest_5_smooth():
     assert _smooth_length(65544) == 65610
 
 
+def _grid_norm(f, p, N):
+    """Oracle: the trapezoidal rule on the complex ``synthesize`` samples of the N-grid."""
+    return float(np.mean(np.abs(synthesize(f, N).values) ** p) ** (1.0 / p))
+
+
 def _nominal_grid_norm(f, p, oversample=8):
     """Oracle: the trapezoidal rule on the unrounded oversample*(2*bw+1) grid."""
-    N = oversample * (2 * f.bandwidth + 1)
-    return float(np.mean(np.abs(synthesize(f, N).values) ** p) ** (1.0 / p))
+    return _grid_norm(f, p, oversample * (2 * f.bandwidth + 1))
 
 
 # 8*(2*4096+1) = 2^3*3*2731 and 8*(2*1028+1) = 2^3*11^2*17 are not 5-smooth.
@@ -153,10 +157,20 @@ def test_lp_norm_matches_nominal_grid(bw, p):
 
 
 def _lp_norm_fresh_arrays(f, p, oversample=8):
-    """Oracle: lp_norm's grid rule on arrays allocated for this call."""
+    """Oracle: lp_norm's grid rule on arrays allocated for this call.
+
+    An exactly Hermitian f is sampled by the real half-spectrum transform,
+    any other f by ``synthesize``.
+    """
     g = f.trimmed()
-    vals = synthesize(g, _smooth_length(oversample * (2 * g.bandwidth + 1))).values
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    N = _smooth_length(oversample * (2 * g.bandwidth + 1))
+    if g.is_real_valued(tol=0.0):
+        spec = np.zeros((N,) * g.dimension, dtype=complex)
+        spectral.fold_into(g, spec)
+        axes = tuple(range(g.dimension))
+        vals = np.fft.irfftn(spec[..., : N // 2 + 1], s=spec.shape, axes=axes) * N**g.dimension
+        return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+    return _grid_norm(g, p, N)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
@@ -185,6 +199,43 @@ def test_lp_norm_keeps_no_grid_above_the_cap(monkeypatch):
     for f in (small, wide, small, surface, small, small, wide):
         assert lp_norm(f, 3.0) == _lp_norm_fresh_arrays(f, 3.0)
         assert (spectral._grid is not None) == (f is small)
+
+
+@pytest.mark.parametrize("oversample", [8, 3])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_lp_norm_real_path_matches_complex_samples(fft_calls, oversample, p):
+    rng = np.random.default_rng(int(100 * p) + oversample)
+    for d, bw in ((1, 40), (2, 12)):
+        f = random_real_spectral(d, bw, rng)
+        N = _smooth_length(oversample * (2 * bw + 1))
+        # oversample = 3 gives the odd lengths 243 and 75: the half spectrum
+        # then has no Nyquist bin
+        assert N % 2 == (oversample == 3)
+        expected = _grid_norm(f, p, N)
+        fft_calls.clear()
+        assert lp_norm(f, p, oversample=oversample) == pytest.approx(expected, rel=1e-13)
+        assert fft_calls == ["irfftn"]
+
+
+def test_lp_norm_one_ulp_off_hermitian_takes_the_complex_path(fft_calls):
+    f = random_real_spectral(1, 40, np.random.default_rng(8))
+    vals = f.values.copy()
+    vals[45] = complex(np.nextafter(vals[45].real, np.inf), vals[45].imag)
+    near = SpectralFunction(1, 40, vals)
+    assert f.is_real_valued(tol=0.0) and not near.is_real_valued(tol=0.0)
+    expected = _lp_norm_fresh_arrays(near, 3.0)
+    fft_calls.clear()
+    assert lp_norm(near, 3.0) == expected
+    assert lp_norm(f, 3.0) == pytest.approx(expected, rel=1e-13)
+    assert fft_calls == ["ifftn", "irfftn"]
+
+
+@pytest.mark.parametrize("d, bw", [(1, 40), (2, 6), (3, 2)])
+def test_random_real_spectral_is_exactly_hermitian(d, bw):
+    rng = np.random.default_rng(d)
+    for normalize_p in (None, 3.0):
+        v = random_real_spectral(d, bw, rng, normalize_p=normalize_p).values
+        assert np.array_equal(v, np.conj(v[(slice(None, None, -1),) * d]))
 
 
 def test_lp_norm_rejects_endpoints():
