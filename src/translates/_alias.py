@@ -4,9 +4,9 @@ Sampling a function at the 2m+1 uniform nodes folds every frequency k
 onto its representative k' in [-m, m] with k = k' (mod 2m+1).  Both the
 operator's spectral image and the theoretical error budgets are sums
 over these residue classes and share the residue map and band arrays
-built here.  The alias profile sums the rows t of a block grid, k' +
-(2m+1) t for all k' in [-m, m]; ``error_budget._block_sum_bracket``
-walks a grid of its own.
+built here.  ``alias_blocks`` walks the rows t of the block grid, k' +
+(2m+1) t for all k' in [-m, m], on both sides of zero; the alias profile
+and both error budgets reduce its stream.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import CoefficientSequence, SequenceError, index_box, product_increment
+from .sequences import CoefficientSequence, SequenceError, index_box, product_increment, two_sided
 
 log = logging.getLogger("translates")
 
@@ -150,12 +150,13 @@ def build_alias_profile(
     ``product_increment`` of the largest column sums max(D_j + E_j) and
     those tails.
 
-    Each side's column sums come from ``_alias_column_sums``, which streams
-    the blocks through a buffer of about ``_BLOCK`` indices and adds every
-    column row by row in the order t = 1, 2, ..., T, so memory does not grow
-    with K_out.  For a ``symmetric`` factor beta_j the negative side is the
-    positive side reversed, bit for bit, and is not evaluated.  Without
-    ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
+    Each side squares the rows from ``alias_blocks`` into a buffer whose row 0
+    carries the column sums, so ``np.sum(axis=0)`` (the rows of a C-ordered
+    array in turn) adds each column in the order t = 1, ..., T: bit for bit
+    one reduction over all T rows (for 2m+1 > 1 columns), in memory that does
+    not grow with K_out.  The negative side's columns run from k' = m down, so
+    E_j adds them reversed; a ``symmetric`` beta_j has one side to sum.
+    Without ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
     """
     factors = (lam.axis_factors(), beta.axis_factors())
     if lam.dimension != beta.dimension or None in factors:
@@ -167,9 +168,13 @@ def build_alias_profile(
     A, D, E, a_max, c_max, tails = [], [], [], [], [], []
     for j, (axl, axb) in enumerate(zip(*factors)):
         _, inv_b, alpha = band_arrays(axl, axb, m)
-        pos = _alias_column_sums(axb, m, T, 1)
-        neg = pos[::-1] if axb.symmetric else _alias_column_sums(axb, m, T, -1)
-        d_j, e_j = np.abs(inv_b) ** 2, pos + neg
+        sym, bufs = axb.symmetric, np.zeros((2, min(T, max(1, _BLOCK // n)) + 1, n))
+        for pos, neg in alias_blocks(axb, m, 1, T):
+            for buf, side in zip(bufs, (pos,) if sym else (pos, neg)):  # row 0: the column sums
+                block = buf[: len(side) + 1]
+                np.square(side, out=block[1:])
+                buf[0] = np.sum(block, axis=0)
+        d_j, e_j = np.abs(inv_b) ** 2, bufs[0, 0] + bufs[0 if sym else 1, 0, ::-1]
         axis = (None,) * j + (slice(None),) + (None,) * (d - 1 - j)  # broadcast along axis j
         A.append((np.abs(alpha) ** 2)[axis])
         D.append(d_j[axis])
@@ -185,27 +190,18 @@ def build_alias_profile(
 _BLOCK = 1 << 15  # alias indices per streamed block: 256 KiB of float64
 
 
-def _alias_column_sums(beta: CoefficientSequence, m: int, T: int, sign: int) -> np.ndarray:
-    """sum_{t=1}^{T} |beta^{-1}(sign (2m+1) t + k')|^2 for each residue k' in [-m, m].
+def alias_blocks(beta: CoefficientSequence, m: int, t_first: int, t_last: int):
+    """``two_sided(beta, (2m+1) t + k')`` for the rows t_first..t_last of the
+    block grid, k' = -m..m along a row, in blocks of about ``_BLOCK`` indices.
 
-    The rows t are evaluated in blocks of about ``_BLOCK`` indices.  Row 0
-    of the buffer carries the running column sum into the next block, so
-    ``np.sum(axis=0)``, which adds the rows of a C-ordered array one after
-    another, adds each column in the order t = 1, 2, ..., T: the same sum,
-    bit for bit, as one reduction over all T rows (for 2m+1 > 1 columns).
+    The residue of -k is -k', so the negative side's columns run from m down.
     """
     n = 2 * m + 1
     jp = np.arange(-m, m + 1)
     rows = max(1, _BLOCK // n)
-    buf = np.zeros((min(rows, T) + 1, n))
-    for t0 in range(1, T + 1, rows):
-        ts = np.arange(t0, min(T, t0 + rows - 1) + 1)
-        block = buf[: ts.size + 1]
-        ks = (sign * n * ts)[:, None] + jp[None, :]
-        np.abs(np.asarray(beta.inv_values(ks)), out=block[1:])
-        np.square(block[1:], out=block[1:])
-        buf[0] = np.sum(block, axis=0)
-    return buf[0].copy()
+    for t0 in range(t_first, t_last + 1, rows):
+        ts = np.arange(t0, min(t_last, t0 + rows - 1) + 1)
+        yield two_sided(beta, (n * ts)[:, None] + jp[None, :])
 
 
 def centre(R: int, r: int, d: int) -> tuple:

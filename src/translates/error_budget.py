@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import band_arrays, index_box, k_prime_array
+from ._alias import alias_blocks, band_arrays, index_box, k_prime_array
 from .sequences import (
     CoefficientSequence,
     Exponential,
@@ -41,6 +41,7 @@ from .sequences import (
     TailRule,
     check_nondecreasing_type,
     product_increment,
+    two_sided,
 )
 
 __all__ = [
@@ -99,6 +100,7 @@ def gamma_k(lam: CoefficientSequence, beta: CoefficientSequence, m: int, k):
 _EPS = sys.float_info.epsilon
 _BLOCK_REL = 1e-10  # stop enumerating once the bracket width is this small
 _SUM_ULPS = 16  # rounding of a computed term a |beta^{-1}|, squared, and of fsum
+_MONOTONE_WINDOW = 32  # trailing values a side must not increase over to telescope
 
 
 def _profile_sq_series(rule: TailRule, n: int, offsets: np.ndarray, T: int):
@@ -146,36 +148,42 @@ def _block_sum_bracket(alpha: np.ndarray, beta: CoefficientSequence, m: int, J_m
     """(S, width, T) with sum_{t != 0} G_t^2 in [S, S + width].
 
     ``alpha`` holds |alpha_{k'}| on the band and ``beta`` is univariate.
-    Blocks |t| <= T are summed exactly.  T starts at the first block past
-    the rule's radius (at least 32, at most J_max) and doubles, summing
-    only the new blocks, until width <= 1e-10 S or T = J_max.  Blocks
-    |t| > T are bracketed from the rule profile U, per side:
-    hi = a_max^2 sum U(n j - m)^2 and, where the rule is exact,
-    lo = max_{k'} a_{k'}^2 sum U(n j +- k')^2 (else lo = 0).
+    Blocks |t| <= T are summed exactly from ``alias_blocks``.  T starts at
+    the first block past the rule's radius (at least 32, at most J_max) and
+    doubles, summing only the new blocks, until width <= 1e-10 S or T = J_max.
+    Beyond T a side's block j holds U(n j + b), U the rule profile, at the
+    offsets b = k' (positive side) or -k' (negative), weighted w_b = alpha_{k'}^2.
+    Per side lo = max_b w_b sum U(n j + b)^2 where the rule is exact, else 0.
+    hi = w_b* sum U(n j + b*)^2 for the largest term b* of block T + 1 when
+    b* leads every later block: the rule is exact and exponential (the term
+    ratios do not depend on j) or a power with w_b <= w_b* for all b > b*.
+    Otherwise hi = max_b w_b sum U(n j - m)^2.  The terms are ranked relative
+    to b = -m, so a near tie misranks by an ulp or so, inside the rounding.
     """
     rule = beta.tail_rule()
     n = 2 * m + 1
-    jp = np.arange(-m, m + 1)
     a_sq = alpha**2
     first = (rule.radius + m) // n + 1  # first block with every |k| > radius
     T = min(max(32, first), J_max)
     parts = []
     done = 0
-    chunk = max(1, 2_000_000 // n)
     while True:
-        for t0 in range(done + 1, T + 1, chunk):
-            ts = np.arange(t0, min(T, t0 + chunk - 1) + 1)
-            for sign in (1, -1):
-                ks = sign * (n * ts)[:, None] + jp[None, :]
-                g = alpha[None, :] * np.abs(np.asarray(beta.inv_values(ks)))
-                parts.append(math.fsum(g.max(axis=1) ** 2))
+        for pos, neg in alias_blocks(beta, m, done + 1, T):  # neg's columns run from k' = m down
+            parts.append(math.fsum((alpha * pos).max(axis=1) ** 2))
+            parts.append(math.fsum((alpha[::-1] * neg).max(axis=1) ** 2))
         done = T
         exact = math.fsum(parts)
         if T + 1 >= first:
-            lo_b, hi_b = _profile_sq_series(rule, n, jp, T)  # offsets b = k'
-            hi = 2.0 * float(np.max(a_sq)) * float(hi_b[0])  # b = -m bounds both sides
-            # the negative side's series start at n j - k', i.e. offsets reversed
-            lo = float(np.max(a_sq * lo_b) + np.max(a_sq * lo_b[::-1])) if rule.exact else 0.0
+            lo_b, hi_b = _profile_sq_series(rule, n, np.arange(-m, m + 1), T)  # b ascending
+            i, power = np.arange(n), rule.kind == "power"  # i = b + m, from the nearest offset
+            decay = 2.0 * rule.rate * (np.log1p(i / (n * (T + 1) - m)) if power else i)
+            lo = hi = 0.0
+            for w in (a_sq, a_sq[::-1]):  # the offsets' weights on each side
+                with np.errstate(divide="ignore"):  # a zero weight ranks last
+                    lead = int(np.argmax(np.log(w) - decay))
+                leads = rule.kind == "exponential" or power and np.all(w[lead + 1 :] <= w[lead])
+                lo += float(np.max(w * lo_b)) if rule.exact else 0.0
+                hi += float(w[lead] * hi_b[lead] if rule.exact and leads else np.max(w) * hi_b[0])
         else:
             lo, hi = 0.0, math.inf
         S = (exact + lo) * (1.0 - _SUM_ULPS * _EPS)
@@ -208,13 +216,16 @@ def _default_J(rule: TailRule) -> int:
     return 10**5
 
 
-def _diff_sum(vals: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.diff(vals))))
-
-
-def _is_tail_monotone(vals: np.ndarray, window: int = 32) -> bool:
-    tail = vals[-window:]
-    return bool(np.all(np.diff(tail) <= 0))
+def _variation(sides, far_tail: float) -> tuple:
+    """(sum of |differences| along the sides, bound on what lies beyond): a
+    side whose last ``_MONOTONE_WINDOW`` values do not increase telescopes to
+    its last value, any other side is bounded by ``far_tail``."""
+    total = tail = 0.0
+    for vals in sides:
+        steps = np.diff(vals)
+        total += float(np.sum(np.abs(steps)))
+        tail += float(vals[-1]) if np.all(steps[-(_MONOTONE_WINDOW - 1) :] <= 0) else far_tail
+    return total, tail
 
 
 def epsilon_general_p(
@@ -250,27 +261,11 @@ def epsilon_general_p(
     n = 2 * m + 1
 
     ks = np.arange(m + 1, K_max + 2)
-    il_pos = np.abs(np.asarray(lam.inv_values(ks)))
-    il_neg = np.abs(np.asarray(lam.inv_values(-ks)))
-    delta_lambda = _diff_sum(il_pos) + _diff_sum(il_neg)
-    dl_tail = 0.0
-    for side in (il_pos, il_neg):
-        if _is_tail_monotone(side):
-            dl_tail += float(side[-1])  # telescoping remainder
-        else:
-            dl_tail += lam.inv_l1_tail(K_max)
-
-    kp = k_prime_array(ks, m)
-    g_pos = np.abs(alpha[kp + m]) * np.abs(np.asarray(beta.inv_values(ks)))
-    kpn = k_prime_array(-ks, m)
-    g_neg = np.abs(alpha[kpn + m]) * np.abs(np.asarray(beta.inv_values(-ks)))
-    delta_gamma = _diff_sum(g_pos) + _diff_sum(g_neg)
-    dg_tail = 0.0
-    for side in (g_pos, g_neg):
-        if _is_tail_monotone(side):
-            dg_tail += float(side[-1])
-        else:
-            dg_tail += alpha_max * beta.inv_l1_tail(K_max)
+    delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_l1_tail(K_max))
+    a, kp = np.abs(alpha), k_prime_array(ks, m) + m
+    pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
+    g = (a[kp] * pos, a[::-1][kp] * neg)
+    delta_gamma, dg_tail = _variation(g, alpha_max * beta.inv_l1_tail(K_max))
 
     T = max(1, (K_max - m) // n)
     ts = np.arange(-T, T + 1)
@@ -348,9 +343,11 @@ def epsilon_p2(
     d = 1 is the one-axis case, whose bracket is the axis's own.  ``value``
     uses the lower end of the bracket, ``tail_bound`` is what the upper
     end adds to the square root, and ``truncation_radius`` is the largest
-    T.  For Korobov and Exponential generators paired with themselves the
-    bracket is a few ulp wide.  Other sequences are enumerated directly
-    over a box of blocks under the memory guard, with an infinite tail.
+    T.  A pair whose beta has an exact tail rule (Korobov, Exponential, a
+    custom table), equal to lambda or not, closes to a few ulp at the first
+    T; a near tie between offsets closes at a later T.  Other sequences are
+    enumerated directly over a box of blocks under the memory guard, with
+    an infinite tail.
     """
     d = lam.dimension
     if beta.dimension != d:

@@ -317,9 +317,9 @@ class CoefficientSequence:
     def symmetric(self) -> bool:
         """True only if theta_{-k} = theta_k for every k, bit for bit.
 
-        The alias profile relies on it: for a symmetric axis factor of beta
-        it takes ``inv_values(-k)`` to be ``inv_values(k)`` and evaluates one
-        side only.  A subclass that does not say otherwise is not trusted to be
+        ``two_sided`` relies on it: for a symmetric sequence it takes
+        ``inv_values(-k)`` to be ``inv_values(k)`` and evaluates one side
+        only.  A subclass that does not say otherwise is not trusted to be
         symmetric; the families that see k only through |k| override this.
         """
         return False
@@ -603,6 +603,7 @@ class CustomSequence(CoefficientSequence):
         dense = np.array(entries, dtype=dtype)
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_radius", radius)
+        object.__setattr__(self, "_symmetric", bool(np.array_equal(dense, dense[::-1])))
 
     def _tail_values(self, a: np.ndarray) -> np.ndarray:
         if self.tail.kind == "power":
@@ -639,9 +640,7 @@ class CustomSequence(CoefficientSequence):
 
     @property
     def symmetric(self):
-        return bool(
-            np.allclose(self._dense, self._dense[::-1], rtol=0.0, atol=0.0)
-        )
+        return self._symmetric
 
 
 def index_box(radius: int, d: int) -> np.ndarray:
@@ -654,6 +653,13 @@ def index_box(radius: int, d: int) -> np.ndarray:
     if d == 1:
         return ax
     return np.stack(np.meshgrid(*[ax] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def two_sided(seq: CoefficientSequence, k) -> tuple:
+    """(|seq^{-1}(k)|, |seq^{-1}(-k)|) of a univariate sequence; a ``symmetric``
+    one returns the same array twice (``neg is pos``) and never evaluates -k."""
+    pos = np.abs(np.asarray(seq.inv_values(k)))
+    return pos, pos if seq.symmetric else np.abs(np.asarray(seq.inv_values(-np.asarray(k))))
 
 
 def product_increment(base, extra):

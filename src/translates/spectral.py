@@ -151,10 +151,10 @@ class SpectralFunction:
             return 0
         return int(np.max(np.abs(nz - self.radius)))
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
+    def is_real_valued(self) -> bool:
+        """True only if coeff(-k) == conj(coeff(k)) for every k, bit for bit."""
         flipped = np.conj(self.values[(slice(None, None, -1),) * self.dimension])
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        return bool(np.max(np.abs(self.values - flipped)) <= tol * scale)
+        return bool(np.array_equal(self.values, flipped))
 
     def l2(self) -> float:
         return float(np.linalg.norm(self.values.ravel()))
@@ -387,12 +387,12 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
         raise SpectralError("oversample must be >= 2")
     if p == 2.0:
         return f.l2()
-    g = f.trimmed()
-    N = _smooth_length(oversample * (2 * g.bandwidth + 1))
+    g = f.trimmed()  # its radius is its bandwidth
+    N = _smooth_length(oversample * (2 * g.radius + 1))
     spec, vals, absp = _grid_buffers((N,) * g.dimension)
     spec.fill(0)
     fold_into(g, spec)
-    if g.is_real_valued(tol=0.0):  # real f: the half spectrum, into the float buffer
+    if g.is_real_valued():  # real f: the half spectrum, into the float buffer
         half = spec[..., : N // 2 + 1]
         samples = np.fft.irfftn(half, s=spec.shape, axes=tuple(range(g.dimension)), out=absp)
     else:

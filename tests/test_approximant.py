@@ -26,6 +26,7 @@ from translates.approximant import (
     spectral_image,
     vm_samples,
 )
+from translates.error_budget import epsilon_p2
 from translates.sequences import (
     CoefficientSequence,
     CustomSequence,
@@ -349,11 +350,18 @@ def test_streamed_profile_equals_one_array_sum(lam, beta, m, K_out):
 def test_streamed_profile_with_one_row_blocks(monkeypatch):
     # blocks smaller than a row: every row is its own block and the carry
     # row does all the adding
+    from test_error_budget import _brute_block_sum
+
     monkeypatch.setattr(_alias, "_BLOCK", 5)
     for beta in (Korobov(1.5), _ASYM):
         prof = build_alias_profile(Korobov(1.0), beta, 3, K_out=2_000)
         want = _profile_one_array(Korobov(1.0), beta, 3, 2_000)
         assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+        # the p = 2 budget walks the same blocks
+        rep = epsilon_p2(Korobov(1.0), beta, 3)
+        gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
+        lo, hi = _brute_block_sum(Korobov(1.0), beta, 3)
+        assert gamma**2 <= hi and lo <= (gamma + tail) ** 2
 
 
 def test_symmetric_profile_evaluates_one_side(monkeypatch):

@@ -290,6 +290,18 @@ def _brute_block_sum(lam, beta, m):
     return total + lo, total + hi
 
 
+def _heaviest_offset_leads(lam, beta, m, T):
+    """Whether on each side the largest term of block T + 1 has the largest
+    weight alpha_{k'}^2.  Under a power rule a lighter offset leads only
+    while it is nearer, so in a near tie the lead moves at a later block."""
+    n, jp = 2 * m + 1, np.arange(-m, m + 1)
+    w = np.abs(np.asarray(lam.inv_values(jp)) / np.asarray(beta.inv_values(jp))) ** 2
+    return all(
+        w[np.argmax(w * np.abs(np.asarray(beta.inv_values(sign * n * (T + 1) + jp))) ** 2)] == w.max()
+        for sign in (1, -1)
+    )
+
+
 def _custom_power(radius, rate, scale, seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.5, 2.0, radius + 1)
@@ -323,8 +335,11 @@ def test_block_sum_bracket_contains_brute_force(kind, data, m):
     lo, hi = _brute_block_sum(lam, beta, m)
     assert gamma**2 <= hi
     assert lo <= (gamma + tail) ** 2
-    if kind in ("korobov", "exponential", "truncated"):
-        # lam = beta with an exact rule: the bracket closes at the first T
+    if kind in ("korobov", "exponential", "truncated", "mixed_pair") or (
+        kind in ("korobov_pair", "custom") and _heaviest_offset_leads(lam, beta, m, 32)
+    ):
+        # an exact rule whose leading offset no later block changes: each
+        # side beyond the first T is one series, and the bracket closes there
         assert rep.truncation_radius == 32
         assert tail <= 1e-13 * gamma or gamma == tail == 0.0
     if kind == "mask":
@@ -364,17 +379,109 @@ def test_block_sum_bracket_small_J_max():
 
 def test_block_sum_bracket_asymmetric_band():
     # alpha peaks at k' = -1, so beyond T the positive blocks follow
-    # U(3j - 1) and the negative ones U(3j + 1): each side needs its own
-    # lower bound, and the bracket stays open (lo < hi) up to J_max
+    # U(3j - 1) and the negative ones U(3j + 1): each side is bounded by
+    # its own leading series, and the bracket closes at the first T
     table = {k: 1.0 for k in range(-8, 9)}
     table[-1] = 10.0
     beta = CustomSequence(table, TailRule("power", rate=1.0))
     rep = epsilon_p2(LAM1, beta, 1, J_max=40)
     gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
     lo, hi = _brute_block_sum(LAM1, beta, 1)
-    assert rep.truncation_radius == 40 and tail > 0
+    assert rep.truncation_radius == 32 and tail <= 1e-13 * gamma
     assert gamma**2 <= hi
     assert lo <= (gamma + tail) ** 2
+
+
+def _counting_inv_values(monkeypatch):
+    """The index arrays every Korobov sequence is asked for, in order."""
+    counted = []
+    inv_values = Korobov.inv_values
+
+    def counting(self, k):
+        counted.append(np.asarray(k).copy())
+        return inv_values(self, k)
+
+    monkeypatch.setattr(Korobov, "inv_values", counting)
+    return counted
+
+
+def test_symmetric_budget_evaluates_one_side(monkeypatch):
+    counted = _counting_inv_values(monkeypatch)
+    m = 3
+    epsilon_p2(LAM1, Korobov(1.5), m)
+    assert min(int(k.min()) for k in counted) == -m  # the band, and no negative alias index
+
+
+def test_general_p_evaluates_one_side(monkeypatch):
+    counted = _counting_inv_values(monkeypatch)
+    m, K_max = 3, 500
+    epsilon_general_p(LAM1, LAM2, m, K_max=K_max)
+    ks = np.arange(m + 1, K_max + 2)
+    tails = [k for k in counted if k.shape == ks.shape]
+    assert len(tails) == 2 and all(np.array_equal(k, ks) for k in tails)
+
+
+def _general_p_two_sided(lam, beta, m, K_max):
+    """(value, tail_bound, components) of the general-p budget with each side
+    evaluated on its own indices: the form before the sides were mirrored."""
+    from translates._alias import band_arrays, k_prime_array
+    from translates.error_budget import _comb_l1_tail
+
+    def diff_sum(vals):
+        return float(np.sum(np.abs(np.diff(vals))))
+
+    def monotone(vals):
+        return bool(np.all(np.diff(vals[-32:]) <= 0))
+
+    alpha = band_arrays(lam, beta, m)[2]
+    alpha_max = float(np.max(np.abs(alpha)))
+    n, ks = 2 * m + 1, np.arange(m + 1, K_max + 2)
+    il = [np.abs(np.asarray(lam.inv_values(s * ks))) for s in (1, -1)]
+    g = [
+        np.abs(alpha[k_prime_array(s * ks, m) + m]) * np.abs(np.asarray(beta.inv_values(s * ks)))
+        for s in (1, -1)
+    ]
+    dl = diff_sum(il[0]) + diff_sum(il[1])
+    dg = diff_sum(g[0]) + diff_sum(g[1])
+    dl_tail = dg_tail = 0.0
+    for side in il:
+        dl_tail += float(side[-1]) if monotone(side) else lam.inv_l1_tail(K_max)
+    for side in g:
+        dg_tail += float(side[-1]) if monotone(side) else alpha_max * beta.inv_l1_tail(K_max)
+    T = max(1, (K_max - m) // n)
+    alpha_m = float(np.abs(alpha[2 * m]))
+    ga = alpha_m * float(np.sum(np.abs(np.asarray(beta.inv_values(np.arange(-T, T + 1) * n + m)))))
+    rule = beta.tail_rule()
+    ga_tail = alpha_m * (_comb_l1_tail(rule, n, m, T) + _comb_l1_tail(rule, n, -m, T))
+    components = {"delta_lambda_term": dl, "delta_gamma_term": dg, "gamma_alias_term": ga}
+    return max(dl, dg + ga), max(dl_tail, dg_tail + ga_tail), components
+
+
+_LOPSIDED = CustomSequence(
+    {k: (1 + abs(k)) ** 1.5 * (1 + 0.1 * (k % 3) + 0.5 * (k > 0)) for k in range(-40, 41)},
+    TailRule("power", rate=1.5),
+)
+_PHASED = CustomSequence(
+    {k: (1 + abs(k)) ** 1.5 * (1 + 0.1 * (k % 3) + 0.3j * (k > 0)) for k in range(-40, 41)},
+    TailRule("power", rate=1.5),
+)
+
+
+@pytest.mark.parametrize(
+    "lam, beta, m, K_max",
+    [
+        (LAM1, LAM2, 3, 2000),
+        (MaskPower(1.5, MaskSpec("log_damped", c=0.5, bound_c=2.0)),) * 2 + (4, 3000),
+        (LAM1, _LOPSIDED, 2, 20),  # inside the table: no side telescopes
+        (_LOPSIDED, _LOPSIDED, 2, 2500),
+        (LAM2, _PHASED, 3, 30),
+        (_PHASED, LAM1, 1, 4000),
+    ],
+)
+def test_general_p_matches_two_sided_formulas(lam, beta, m, K_max):
+    rep = epsilon_general_p(lam, beta, m, K_max=K_max)
+    value, tail, components = _general_p_two_sided(lam, beta, m, rep.truncation_radius)
+    assert (rep.value, rep.tail_bound, rep.components) == (value, tail, components)
 
 
 def test_product_increment_does_not_cancel():

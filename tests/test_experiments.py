@@ -233,19 +233,31 @@ def test_csv_schema_and_roundtrip(tmp_path):
         assert rec["seconds"] is None
 
 
+CONFIGS = DATA.parent.parent / "configs"
+# (config, recorded CSV): the golden sweeps (d = 1 at p = 2, the d = 2 route,
+# the p = 3 quadrature route), then every shipped sweep config
+SWEEP_GOLDEN = [
+    *((DATA / f"{n}.cfg", DATA / f"{n}.csv") for n in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3")),
+    *((CONFIGS / f"{n}.cfg", DATA / f"shipped_{n}.csv") for n in ("acceptance", "exponential", "korobov_r2")),
+]
+# the probe golden was recorded before the fit kept its equispaced system;
+# two budgets replace it once
+PROBE_GOLDEN = [
+    (DATA / "golden_probe.cfg", DATA / "golden_probe.csv"),
+    (CONFIGS / "probe_lower.cfg", DATA / "shipped_probe_lower.csv"),
+]
+
+
 def test_csv_golden_file():
-    # d = 1 at p = 2, the d = 2 route and the p = 3 quadrature route
-    for name in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3"):
-        cfg = SweepConfig.from_raw(load_config(DATA / f"{name}.cfg"))
-        text = rows_to_csv_text(run_sweep(cfg))
-        assert text == (DATA / f"{name}.csv").read_text(), name
+    for cfg_path, csv_path in SWEEP_GOLDEN:
+        text = rows_to_csv_text(run_sweep(SweepConfig.from_raw(load_config(cfg_path))))
+        assert text == csv_path.read_text(), csv_path.name
 
 
 def test_probe_csv_golden_file():
-    # recorded before the fit kept its equispaced system; two budgets replace it once
-    cfg = ProbeConfig.from_raw(load_config(DATA / "golden_probe.cfg"))
-    text = probe_rows_to_csv_text(run_probe(cfg))
-    assert text == (DATA / "golden_probe.csv").read_text()
+    for cfg_path, csv_path in PROBE_GOLDEN:
+        text = probe_rows_to_csv_text(run_probe(ProbeConfig.from_raw(load_config(cfg_path))))
+        assert text == csv_path.read_text(), csv_path.name
 
 
 def test_unicode_path(tmp_path):

@@ -164,7 +164,7 @@ def _lp_norm_fresh_arrays(f, p, oversample=8):
     """
     g = f.trimmed()
     N = _smooth_length(oversample * (2 * g.bandwidth + 1))
-    if g.is_real_valued(tol=0.0):
+    if g.is_real_valued():
         spec = np.zeros((N,) * g.dimension, dtype=complex)
         spectral.fold_into(g, spec)
         axes = tuple(range(g.dimension))
@@ -222,7 +222,7 @@ def test_lp_norm_one_ulp_off_hermitian_takes_the_complex_path(fft_calls):
     vals = f.values.copy()
     vals[45] = complex(np.nextafter(vals[45].real, np.inf), vals[45].imag)
     near = SpectralFunction(1, 40, vals)
-    assert f.is_real_valued(tol=0.0) and not near.is_real_valued(tol=0.0)
+    assert f.is_real_valued() and not near.is_real_valued()
     expected = _lp_norm_fresh_arrays(near, 3.0)
     fft_calls.clear()
     assert lp_norm(near, 3.0) == expected
