@@ -60,12 +60,12 @@ def default_K_out(lam: CoefficientSequence, beta: CoefficientSequence, m: int) -
     if lam.dimension > 1:
         return max(4 * m, 32)
     inv_lam, _, alpha = band_arrays(lam, beta, m)
-    scale = lam.inv_sup_tail(m)
+    scale = lam.inv_tail(m, math.inf)
     if not math.isfinite(scale) or scale <= 0:
         scale = float(np.max(np.abs(inv_lam)))
     alpha_max = float(np.max(np.abs(alpha)))
     target_sq = (1e-3 * scale / max(alpha_max, 1e-300)) ** 2 * (2 * m + 1)
-    K = beta.tail_rule().radius_for_l2(target_sq, cap=2**21)
+    K = beta.tail_rule().radius_for(target_sq, 2, cap=2**21)
     return int(max(64, 8 * m, min(K, 2**21)))
 
 
@@ -181,7 +181,7 @@ def build_alias_profile(
         E.append(e_j[axis])
         a_max.append(float(np.max(np.abs(alpha))) ** 2)
         c_max.append(float(np.max(d_j + e_j)))
-        tails.append(axb.inv_l2_tail_sq(n * T + m))
+        tails.append(axb.inv_tail(n * T + m, 2))
     sq = math.prod(A) * product_increment(D, E)
     tail_sq = math.prod(a_max) * product_increment(c_max, tails)
     return AliasProfile(lam, beta, m, n * T + m, sq, tail_sq)

@@ -30,7 +30,7 @@ import numpy as np
 from . import spectral
 from ._alias import band_arrays, box_values, centre, default_K_out, index_box, k_prime_array
 from .sequences import CoefficientSequence, SequenceError, box_inv_tail
-from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm
+from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm, synthesize
 
 __all__ = [
     "ClassElement",
@@ -44,6 +44,7 @@ __all__ = [
     "spectral_image",
     "image_tail_bound",
     "approximation_error",
+    "quadrature_radius",
     "default_K_gen",
     "kernel_section",
     "class_inner_product",
@@ -56,7 +57,7 @@ def k_prime(k: int, m: int) -> int:
     """The alias representative of k in [-m, m] modulo 2m+1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return int((int(k) + m) % (2 * m + 1) - m)
+    return int(k_prime_array(int(k), m))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def default_K_gen(beta: CoefficientSequence, m: int, tol: float = 1e-10) -> int:
     if rule.kind == "finite":
         return max(rule.radius, m)
     if rule.kind == "exponential":
-        return max(m, rule.radius_for_l1(tol, cap=10**6))
+        return max(m, rule.radius_for(tol, 1, cap=10**6))
     return max(50 * m, 1000)
 
 
@@ -199,10 +200,7 @@ def vm_samples(g: SpectralFunction, Hm: SpectralFunction, m: int) -> np.ndarray:
     and one inverse transform of shape (2m+1,)^d produces all node values
     at once.
     """
-    prods, n, d = convolve(Hm, g), 2 * m + 1, g.dimension
-    spec = np.zeros((n,) * d, dtype=complex)
-    spectral.fold_into(prods, spec)
-    return np.fft.ifftn(spec) * n**d
+    return synthesize(convolve(Hm, g), 2 * m + 1).values
 
 
 def assemble_Qm(
@@ -292,11 +290,23 @@ def _subtract_target(vals: np.ndarray, elem: ClassElement) -> None:
     vals[centre(r, c, d)] -= target[centre(R, c, d)]
 
 
-def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
-    """The given plan, checked against the call, or a one-off plan."""
+def quadrature_radius(K_out: int, p: float, m: int, bw: int) -> int:
+    """The image radius of a quadrature: K_out, cut so that the grid stays
+    affordable, to 131072 at p = 2 and to max(4096, 16 m, bw + 1) otherwise
+    (bw is the source bandwidth)."""
+    return min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
+
+
+def _plan_for(elem, beta, m, K_out, plan, quadrature_p=None) -> ImagePlan:
+    """The given plan, checked against the call, or a one-off plan; without
+    K_out that takes ``default_K_out`` (at least the source bandwidth), cut to
+    ``quadrature_radius`` for a quadrature at ``quadrature_p``."""
     if plan is None:
         if K_out is None:
-            K_out = max(default_K_out(elem.lam, beta, m), elem.g.bandwidth)
+            bw = elem.g.bandwidth
+            K_out = max(default_K_out(elem.lam, beta, m), bw)
+            if quadrature_p is not None:
+                K_out = quadrature_radius(K_out, quadrature_p, m, bw)
         return ImagePlan(elem.lam, beta, m, K_out)
     if (plan.lam, plan.beta, plan.m) != (elem.lam, beta, m) or K_out not in (None, plan.K_out):
         raise ValueError("the plan was built for another (lam, beta, m, K_out)")
@@ -348,11 +358,12 @@ def approximation_error(
     ``parseval_oracle`` (p = 2 only) sums the exact coefficient
     differences over m < |k|_inf <= K_out.  ``quadrature`` materializes
     the coefficient difference on the box and takes its L_p norm on a
-    sampling grid.  Both share the truncation.  At p = 2 they are the same
-    l2 sum of the same differences, so they agree to rounding by
-    construction; the independent check of the image is the
-    physical-space ``TranslateApproximant.evaluate``.  ``plan`` is as for
-    ``spectral_image``.
+    sampling grid.  Without ``K_out`` or ``plan`` the oracle truncates at
+    ``default_K_out`` and the quadrature at its ``quadrature_radius``, as a
+    sweep row does.  At p = 2 and one K_out they are the same l2 sum of the
+    same differences, so they agree to rounding by construction; the
+    independent check of the image is the physical-space
+    ``TranslateApproximant.evaluate``.  ``plan`` is as for ``spectral_image``.
     """
     if p is None:
         p = elem.p
@@ -362,7 +373,7 @@ def approximation_error(
         raise ValueError(f"unknown method {method!r}")
     if method == "parseval_oracle" and p != 2.0:
         raise ValueError("parseval_oracle applies to p = 2 only")
-    plan = _plan_for(elem, beta, m, K_out, plan)
+    plan = _plan_for(elem, beta, m, K_out, plan, p if method == "quadrature" else None)
     if method == "parseval_oracle":
         return plan.parseval_error(elem)
     diff = spectral_image(elem, beta, m, plan=plan).function  # a fresh array, changed in place

@@ -145,6 +145,13 @@ def _count(cfg: RawConfig, section: str, key: str, named: dict):
     return value
 
 
+def _require(cfg: RawConfig, section: str, rules) -> None:
+    """Raise at the line of the first (key, value, ok, need) rule that fails."""
+    for key, value, ok, need in rules:
+        if not ok:
+            raise cfg.error(section, key, f"must be {need}, got {value!r}")
+
+
 def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
     """Construct the sequence described by a config section."""
     if not cfg.has(section):
@@ -240,16 +247,24 @@ class SweepConfig:
         probe_count = _count(cfg, sec, "probe_count", {"auto": 1 if p == 2.0 else 8, "all": None})
         seed = cfg.get(sec, "seed", default=0, cast=int)
         out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
+        g_count = cfg.get(sec, "g_count", default=20, cast=int)
+        bw_factor = cfg.get(sec, "g_bandwidth_factor", default=2.0, cast=float)
+        oversample = cfg.get(sec, "oversample", default=8, cast=int)
+        _require(cfg, sec, (
+            ("g_count", g_count, g_count >= 0, ">= 0"),
+            ("g_bandwidth_factor", bw_factor, 0.0 < bw_factor < float("inf"), "finite and > 0"),
+            ("oversample", oversample, oversample >= 2, ">= 2"),
+        ))
         config = cls(
             lam=lam,
             beta=beta,
             p=p,
             m_list=m_list,
-            g_count=cfg.get(sec, "g_count", default=20, cast=int),
-            g_bandwidth_factor=cfg.get(sec, "g_bandwidth_factor", default=2.0, cast=float),
+            g_count=g_count,
+            g_bandwidth_factor=bw_factor,
             g_file=cfg.get(sec, "g_file", default=None),
             seed=seed_override if seed_override is not None else seed,
-            oversample=cfg.get(sec, "oversample", default=8, cast=int),
+            oversample=oversample,
             timing=cfg.get(sec, "timing", default=True, cast=_bool),
             probe_count=probe_count,
             K_out=_count(cfg, sec, "k_out", {"auto": None}),
@@ -293,15 +308,13 @@ class ProbeConfig:
         c3 = cfg.get(sec, "c3", default=1.0, cast=float)
         psi_truncation = cfg.get(sec, "psi_truncation", default=512, cast=int)
         growth = cfg.get(sec, "growth", default="power")
-        for key, value, ok, need in (
+        _require(cfg, sec, (
             ("trials", trials, trials >= 1, ">= 1"),
             ("restarts", restarts, restarts >= 1, ">= 1"),
             ("c3", c3, 0.0 < c3 < float("inf"), "finite and > 0"),
             ("psi_truncation", psi_truncation, psi_truncation >= 0, ">= 0"),
             ("growth", growth, growth in ("power", "log_power"), "power or log_power"),
-        ):
-            if not ok:
-                raise cfg.error(sec, key, f"must be {need}, got {value!r}")
+        ))
         config = cls(
             lam=lam,
             n_list=n_list,

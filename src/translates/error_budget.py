@@ -39,6 +39,7 @@ from .sequences import (
     MaskPower,
     SequenceError,
     TailRule,
+    box_inv_tail,
     check_nondecreasing_type,
     product_increment,
     two_sided,
@@ -51,7 +52,6 @@ __all__ = [
     "epsilon_p2",
     "epsilon_general_p",
     "predicted_rate",
-    "inv_sup_outside_box",
 ]
 
 
@@ -205,7 +205,7 @@ def _sqrt_gap(S: float, width: float) -> float:
 def _comb_l1_tail(rule: TailRule, step: int, offset: int, T: int) -> float:
     """Bound on sum_{t > T} |inv(step t + offset)|."""
     a = step * (T + 1) + offset
-    return rule.inv_sup(a - 1) + rule.inv_l1(a - 1) / (2 * step)
+    return rule.inv_tail(a - 1, math.inf) + rule.inv_tail(a - 1, 1) / (2 * step)
 
 
 def _default_J(rule: TailRule) -> int:
@@ -251,8 +251,8 @@ def epsilon_general_p(
         kinds = {rule_l.kind, rule_b.kind}
         if kinds <= {"exponential", "finite"}:
             K_max = max(
-                 rule_l.radius_for_l1(1e-30, cap=10**5) if rule_l.kind == "exponential" else rule_l.radius,
-                 rule_b.radius_for_l1(1e-30, cap=10**5) if rule_b.kind == "exponential" else rule_b.radius,
+                 rule_l.radius_for(1e-30, 1, cap=10**5) if rule_l.kind == "exponential" else rule_l.radius,
+                 rule_b.radius_for(1e-30, 1, cap=10**5) if rule_b.kind == "exponential" else rule_b.radius,
                  m + 10 * (2 * m + 1),
             )
         else:
@@ -261,11 +261,11 @@ def epsilon_general_p(
     n = 2 * m + 1
 
     ks = np.arange(m + 1, K_max + 2)
-    delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_l1_tail(K_max))
+    delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_tail(K_max, 1))
     a, kp = np.abs(alpha), k_prime_array(ks, m) + m
     pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
     g = (a[kp] * pos, a[::-1][kp] * neg)
-    delta_gamma, dg_tail = _variation(g, alpha_max * beta.inv_l1_tail(K_max))
+    delta_gamma, dg_tail = _variation(g, alpha_max * beta.inv_tail(K_max, 1))
 
     T = max(1, (K_max - m) // n)
     ts = np.arange(-T, T + 1)
@@ -298,32 +298,6 @@ def epsilon_general_p(
 # The p = 2 budget in any dimension
 
 
-def _axis_inv_sup_all(ax: CoefficientSequence, scan: int = 256) -> float:
-    rule = ax.tail_rule()
-    R = max(scan, rule.radius)
-    ks = np.arange(-R, R + 1)
-    return max(float(np.max(np.abs(ax.inv_values(ks)))), rule.inv_sup(R))
-
-
-def inv_sup_outside_box(seq: CoefficientSequence, m: int, scan: int = 256) -> float:
-    """sup of |seq^{-1}| outside the box |k|_inf <= m."""
-    axes = seq.axis_factors()
-    if axes is None:
-        # no product structure: scan a finite shell, no rule tail available
-        box = index_box(m + scan, seq.dimension)
-        outer = np.max(np.abs(box), axis=1) > m
-        return float(np.max(np.abs(seq.inv_values(box[outer]))))
-    # outside the box one axis at least is outside [-m, m]
-    outs = [ax.inv_sup_tail(m, scan=scan) for ax in axes]
-    if len(axes) == 1:
-        return outs[0]
-    alls = [_axis_inv_sup_all(ax, scan=scan) for ax in axes]
-    return max(
-        math.prod([outs[a]] + [alls[b] for b in range(len(axes)) if b != a])
-        for a in range(len(axes))
-    )
-
-
 def epsilon_p2(
     lam: CoefficientSequence,
     beta: CoefficientSequence,
@@ -352,7 +326,7 @@ def epsilon_p2(
     d = lam.dimension
     if beta.dimension != d:
         raise SequenceError("sequence dimensions differ")
-    sup_term = inv_sup_outside_box(lam, m)
+    sup_term = box_inv_tail(lam, m, math.inf)
     n = 2 * m + 1
     factors = (lam.axis_factors(), beta.axis_factors())
     if None not in factors:
@@ -445,20 +419,19 @@ class RatePrediction:
         if self.form == "series_l1":
             return _series_sum(self.lam, m, power=1)
         if self.form == "sup_box":
-            return inv_sup_outside_box(self.lam, m)
+            return box_inv_tail(self.lam, m, math.inf)
         return math.nan
 
 
 def _series_sum(lam: CoefficientSequence, m: int, power: int, N: int = 10**5) -> float:
     """sum_{k >= 1} |lam_{mk}|^{-power}, truncated with a rule tail."""
     rule = lam.tail_rule()
-    tail_fn = rule.inv_l1 if power == 1 else rule.inv_l2_sq
-    if not math.isfinite(tail_fn(max(m, rule.radius, 1))):
+    if not math.isfinite(rule.inv_tail(max(m, rule.radius, 1), power)):
         return math.inf
     ks = m * np.arange(1, N + 1)
     vals = np.abs(np.asarray(lam.inv_values(ks))) ** power
     total = float(np.sum(vals))
-    return total + tail_fn(m * N) / (2 * m)
+    return total + rule.inv_tail(m * N, power) / (2 * m)
 
 
 @dataclass(frozen=True)
@@ -496,7 +469,7 @@ def _bounded_inv_ratio(beta, lam, radius) -> bool:
     """
     d = lam.dimension
     ks = index_box(radius, d)
-    if d == 1 and lam.tail_rule().inv_sup(radius) == 0:
+    if d == 1 and lam.tail_rule().inv_tail(radius, math.inf) == 0:
         return False  # lam^{-1} vanishes beyond the probe range
     ib = np.abs(np.asarray(beta.inv_values(ks)))
     il = np.abs(np.asarray(lam.inv_values(ks)))

@@ -26,7 +26,13 @@ from ._alias import (
     default_K_out,
     md_single_frequency_errors_sq,
 )
-from .approximant import ClassElement, ImagePlan, approximation_error, image_tail_bound
+from .approximant import (
+    ClassElement,
+    ImagePlan,
+    approximation_error,
+    image_tail_bound,
+    quadrature_radius,
+)
 from .config import ProbeConfig, SweepConfig
 from .error_budget import (
     epsilon_general_p,
@@ -139,8 +145,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
         K_out = max(cfg.K_out or default_K_out(lam, beta, m), bw + 1)
-        # each p != 2 quadrature needs a grid: keep the band affordable
-        quad_K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
+        quad_K = quadrature_radius(K_out, p, m, bw)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
             _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
         profile = sq = None
@@ -289,30 +294,20 @@ def _fmt(value) -> str:
     return format(v, ".12g")
 
 
+def _csv_text(rows, columns) -> str:
+    """One CSV line per row, the attribute of each column by ``_fmt``
+    (``seconds`` to the millisecond), under a header of the column names."""
+
+    def cell(row, col):
+        value = getattr(row, col)
+        return format(value, ".3f") if col == "seconds" and value is not None else _fmt(value)
+
+    lines = [",".join(columns)] + [",".join(cell(r, c) for c in columns) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def rows_to_csv_text(rows) -> str:
-    out = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        seconds = None if r.seconds is None else format(r.seconds, ".3f")
-        out.append(
-            ",".join(
-                [
-                    r.family,
-                    str(r.d),
-                    _fmt(r.p),
-                    _fmt(r.param),
-                    str(r.m),
-                    str(r.n_translates),
-                    _fmt(r.error_quadrature),
-                    _fmt(r.error_parseval),
-                    _fmt(r.epsilon),
-                    _fmt(r.epsilon_tail),
-                    r.epsilon_variant,
-                    _fmt(r.predicted),
-                    seconds if seconds is not None else "",
-                ]
-            )
-        )
-    return "\n".join(out) + "\n"
+    return _csv_text(rows, CSV_COLUMNS)
 
 
 def emit_csv(rows, path) -> None:
@@ -425,20 +420,4 @@ def run_probe(cfg: ProbeConfig) -> list:
 
 
 def probe_rows_to_csv_text(results) -> str:
-    out = [",".join(PROBE_COLUMNS)]
-    for r in results:
-        out.append(
-            ",".join(
-                [
-                    str(r.n),
-                    str(r.m),
-                    str(r.s),
-                    _fmt(r.omega),
-                    _fmt(r.statistic),
-                    _fmt(r.envelope_low),
-                    _fmt(r.envelope_high),
-                    r.flag,
-                ]
-            )
-        )
-    return "\n".join(out) + "\n"
+    return _csv_text(results, PROBE_COLUMNS)

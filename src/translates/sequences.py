@@ -60,6 +60,7 @@ class SequenceError(ValueError):
 # Tail rules
 
 _EPS = sys.float_info.epsilon
+_SCAN = 256  # indices an exact sup scan covers past the radius
 
 
 def _round_up(x: float, log_term: float = 0.0) -> float:
@@ -98,35 +99,24 @@ class TailRule:
         if self.kind in ("power", "exponential") and self.scale <= 0:
             raise SequenceError("tail scale must be positive")
 
-    # All bounds below are on the reciprocal sequence over |k| > K,
-    # counting both signs of k.  They are rounded up, and return inf when
-    # the sum diverges.
-
-    def inv_sup(self, K: int) -> float:
+    def inv_tail(self, K: int, power: float) -> float:
+        """Bound on the sum over |k| > K, both signs of k, of |theta_k^{-1}|^power
+        (power 1 or 2), or on their sup at power = inf; rounded up, inf when
+        the sum diverges."""
         K = max(K, self.radius)
         if self.kind == "finite":
             return 0.0
-        if self.kind == "constant":
-            return _round_up(1.0 / self.scale)
-        if self.rate <= 0:
-            return math.inf
-        if self.kind == "power":
-            log_term = -self.rate * math.log(K + 1)
-            return _round_up((K + 1) ** (-self.rate) / self.scale, log_term)
-        log_term = -self.rate * (K + 1)
-        return _round_up(math.exp(log_term) / self.scale, log_term)
-
-    def inv_l1(self, K: int) -> float:
-        return self._inv_sum(K, self.rate, self.scale)
-
-    def inv_l2_sq(self, K: int) -> float:
-        return self._inv_sum(K, 2.0 * self.rate, self.scale**2)
-
-    def _inv_sum(self, K: int, q: float, scale: float) -> float:
-        """Bound on the sum over |k| > K of k^{-q} / scale (power) or e^{-q|k|} / scale."""
-        K = max(K, self.radius)
-        if self.kind == "finite":
-            return 0.0
+        if power == math.inf:
+            if self.kind == "constant":
+                return _round_up(1.0 / self.scale)
+            if self.rate <= 0:
+                return math.inf
+            if self.kind == "power":
+                log_term = -self.rate * math.log(K + 1)
+                return _round_up((K + 1) ** (-self.rate) / self.scale, log_term)
+            log_term = -self.rate * (K + 1)
+            return _round_up(math.exp(log_term) / self.scale, log_term)
+        q, scale = power * self.rate, self.scale**power
         if self.kind == "power" and q > 1:
             # integral bound beyond max(K, 1); at K = 0 the k = 1 term stands apart
             log_term = (1.0 - q) * math.log(max(K, 1))
@@ -139,25 +129,17 @@ class TailRule:
             return math.inf
         return _round_up(2.0 * total / scale, log_term)
 
-    def radius_for_l1(self, target: float, cap: int = 10**7) -> int:
-        """Smallest K (up to cap) with inv_l1(K) <= target, else cap."""
-        return self._radius_for(self.inv_l1, target, cap)
-
-    def radius_for_l2(self, target_sq: float, cap: int = 10**7) -> int:
-        """Smallest K (up to cap) with inv_l2_sq(K) <= target_sq, else cap."""
-        return self._radius_for(self.inv_l2_sq, target_sq, cap)
-
-    def _radius_for(self, bound, target: float, cap: int) -> int:
-        """Smallest K >= max(radius, 1), up to cap, with bound(K) <= target."""
+    def radius_for(self, target: float, power: float, cap: int = 10**7) -> int:
+        """Smallest K >= max(radius, 1), up to cap, with inv_tail(K, power) <= target, else cap."""
         lo = max(self.radius, 1)
-        if bound(cap) > target:
+        if self.inv_tail(cap, power) > target:
             return cap
         hi = lo
-        while bound(hi) > target:
+        while self.inv_tail(hi, power) > target:
             hi *= 2
         while lo < hi:
             mid = (lo + hi) // 2
-            if bound(mid) <= target:
+            if self.inv_tail(mid, power) <= target:
                 hi = mid
             else:
                 lo = mid + 1
@@ -324,40 +306,23 @@ class CoefficientSequence:
         """
         return False
 
-    # Truncation bounds on the reciprocal sequence (univariate).  The scan
-    # part is exact; the far tail comes from the tail rule.
+    def inv_tail(self, K: int, power: float) -> float:
+        """``TailRule.inv_tail`` of this univariate sequence, rounded up.
 
-    def inv_sup_tail(self, K: int, scan: int = 256) -> float:
-        if self.dimension != 1:
-            raise SequenceError("inv_sup_tail is univariate; use box helpers")
-        rule = self.tail_rule()
-        edge = max(K + 1, 1)
-        hi = max(rule.radius, edge + scan)
-        ks = np.arange(edge, hi + 1)
-        vals = np.abs(self._axis_inv_values(ks))
-        vals = np.maximum(vals, np.abs(self._axis_inv_values(-ks)))
-        scanned = float(vals.max()) if vals.size else 0.0
-        return max(scanned, rule.inv_sup(hi))
-
-    def inv_l1_tail(self, K: int) -> float:
-        return self._inv_tail(K, 1)
-
-    def inv_l2_tail_sq(self, K: int) -> float:
-        return self._inv_tail(K, 2)
-
-    def _inv_tail(self, K: int, power: int) -> float:
-        """Sum of |theta_k^{-1}|^power over |k| > K, rounded up.
-
-        Table entries inside the rule radius are summed exactly (fsum);
-        the rest is the tail rule's closed form.
+        Entries inside the rule radius are taken exactly (a sum by fsum), and
+        the sup also scans ``_SCAN`` indices past K; the rule bounds the rest.
         """
+        if self.dimension != 1:
+            raise SequenceError("inv_tail is univariate; use box_inv_tail")
         rule = self.tail_rule()
-        rule_sum = rule.inv_l1 if power == 1 else rule.inv_l2_sq
-        if K >= rule.radius:
-            return rule_sum(K)
-        ks = np.arange(K + 1, rule.radius + 1)
-        head = np.abs(self._axis_inv_values(np.concatenate([ks, -ks]))) ** power
-        return _round_up(math.fsum([*head.tolist(), rule_sum(rule.radius)]))
+        top = max(rule.radius, K + 1 + _SCAN) if power == math.inf else rule.radius
+        if K >= top:
+            return rule.inv_tail(K, power)
+        pos, neg = two_sided(self, np.arange(K + 1, top + 1))
+        if power == math.inf:
+            return max(float(pos.max()), float(neg.max()), rule.inv_tail(top, power))
+        head = [*(pos**power).tolist(), *(neg**power).tolist()]
+        return _round_up(math.fsum(head + [rule.inv_tail(top, power)]))
 
 
 @dataclass(frozen=True)
@@ -682,22 +647,35 @@ def product_increment(base, extra):
     return total
 
 
-def box_inv_tail(seq: CoefficientSequence, K: int, power: int) -> float:
-    """Sum of |seq^{-1}|^power (power 1 or 2) outside the box |k|_inf <= K.
+def box_inv_tail(seq: CoefficientSequence, K: int, power: float) -> float:
+    """``inv_tail`` outside the box |k|_inf <= K, in any d.
 
-    Product sequences factor per axis into inside sums and univariate
-    tails; other multivariate sequences have no computable tail (inf).
+    A product sequence factors per axis into the sums (or sups) inside
+    [-K, K] and the univariate tails; d = 1 is the one-axis case.  Outside
+    the box one axis at least is outside [-K, K], so the sup is
+    max_a out_a prod_{b != a} max(in_b, out_b).  A multivariate sequence
+    without product structure has no tail rule: its sup is scanned over a
+    shell ``_SCAN`` wide and its sums are inf.
     """
-    if seq.dimension == 1:
-        return seq.inv_l1_tail(K) if power == 1 else seq.inv_l2_tail_sq(K)
     axes = seq.axis_factors()
     if axes is None:
-        return math.inf
-    ks = np.arange(-K, K + 1)
-    inside = [float(np.sum(np.abs(ax.inv_values(ks)) ** power)) for ax in axes]
-    outside = [box_inv_tail(ax, K, power) for ax in axes]
+        if power != math.inf:
+            return math.inf
+        box = index_box(K + _SCAN, seq.dimension)
+        return float(np.max(np.abs(seq.inv_values(box[np.max(np.abs(box), axis=1) > K]))))
+    outside = [ax.inv_tail(K, power) for ax in axes]
+    if len(axes) == 1:
+        return outside[0]
+    inside = [np.abs(np.asarray(ax.inv_values(np.arange(-K, K + 1)))) for ax in axes]
+    if power == math.inf:
+        alls = [max(float(v.max()), out) for v, out in zip(inside, outside)]
+        return max(
+            math.prod([outside[a]] + [alls[b] for b in range(len(axes)) if b != a])
+            for a in range(len(axes))
+        )
+    sums = [float(np.sum(v**power)) for v in inside]
     # round outward past the summation error of the inside sums
-    return product_increment(inside, outside) * (1.0 + 64 * _EPS)
+    return product_increment(sums, outside) * (1.0 + 64 * _EPS)
 
 
 def truncated(seq: CoefficientSequence, degree: int) -> CoefficientSequence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from translates import _alias
+from translates import _alias, approximant
 from translates._alias import (
     band_arrays,
     build_alias_profile,
@@ -23,6 +23,7 @@ from translates.approximant import (
     default_K_gen,
     k_prime,
     kernel_section,
+    quadrature_radius,
     spectral_image,
     vm_samples,
 )
@@ -117,11 +118,30 @@ def test_assemble_validates_K_gen():
         assemble_Qm(elem, LAM2, 5, K_gen=3)
 
 
+def test_one_off_quadrature_takes_the_sweep_radius(monkeypatch):
+    lam, m, bw = Korobov(1.0), 4, 8
+    g = random_real_spectral(1, bw, np.random.default_rng(3), normalize_p=3.0)
+    elem = ClassElement(lam, g, 3.0)
+    radii, plan = [], approximant.ImagePlan
+
+    def recording_plan(lam_, beta_, m_, K_out):
+        radii.append(K_out)
+        if K_out > 4096:  # default_K_out here is 2^21: a grid of gigabytes
+            raise MemoryError(f"one-off plan at radius {K_out}")
+        return plan(lam_, beta_, m_, K_out)
+
+    monkeypatch.setattr(approximant, "ImagePlan", recording_plan)
+    got = approximation_error(elem, lam, m, method="quadrature")
+    assert default_K_out(lam, lam, m) == 2**21
+    assert radii == [quadrature_radius(2**21, 3.0, m, bw)] == [4096]
+    assert got == approximation_error(elem, lam, m, method="quadrature", K_out=4096)
+
+
 def test_default_K_gen_policies():
     assert default_K_gen(Korobov(2.0), 4) == 1000
     assert default_K_gen(Korobov(2.0), 100) == 5000
     K = default_K_gen(Exponential(0.5), 4)
-    assert Exponential(0.5).inv_l1_tail(K) < 1e-10
+    assert Exponential(0.5).inv_tail(K, 1) < 1e-10
     assert default_K_gen(truncated(Korobov(2.0), 12), 4) == 12
 
 

@@ -10,7 +10,6 @@ from translates.error_budget import (
     epsilon_p2,
     epsilon_p2_md,
     gamma_k,
-    inv_sup_outside_box,
     predicted_rate,
 )
 from translates.sequences import (
@@ -142,7 +141,7 @@ def test_epsilon_md_box_polynomial():
     lam2d = Korobov(2.0, dimension=2)
     rep = epsilon_p2_md(lam2d, bt, 2)
     assert rep.components["gamma_sum_term"] == 0.0
-    assert rep.value == pytest.approx(inv_sup_outside_box(lam2d, 2))
+    assert rep.value == pytest.approx(box_inv_tail(lam2d, 2, math.inf))
 
 
 def test_epsilon_monotone_in_m():
@@ -163,11 +162,11 @@ def test_epsilon_monotone_in_m():
 
 
 def test_inv_sup_outside_box():
-    assert inv_sup_outside_box(LAM2, 4) == pytest.approx(1.0 / 25.0)
+    assert box_inv_tail(LAM2, 4, math.inf) == pytest.approx(1.0 / 25.0)
     lam2d = Korobov(2.0, dimension=2)
     # attained on an axis: (m+1, 0) has reciprocal (m+1)^{-2}
-    assert inv_sup_outside_box(lam2d, 4) == pytest.approx(1.0 / 25.0)
-    assert inv_sup_outside_box(Constant(2.0, dimension=2), 4) == pytest.approx(0.5)
+    assert box_inv_tail(lam2d, 4, math.inf) == pytest.approx(1.0 / 25.0)
+    assert box_inv_tail(Constant(2.0, dimension=2), 4, math.inf) == pytest.approx(0.5)
 
 
 def test_predicted_rate_gates():
@@ -445,9 +444,9 @@ def _general_p_two_sided(lam, beta, m, K_max):
     dg = diff_sum(g[0]) + diff_sum(g[1])
     dl_tail = dg_tail = 0.0
     for side in il:
-        dl_tail += float(side[-1]) if monotone(side) else lam.inv_l1_tail(K_max)
+        dl_tail += float(side[-1]) if monotone(side) else lam.inv_tail(K_max, 1)
     for side in g:
-        dg_tail += float(side[-1]) if monotone(side) else alpha_max * beta.inv_l1_tail(K_max)
+        dg_tail += float(side[-1]) if monotone(side) else alpha_max * beta.inv_tail(K_max, 1)
     T = max(1, (K_max - m) // n)
     alpha_m = float(np.abs(alpha[2 * m]))
     ga = alpha_m * float(np.sum(np.abs(np.asarray(beta.inv_values(np.arange(-T, T + 1) * n + m)))))
@@ -484,6 +483,53 @@ def test_general_p_matches_two_sided_formulas(lam, beta, m, K_max):
     assert (rep.value, rep.tail_bound, rep.components) == (value, tail, components)
 
 
+def _per_axis_window_sup(seq, m, scan=256):
+    """sup of |seq^{-1}| outside the box |k|_inf <= m from fixed per-axis
+    windows: each axis is scanned on (m, max(radius, m + 1 + scan)] and on
+    [-R, R], R = max(scan, radius), with its rule's bound past each window."""
+
+    def beyond(ax):
+        rule = ax.tail_rule()
+        hi = max(rule.radius, m + 1 + scan)
+        ks = np.arange(m + 1, hi + 1)
+        vals = np.maximum(np.abs(ax.inv_values(ks)), np.abs(ax.inv_values(-ks)))
+        return max(float(vals.max()), rule.inv_tail(hi, math.inf))
+
+    def everywhere(ax):
+        rule = ax.tail_rule()
+        R = max(scan, rule.radius)
+        vals = np.abs(ax.inv_values(np.arange(-R, R + 1)))
+        return max(float(vals.max()), rule.inv_tail(R, math.inf))
+
+    axes = seq.axis_factors()
+    outs, alls = [beyond(ax) for ax in axes], [everywhere(ax) for ax in axes]
+    return max(
+        math.prod([outs[a]] + [alls[b] for b in range(len(axes)) if b != a])
+        for a in range(len(axes))
+    )
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        Korobov(1.5, dimension=2),
+        Korobov(2.0, dimension=3),
+        Exponential(0.5, dimension=2),
+        Exponential(0.3, dimension=3),
+        Constant(2.0, dimension=2),
+        Constant(-0.5, dimension=3),
+        ProductSequence((Korobov(2.0), truncated(Korobov(2.0), 4))),
+        ProductSequence((truncated(Exponential(0.5), 6),) * 3),
+        ProductSequence((_LOPSIDED, Exponential(0.5))),
+        ProductSequence((_PHASED, truncated(Korobov(1.0), 3), Korobov(0.75))),
+    ],
+    ids=lambda seq: f"{seq.family}-d{seq.dimension}",
+)
+def test_box_sup_matches_per_axis_window_formula(seq):
+    for K in (0, 1, 3, 8, 40, 300):
+        assert box_inv_tail(seq, K, math.inf) == _per_axis_window_sup(seq, K), K
+
+
 def test_product_increment_does_not_cancel():
     # prod(1 + t) - 1 for t = 1e-20 rounds to 0 when formed as a difference
     assert product_increment([1.0, 1.0], [1e-20, 1e-20]) == pytest.approx(2e-20, rel=1e-15)
@@ -494,7 +540,7 @@ def test_product_increment_does_not_cancel():
     for K in (50, 2000):
         tail = box_inv_tail(lam2d, K, 2)
         inside = 1.0 + 2.0 * math.fsum(np.arange(1.0, K + 1) ** -4)
-        axis_tail = Korobov(2.0).inv_l2_tail_sq(K)
+        axis_tail = Korobov(2.0).inv_tail(K, 2)
         assert tail >= axis_tail * (2.0 * inside + axis_tail) > 0
 
 

@@ -36,7 +36,7 @@ from translates.experiments import (
     run_probe,
     _random_sources,
 )
-from translates.error_budget import epsilon_p2_md, inv_sup_outside_box
+from translates.error_budget import epsilon_p2_md
 from translates.sequences import (
     CoefficientSequence,
     CustomSequence,
@@ -107,6 +107,12 @@ def test_config_validation_rules():
             SweepConfig.from_raw(
                 parse_config(BASIC.replace("timing = off", f"timing = off\nprobe_count = {count}"))
             )
+    # bad source and grid values fail at their line: BASIC less its g_count line ends at 10
+    for key, value in (("g_count", "-2"), ("oversample", "1"), ("g_bandwidth_factor", "inf"),
+                       ("g_bandwidth_factor", "nan"), ("g_bandwidth_factor", "-1")):
+        text = BASIC.replace("g_count = 5\n", "") + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf":11: key '{key}' in \[sweep\]: must be"):
+            SweepConfig.from_raw(parse_config(text))
     with pytest.raises(ConfigError, match=r":12: key 'k_ot' in \[sweep\]: unknown key"):
         SweepConfig.from_raw(parse_config(BASIC.replace("timing = off", "timing = off\nk_ot = 5")))
     with pytest.raises(ConfigError, match=r":4: key 'c' in \[lambda\]: unknown key"):
@@ -240,6 +246,12 @@ SWEEP_GOLDEN = [
     *((DATA / f"{n}.cfg", DATA / f"{n}.csv") for n in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3")),
     *((CONFIGS / f"{n}.cfg", DATA / f"shipped_{n}.csv") for n in ("acceptance", "exponential", "korobov_r2")),
 ]
+# (config, recorded CSV) of budget tables whose tail rules the sweeps above do not
+# reach: mask power, exponent mask, finite (truncated, d = 2), constant, divergent
+EPSILON_GOLDEN = [
+    (DATA / f"golden_epsilon_{n}.cfg", DATA / f"golden_epsilon_{n}.csv")
+    for n in ("mask", "exponent_mask", "d2_truncated", "constant", "korobov_slow")
+]
 # the probe golden was recorded before the fit kept its equispaced system;
 # two budgets replace it once
 PROBE_GOLDEN = [
@@ -251,6 +263,9 @@ PROBE_GOLDEN = [
 def test_csv_golden_file():
     for cfg_path, csv_path in SWEEP_GOLDEN:
         text = rows_to_csv_text(run_sweep(SweepConfig.from_raw(load_config(cfg_path))))
+        assert text == csv_path.read_text(), csv_path.name
+    for cfg_path, csv_path in EPSILON_GOLDEN:
+        text = rows_to_csv_text(epsilon_table(SweepConfig.from_raw(load_config(cfg_path))))
         assert text == csv_path.read_text(), csv_path.name
 
 
@@ -327,7 +342,7 @@ def test_quadrature_clamp_is_logged(caplog):
         assert np.linalg.norm(img.function.values[np.abs(ks) > quad_K]) <= bound
     # alpha = 1 (beta = lambda); max|ghat| = 1 is the probes' one coefficient,
     # which no coefficient of a unit-norm source exceeds
-    assert bound == pytest.approx(math.sqrt(lam.inv_l2_tail_sq(quad_K)), rel=1e-12)
+    assert bound == pytest.approx(math.sqrt(lam.inv_tail(quad_K, 2)), rel=1e-12)
 
 
 def test_alias_truncation_is_logged(caplog, monkeypatch):
@@ -374,9 +389,9 @@ def test_non_product_pair_takes_the_fallbacks():
     seq, m = Radial(), 2
     assert seq.axis_factors() is None
     assert box_inv_tail(seq, 3, 2) == math.inf
-    box = index_box(m + 8, 2)
+    box = index_box(m + 256, 2)  # the sup scans a shell 256 wide
     shell = box[np.max(np.abs(box), axis=1) > m]
-    assert inv_sup_outside_box(seq, m, scan=8) == np.max(seq.inv_values(shell))
+    assert box_inv_tail(seq, m, math.inf) == np.max(seq.inv_values(shell))
     rep = epsilon_p2_md(seq, seq, m, J_max=4)
     assert rep.truncation_radius == 4 and rep.tail_bound == math.inf and rep.tail_dominated
     # run_sweep has no single-frequency errors here: it probes the edge frequency (m, 0)

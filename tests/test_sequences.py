@@ -16,6 +16,7 @@ from translates.sequences import (
     ProductSequence,
     SequenceError,
     TailRule,
+    box_inv_tail,
     check_nondecreasing_type,
     eval_lambda,
     mask_sequence_value,
@@ -227,9 +228,9 @@ def test_tail_bounds_dominate_brute_force():
         inv = np.abs(seq.inv_values(ks))
         brute_l1 = 2 * float(np.sum(inv))
         brute_l2 = 2 * float(np.sum(inv**2))
-        assert seq.inv_l1_tail(K) >= brute_l1
-        assert seq.inv_l2_tail_sq(K) >= brute_l2
-        assert seq.inv_sup_tail(K) >= float(inv[0])
+        assert seq.inv_tail(K, 1) >= brute_l1
+        assert seq.inv_tail(K, 2) >= brute_l2
+        assert seq.inv_tail(K, math.inf) >= float(inv[0])
 
 
 def test_tail_bounds_at_radius_zero():
@@ -237,10 +238,10 @@ def test_tail_bounds_at_radius_zero():
                 MaskPower(1.5, MaskSpec("log_damped", c=0.5, bound_c=2.0))):
         ks = np.arange(1, 200001)
         inv = np.abs(seq.inv_values(ks))
-        l1, l2 = seq.inv_l1_tail(0), seq.inv_l2_tail_sq(0)
+        l1, l2 = seq.inv_tail(0, 1), seq.inv_tail(0, 2)
         assert math.isfinite(l2) and l2 >= 2 * float(np.sum(inv**2))
         assert math.isinf(l1) or l1 >= 2 * float(np.sum(inv))
-    assert math.isfinite(Korobov(2.0).inv_l1_tail(0))
+    assert math.isfinite(Korobov(2.0).inv_tail(0, 1))
 
 
 @st.composite
@@ -278,21 +279,38 @@ def _tail_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_tail_bounds_dominate_brute_force_property(case):
     seq, K = case
-    R = seq.tail_rule().radius
-    ks = np.arange(K + 1, max(K, R) + 40001)
+    rule = seq.tail_rule()
+    ks = np.arange(K + 1, max(K, rule.radius) + 40001)
     inv = np.abs(seq.inv_values(np.concatenate([ks, -ks])))
-    assert seq.inv_l1_tail(K) >= math.fsum(inv)
-    assert seq.inv_l2_tail_sq(K) >= math.fsum(inv**2)
-    assert seq.inv_sup_tail(K) >= float(inv.max())
-    beyond = np.abs(ks) > R
-    assert seq.tail_rule().inv_sup(K) >= float(np.max(inv[np.concatenate([beyond, beyond])]))
+    beyond = inv[np.tile(ks > rule.radius, 2)]  # what the rule alone bounds
+
+    def brute(vals, power):
+        return float(vals.max()) if power == math.inf else math.fsum(vals**power)
+
+    for power in (1, 2, math.inf):
+        assert seq.inv_tail(K, power) >= brute(inv, power), power
+        assert rule.inv_tail(K, power) >= brute(beyond, power), power
+
+
+@pytest.mark.parametrize("power", [1, 2, math.inf])
+def test_box_tail_of_one_axis_is_the_sequence_tail(power):
+    lopsided = CustomSequence(
+        {k: (1 + abs(k)) ** (2.0 if k > 0 else 1.2) for k in range(-8, 9)},
+        TailRule("power", rate=1.2, scale=0.7),
+    )
+    for seq in (Korobov(0.75), Korobov(2.0), Exponential(0.5), Constant(-2.0),
+                MaskPower(1.5, MaskSpec("log_damped", c=0.5, bound_c=2.0)),
+                ExponentMask(0.5, MaskSpec()), truncated(Korobov(2.0), 5), lopsided,
+                ProductSequence((Korobov(1.5),))):
+        for K in (0, 1, 4, 30, 300):
+            assert box_inv_tail(seq, K, power) == seq.inv_tail(K, power), (seq, K)
 
 
 def test_tail_rule_divergence_flags():
     rule = Korobov(0.4).tail_rule()
-    assert math.isinf(rule.inv_l1(10))
-    assert math.isinf(rule.inv_l2_sq(10))
-    assert Constant(2.0).inv_l1_tail(10) == math.inf
+    assert math.isinf(rule.inv_tail(10, 1))
+    assert math.isinf(rule.inv_tail(10, 2))
+    assert Constant(2.0).inv_tail(10, 1) == math.inf
 
 
 _SYMMETRIC = (
