@@ -77,18 +77,9 @@ class AliasProfile:
     [-m, m]^d is the sum over the nonzero blocks t of
     |gamma_{k' + (2m+1)t}|^2, truncated at |k|_inf <= K_out; ``tail_sq``
     bounds the discarded part of each class.  ``build_alias_profile``
-    describes how the sums are formed.  The exact p = 2 error of the
-    operator on an element with source coefficients ghat is
-
-        err^2 = sum_{k'} |ghat(k')|^2 sq_profile(k')
-              + sum_{m < |k|_inf <= bw} ( |lam_k^{-1} ghat(k)|^2
-                              - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] )
-
-    which ``element_error`` evaluates in O(bandwidth^d) after the one-off
-    grid pass, regrouping the direct coefficient sum without changing it.
-    The image plan and lam^{-1} on m < |k|_inf <= bw depend on the bandwidth
-    only, so the profile keeps them for the last bandwidth it was asked
-    about and every source of that bandwidth reuses them.
+    describes how the sums are formed.  ``element_error`` takes them as the
+    fold of ``regrouped_error_sq``, the exact p = 2 error at K_out in
+    O(bandwidth^d) per source after the one-off pass over the alias blocks.
     """
 
     lam: CoefficientSequence
@@ -97,33 +88,60 @@ class AliasProfile:
     K_out: int
     sq_profile: np.ndarray
     tail_sq: float
-    _outer: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def element_error(self, g) -> float:
         """p = 2 error for a source g with bandwidth <= K_out."""
-        m, bw = self.m, g.bandwidth
         if g.dimension != self.lam.dimension:
             raise SequenceError("source and profile dimensions differ")
+        bw = g.bandwidth
         if bw > self.K_out:
             raise ValueError("source bandwidth exceeds the profile truncation")
-        total = float(np.sum(np.abs(box_values(g, m)) ** 2 * self.sq_profile))
-        if bw > m:
-            plan, inv_lam = self._outer_terms(bw)
-            bterm = inv_lam * box_values(g, bw).ravel()[plan.outer]
-            cross = plan.coefficients(g).ravel()[plan.outer] * np.conj(bterm)
-            total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
-        return math.sqrt(max(total, 0.0))
+        return math.sqrt(max(regrouped_error_sq(self, self.sq_profile, g, bw), 0.0))
 
-    def _outer_terms(self, bw: int):
-        """The image plan on |k|_inf <= bw and lam^{-1} on m < |k|_inf <= bw;
-        kept for the last bandwidth asked for."""
-        from .approximant import ImagePlan  # the operator module builds on this one
 
-        if self._outer is None or self._outer[0].K_out != bw:
-            plan = ImagePlan(self.lam, self.beta, self.m, bw)
-            ks = index_box(bw, plan.dimension)[plan.outer]
-            self._outer = (plan, np.asarray(self.lam.inv_values(ks)))
-        return self._outer
+def regrouped_error_sq(owner, fold: np.ndarray, g, r: int) -> float:
+    """Squared p = 2 error of the source g over m < |k|_inf <= K, regrouped
+    by residue classes.
+
+    ``owner`` (an alias profile or an image plan) carries (lam, beta, m);
+    ``fold`` (shape (2m+1,)^d) holds, per residue k', the sum of |gamma_k|^2
+    over the off-band positions of k''s class in the box |k|_inf <= K.  With
+    r = min(bandwidth of g, K) the direct coefficient sum regroups as
+
+        err^2 = sum_{k'} |ghat(k')|^2 fold(k')
+              + sum_{m < |k|_inf <= r} ( |lam_k^{-1} ghat(k)|^2
+                              - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] ),
+
+    where gamma_k ghat(k') is the source's spectral image on its own box of
+    radius r.  The cost is O(r^d) per source after the fold; the image plan
+    of radius r and lam^{-1} on its off-band positions are kept on the owner
+    for the last r asked for, so every source of one bandwidth reuses them.
+    Coefficients of g beyond r are not counted.
+    """
+    from .approximant import ClassElement, spectral_image  # the operator module builds on this one
+
+    m = owner.m
+    total = float(np.sum(np.abs(box_values(g, m)) ** 2 * fold))
+    if r > m:
+        plan, inv_lam = _source_terms(owner, r)
+        image = spectral_image(ClassElement(owner.lam, g), owner.beta, m, plan=plan)
+        bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
+        cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
+        total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
+    return total
+
+
+def _source_terms(owner, r: int) -> tuple:
+    """The image plan on |k|_inf <= r and lam^{-1} on its off-band
+    positions, kept on the owner for the last r asked for."""
+    from .approximant import ImagePlan
+
+    if owner._source is None or owner._source[0].K_out != r:
+        plan = ImagePlan(owner.lam, owner.beta, owner.m, r)
+        ks = index_box(r, plan.dimension)[plan.outer]
+        owner._source = (plan, np.asarray(owner.lam.inv_values(ks)))
+    return owner._source
 
 
 def build_alias_profile(

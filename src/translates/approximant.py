@@ -12,15 +12,17 @@ of dimension 1; every function here takes any d.
 The spectral image and both error routes run on an ``ImagePlan``: for one
 (lambda, beta, m, K_out) it holds the multipliers gamma_k = alpha_{k'}
 beta_k^{-1} on the index box |k|_inf <= K_out (lambda_k^{-1} on the band),
-the gather index from each box position to its residue k' and the mask
-of the positions outside the band.  These do not depend on the source, so
-a sweep row builds one plan and passes it through the ``plan=`` keyword
+the gather index from each box position to its residue k', the mask of
+the positions outside the band and, once a p = 2 error asks for it, the
+fold of |gamma_k|^2 onto the residues.  These do not depend on the source,
+so a sweep row builds one plan and passes it through the ``plan=`` keyword
 of ``spectral_image`` and ``approximation_error``; called without one,
 each builds a one-off plan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,7 +30,9 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from ._alias import band_arrays, box_values, centre, default_K_out, index_box, k_prime_array
+from ._alias import (
+    band_arrays, box_values, centre, default_K_out, index_box, k_prime_array, regrouped_error_sq,
+)
 from .sequences import CoefficientSequence, SequenceError, box_inv_tail
 from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm, synthesize
 
@@ -240,9 +244,12 @@ class ImagePlan:
     gamma_k = alpha_{k'} beta_k^{-1}; on it gamma_k = lambda_k^{-1}, so the
     target is reproduced there.  ``index`` maps each box position (C order)
     to the flat band position of k' and ``outer`` marks |k|_inf > m.
-    Building the plan evaluates beta^{-1} on the box once; each source then
-    costs one gather and one product.  A sweep row builds one plan and
-    passes it to the public image and error functions through ``plan=``.
+    Building the plan evaluates beta^{-1} on the box once; each image then
+    costs one gather and one product.  ``fold`` sums |gamma_k|^2 over the
+    off-band positions of each residue class, one pass over the box built
+    on first use, after which a p = 2 error costs O(bandwidth^d) per source
+    (``error_sq``).  A sweep row builds one plan and passes it to the public
+    image and error functions through ``plan=``.
     """
 
     def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int):
@@ -262,6 +269,7 @@ class ImagePlan:
         self.gamma[~self.outer] = inv_lam.ravel()  # the band, in C order
         self.tail_scale = image_tail_bound(alpha, beta, K_out, 1.0)
         self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, d
+        self._source = None  # the plan on a source's own box, for regrouped_error_sq
 
     def coefficients(self, g: SpectralFunction) -> np.ndarray:
         """Image coefficients of the source g, shape (2 K_out + 1,)^d."""
@@ -275,25 +283,24 @@ class ImagePlan:
         func = SpectralFunction(self.dimension, self.K_out, self.coefficients(g), copy=False)
         return SpectralImage(func, self.K_out, self.tail_scale * gmax)
 
-    def parseval_error(self, elem: ClassElement) -> float:
-        """l2 norm of (image - target) over m < |k|_inf <= K_out."""
-        vals = self.coefficients(elem.g)
-        _subtract_target(vals, elem)
-        return float(np.linalg.norm(vals.ravel()[self.outer]))
+    @functools.cached_property
+    def fold(self) -> np.ndarray:
+        """Per residue k', the sum of |gamma_k|^2 over the off-band positions
+        of its class in the box, shape (2m+1,)^d."""
+        n, d = 2 * self.m + 1, self.dimension
+        sq = np.abs(self.gamma[self.outer]) ** 2
+        return np.bincount(self.index[self.outer], sq, minlength=n**d).reshape((n,) * d)
 
-
-def _subtract_target(vals: np.ndarray, elem: ClassElement) -> None:
-    """vals -= the target's coefficients, in place where the two centred boxes overlap."""
-    target = elem.target_spectral().values
-    r, R, d = (vals.shape[0] - 1) // 2, elem.g.radius, vals.ndim
-    c = min(r, R)
-    vals[centre(r, c, d)] -= target[centre(R, c, d)]
+    def error_sq(self, g: SpectralFunction) -> float:
+        """Squared l2 norm of (image - target) over m < |k|_inf <= K_out, by
+        ``regrouped_error_sq``; coefficients of g beyond K_out are not counted."""
+        return regrouped_error_sq(self, self.fold, g, min(g.bandwidth, self.K_out))
 
 
 def quadrature_radius(K_out: int, p: float, m: int, bw: int) -> int:
-    """The image radius of a quadrature: K_out, cut so that the grid stays
-    affordable, to 131072 at p = 2 and to max(4096, 16 m, bw + 1) otherwise
-    (bw is the source bandwidth)."""
+    """The image radius of a quadrature: K_out, cut so that the plan's box
+    stays affordable at p = 2, to 131072, and the sampling grid otherwise, to
+    max(4096, 16 m, bw + 1) (bw is the source bandwidth)."""
     return min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
 
 
@@ -355,15 +362,19 @@ def approximation_error(
 ) -> float:
     """Norm of (target - approximant), truncated at |k|_inf <= K_out.
 
-    ``parseval_oracle`` (p = 2 only) sums the exact coefficient
-    differences over m < |k|_inf <= K_out.  ``quadrature`` materializes
-    the coefficient difference on the box and takes its L_p norm on a
-    sampling grid.  Without ``K_out`` or ``plan`` the oracle truncates at
-    ``default_K_out`` and the quadrature at its ``quadrature_radius``, as a
-    sweep row does.  At p = 2 and one K_out they are the same l2 sum of the
-    same differences, so they agree to rounding by construction; the
-    independent check of the image is the physical-space
-    ``TranslateApproximant.evaluate``.  ``plan`` is as for ``spectral_image``.
+    At p = 2 both methods take ``ImagePlan.error_sq``: the squared
+    coefficient differences over m < |k|_inf <= K_out regrouped by residue
+    classes (``_alias.regrouped_error_sq``), O(bandwidth^d) per source once
+    the plan's ``fold`` is built.  ``parseval_oracle`` (p = 2 only) stops
+    there; ``quadrature`` also counts the target's coefficients beyond K_out,
+    which only a source wider than K_out has, as its padded grid does at
+    other p.  So the two agree by construction, and the independent check of
+    the image is the physical-space ``TranslateApproximant.evaluate``.  At
+    other p ``quadrature`` takes the L_p norm of the coefficient difference,
+    on the box padded to the source's, on a sampling grid.  Without
+    ``K_out`` or ``plan`` the oracle truncates at ``default_K_out`` and the
+    quadrature at its ``quadrature_radius``, as a sweep row does.  ``plan``
+    is as for ``spectral_image``.
     """
     if p is None:
         p = elem.p
@@ -374,12 +385,16 @@ def approximation_error(
     if method == "parseval_oracle" and p != 2.0:
         raise ValueError("parseval_oracle applies to p = 2 only")
     plan = _plan_for(elem, beta, m, K_out, plan, p if method == "quadrature" else None)
-    if method == "parseval_oracle":
-        return plan.parseval_error(elem)
-    diff = spectral_image(elem, beta, m, plan=plan).function  # a fresh array, changed in place
-    if elem.g.radius > diff.radius:
-        diff = diff.padded(elem.g.radius)
-    _subtract_target(diff.values, elem)
+    if p == 2.0:
+        err_sq = plan.error_sq(elem.g)
+        if method == "quadrature" and elem.g.bandwidth > plan.K_out:
+            beyond = elem.target_spectral().values  # a fresh array, changed in place
+            beyond[centre(elem.g.radius, plan.K_out, elem.dimension)] = 0
+            err_sq += float(np.sum(np.abs(beyond) ** 2))
+        return math.sqrt(max(err_sq, 0.0))
+    # a fresh array, changed in place
+    diff = spectral_image(elem, beta, m, plan=plan).function.padded(max(elem.g.radius, plan.K_out))
+    diff.values[centre(diff.radius, elem.g.radius, elem.dimension)] -= elem.target_spectral().values
     return lp_norm(diff, p, oversample=oversample)
 
 

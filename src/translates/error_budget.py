@@ -262,6 +262,8 @@ def epsilon_general_p(
 
     ks = np.arange(m + 1, K_max + 2)
     delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_tail(K_max, 1))
+    if rule_l.kind == "constant" and rule_l.radius <= K_max:
+        dl_tail = 0.0  # |lam^{-1}| is 1 / scale past K_max: no variation is left
     a, kp = np.abs(alpha), k_prime_array(ks, m) + m
     pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
     g = (a[kp] * pos, a[::-1][kp] * neg)

@@ -145,8 +145,15 @@ class SpectralFunction:
 
     @property
     def bandwidth(self) -> int:
-        """Smallest box radius containing the nonzero support."""
-        nz = np.argwhere(self.values != 0)
+        """Smallest box radius containing the nonzero support: the radius
+        itself when a boundary face of the box holds a nonzero, without a
+        scan of the whole box."""
+        v = self.values
+        for j in range(self.dimension):
+            before = (slice(None),) * j  # the two faces normal to axis j
+            if v[before + (0,)].any() or v[before + (-1,)].any():
+                return self.radius
+        nz = np.argwhere(v != 0)
         if nz.size == 0:
             return 0
         return int(np.max(np.abs(nz - self.radius)))

@@ -411,7 +411,7 @@ def test_element_error_keeps_one_plan_per_bandwidth():
         err = prof.element_error(g)
         # a new profile builds the plan for this source alone
         assert err == build_alias_profile(lam, lam, m, K_out=5_000).element_error(g)
-        plans.append(prof._outer[0])
+        plans.append(prof._source[0])
     assert plans[0] is plans[1] and plans[2] is plans[3]
     assert [p.K_out for p in plans] == [20, 20, 9, 9, 20]
 
@@ -505,6 +505,13 @@ def _direct(elem, beta, m, K):
     return img.values, tail, float(np.linalg.norm(diff)), quad
 
 
+def _regrouped(direct):
+    """The p = 2 errors sum the direct coefficient differences regrouped by
+    residue classes (``_alias.regrouped_error_sq``), so they may differ from
+    ``_direct`` in the last bits."""
+    return pytest.approx(direct, rel=1e-13)
+
+
 CPLX = CustomSequence(
     {k: max(abs(k), 1) ** 2 * complex(np.exp(0.3j * k)) for k in range(-6, 7)},
     TailRule("power", rate=2.0),
@@ -530,14 +537,50 @@ def test_plan_matches_direct_image(lam, beta, m, K, bw):
         img = spectral_image(elem, beta, m, K_out=K)
         assert np.array_equal(img.function.values, vals)
         assert img.tail_bound == tail
-        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == par
-        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K) == quad
+        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == _regrouped(par)
+        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K) == _regrouped(quad)
         plan = ImagePlan(lam, beta, m, K)  # a shared plan gives the same numbers
         assert np.array_equal(spectral_image(elem, beta, m, plan=plan).function.values, vals)
-        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == par
-        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == quad
+        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == _regrouped(par)
+        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == _regrouped(quad)
     if beta is CPLX or isinstance(beta, ProductSequence):
         assert np.max(np.abs(img.function.values.imag)) > 0.01
+
+
+_FOLD_PAIRS = [
+    (LAM2, LAM2, 3),
+    (LAM2, Korobov(3.0), 4),  # lam != beta
+    (Korobov(1.0), Exponential(0.5), 2),
+    (LAM2, CPLX, 3),  # complex generator sequence
+    (Korobov(2.0, 2), ProductSequence((CPLX, Korobov(2.0))), 2),  # d = 2 product pair
+]
+
+
+@given(
+    pair=st.sampled_from(_FOLD_PAIRS),
+    extra=st.integers(0, 10),
+    bw=st.integers(0, 12),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_p2_errors_match_the_direct_sum(pair, extra, bw, single, seed):
+    # both methods, on a shared plan and on a one-off plan, for random
+    # sources and single frequencies, inside, on and past K_out = m + extra
+    lam, beta, m = pair
+    d, K, rng = lam.dimension, m + extra, np.random.default_rng(seed)
+    if single:
+        g = SpectralFunction.single(tuple(rng.integers(-bw, bw + 1, size=d)), dimension=d)
+    else:
+        g = random_real_spectral(d, bw, rng)
+    elem = ClassElement(lam, g)
+    _, _, par, quad = _direct(elem, beta, m, K)
+    plan = ImagePlan(lam, beta, m, K)
+    for kwargs in ({"plan": plan}, {"K_out": K}):
+        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", **kwargs) == _regrouped(par)
+        assert approximation_error(elem, beta, m, 2.0, "quadrature", **kwargs) == _regrouped(quad)
+    if g.bandwidth > K:  # the target beyond K_out counts for the quadrature only
+        assert quad > par
 
 
 def test_plan_rejects_other_parameters():

@@ -207,7 +207,9 @@ def test_d2_element_error_matches_the_plan():
     plan = ImagePlan(lam, beta, m, prof.K_out)
     for bw in (2, 3, 9, 9):  # inside the band, on its edge, past it (twice: the kept plan)
         g = random_real_spectral(2, bw, rng)
-        want = plan.parseval_error(ClassElement(lam, g))
+        diff = spectral_image(ClassElement(lam, g), beta, m, plan=plan).function
+        diff = (diff - ClassElement(lam, g).target_spectral()).padded(plan.K_out)
+        want = float(np.linalg.norm(diff.values.ravel()[plan.outer]))  # the box norm
         assert prof.element_error(g) == pytest.approx(want, rel=1e-12)
     with pytest.raises(SequenceError):
         prof.element_error(random_real_spectral(1, 2, rng))

@@ -74,6 +74,18 @@ def test_epsilon_general_p_telescoping():
     assert rep.tail_dominated
 
 
+def test_epsilon_general_p_constant_lambda_leaves_no_tail():
+    # every |lam^{-1}| past K_max is 1/v: the lam differences end there
+    rep = epsilon_general_p(Constant(2.0), Exponential(0.5), 4)
+    assert rep.components["delta_lambda_term"] == 0.0
+    assert rep.tail_bound < 1e-12 * rep.value and not rep.tail_dominated
+    # a constant rule past a table that reaches beyond K_max: the table's
+    # last values still vary, so each side is charged its last value
+    lam = CustomSequence({k: 1.0 + abs(k) for k in range(-40, 41)}, TailRule("constant", scale=41.0))
+    assert epsilon_general_p(lam, Exponential(0.5), 2, K_max=20).tail_bound >= 2 / 22
+    assert epsilon_general_p(lam, Exponential(0.5), 2, K_max=60).tail_bound < 1e-12
+
+
 def test_epsilon_general_p_delta_gamma_enumeration():
     # monotone pair: compare the module's difference tail against a direct
     # enumeration built from the gamma_k operation

@@ -13,7 +13,13 @@ from translates._alias import (
     index_box,
     md_single_frequency_errors_sq,
 )
-from translates.approximant import ClassElement, approximation_error, spectral_image
+from translates.approximant import (
+    ClassElement,
+    ImagePlan,
+    approximation_error,
+    quadrature_radius,
+    spectral_image,
+)
 from translates.config import (
     ConfigError,
     ProbeConfig,
@@ -503,6 +509,29 @@ def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
     cfg = SweepConfig.from_raw(parse_config(text))
     rows = run_sweep(cfg)
     assert [(r.error_quadrature, r.error_parseval) for r in rows] == _sweep_errors_one_call_each(cfg)
+
+
+def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
+    # Korobov r = 1 at m = 4: the quadrature box has radius 131072, the
+    # sources bandwidth 8; every p = 2 error reads the plan's fold and an
+    # image on the source's own box, never an image on the whole box
+    from translates.approximant import ImagePlan
+
+    text = BASIC.replace("r = 2.0", "r = 1.0").replace("m_list = 2 4 8", "m_list = 4")
+    cfg = SweepConfig.from_raw(parse_config(text))
+    sizes, coefficients = [], ImagePlan.coefficients
+
+    def spying(self, g):
+        out = coefficients(self, g)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(ImagePlan, "coefficients", spying)
+    [row] = run_sweep(cfg)
+    bw = max(g.bandwidth for g in _random_sources(cfg, 4))
+    assert quadrature_radius(default_K_out(cfg.lam, cfg.beta, 4), 2.0, 4, bw) == 131072
+    assert sizes and max(sizes) <= 2 * bw + 1 == 17
+    assert row.error_quadrature > 0 and row.error_parseval > 0
 
 
 def _probes_by_row(monkeypatch, cfg) -> dict:

@@ -317,6 +317,39 @@ def test_serialization_errors():
     assert empty.dimension == 2 and empty.bandwidth == 0
 
 
+def _scanned_bandwidth(f):
+    """The definition: the largest |k|_inf over the nonzero coefficients."""
+    nz = np.argwhere(f.values != 0)
+    return int(np.max(np.abs(nz - f.radius))) if nz.size else 0
+
+
+@given(
+    d=st.sampled_from([1, 2]),
+    radius=st.integers(0, 6),
+    support=st.sampled_from(["zero", "corner", "interior", "random"]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bandwidth_matches_the_full_scan(d, radius, support, data):
+    n = 2 * radius + 1
+    vals = np.zeros((n,) * d, dtype=complex)
+    vals[(0,) * d] = complex(-0.0, -0.0)  # a signed zero on a face is no support
+    coord = {  # None: no nonzero at all (an interior needs radius >= 1)
+        "zero": None,
+        "corner": st.sampled_from([0, n - 1]),
+        "interior": st.integers(1, n - 2) if n > 2 else None,
+        "random": st.integers(0, n - 1),
+    }[support]
+    entry = st.sampled_from([1.0, -2.5, 1j, 1e-300, 3 - 4j])
+    if coord is not None:
+        for _ in range(1 if support == "corner" else data.draw(st.integers(1, 4))):
+            vals[tuple(data.draw(coord) for _ in range(d))] = data.draw(entry)
+    f = SpectralFunction(d, radius, vals)
+    assert f.bandwidth == _scanned_bandwidth(f)
+    if support == "corner":
+        assert f.bandwidth == radius
+
+
 def test_real_valued_flag():
     assert SpectralFunction.from_coeffs({1: 0.5, -1: 0.5}).is_real_valued()
     assert not SpectralFunction.from_coeffs({1: 0.5}).is_real_valued()
