@@ -5,15 +5,16 @@ onto its representative k' in [-m, m] with k = k' (mod 2m+1).  Both the
 operator's spectral image and the theoretical error budgets are sums
 over these residue classes and share the residue map and band arrays
 built here.  ``alias_blocks`` walks the rows t of the block grid, k' +
-(2m+1) t for all k' in [-m, m], on both sides of zero; the alias profile
-and both error budgets reduce its stream.
+(2m+1) t for all k' in [-m, m], on both sides of zero; the alias fold (of
+the profile and of every image plan) and both error budgets reduce it.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class AliasProfile:
     ``sq_profile`` has shape (2m+1,)^d; its entry at the residue k' in
     [-m, m]^d is the sum over the nonzero blocks t of
     |gamma_{k' + (2m+1)t}|^2, truncated at |k|_inf <= K_out; ``tail_sq``
-    bounds the discarded part of each class.  ``build_alias_profile``
+    bounds the discarded part of each class.  ``alias_fold``
     describes how the sums are formed.  ``element_error`` takes them as the
-    fold of ``regrouped_error_sq``, the exact p = 2 error at K_out in
+    fold of a box-free image plan, the exact p = 2 error at K_out in
     O(bandwidth^d) per source after the one-off pass over the alias blocks.
     """
 
@@ -88,109 +89,64 @@ class AliasProfile:
     K_out: int
     sq_profile: np.ndarray
     tail_sq: float
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def element_error(self, g) -> float:
         """p = 2 error for a source g with bandwidth <= K_out."""
         if g.dimension != self.lam.dimension:
             raise SequenceError("source and profile dimensions differ")
-        bw = g.bandwidth
-        if bw > self.K_out:
+        if g.bandwidth > self.K_out:
             raise ValueError("source bandwidth exceeds the profile truncation")
-        return math.sqrt(max(regrouped_error_sq(self, self.sq_profile, g, bw), 0.0))
+        return math.sqrt(max(self._plan.error_sq(g), 0.0))
+
+    @functools.cached_property
+    def _plan(self):
+        """The image plan at K_out, with ``sq_profile`` as its fold."""
+        from .approximant import ImagePlan  # the operator module builds on this one
+
+        plan = ImagePlan(self.lam, self.beta, self.m, self.K_out)
+        plan.fold = self.sq_profile
+        return plan
 
 
-def regrouped_error_sq(owner, fold: np.ndarray, g, r: int) -> float:
-    """Squared p = 2 error of the source g over m < |k|_inf <= K, regrouped
-    by residue classes.
+def alias_fold(lam: CoefficientSequence, beta: CoefficientSequence, m: int, K: int) -> tuple:
+    """(fold, tail_sq) of a product pair (lam, beta) at m in the box
+    |k|_inf <= K: per residue k', the sum of |gamma_k|^2 over the off-band
+    positions of its class, and a bound on the rest of each class.
 
-    ``owner`` (an alias profile or an image plan) carries (lam, beta, m);
-    ``fold`` (shape (2m+1,)^d) holds, per residue k', the sum of |gamma_k|^2
-    over the off-band positions of k''s class in the box |k|_inf <= K.  With
-    r = min(bandwidth of g, K) the direct coefficient sum regroups as
-
-        err^2 = sum_{k'} |ghat(k')|^2 fold(k')
-              + sum_{m < |k|_inf <= r} ( |lam_k^{-1} ghat(k)|^2
-                              - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] ),
-
-    where gamma_k ghat(k') is the source's spectral image on its own box of
-    radius r.  The cost is O(r^d) per source after the fold; the image plan
-    of radius r and lam^{-1} on its off-band positions are kept on the owner
-    for the last r asked for, so every source of one bandwidth reuses them.
-    Coefficients of g beyond r are not counted.
-    """
-    from .approximant import ClassElement, spectral_image  # the operator module builds on this one
-
-    m = owner.m
-    total = float(np.sum(np.abs(box_values(g, m)) ** 2 * fold))
-    if r > m:
-        plan, inv_lam = _source_terms(owner, r)
-        image = spectral_image(ClassElement(owner.lam, g), owner.beta, m, plan=plan)
-        bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
-        cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
-        total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
-    return total
-
-
-def _source_terms(owner, r: int) -> tuple:
-    """The image plan on |k|_inf <= r and lam^{-1} on its off-band
-    positions, kept on the owner for the last r asked for."""
-    from .approximant import ImagePlan
-
-    if owner._source is None or owner._source[0].K_out != r:
-        plan = ImagePlan(owner.lam, owner.beta, owner.m, r)
-        ks = index_box(r, plan.dimension)[plan.outer]
-        owner._source = (plan, np.asarray(owner.lam.inv_values(ks)))
-    return owner._source
-
-
-def build_alias_profile(
-    lam: CoefficientSequence,
-    beta: CoefficientSequence,
-    m: int,
-    K_out: int | None = None,
-) -> AliasProfile:
-    """The alias profile of a product pair (lam, beta) at m, enumerated to
-    T = ceil((K_out - m) / (2m+1)) blocks per side and axis, so the
-    profile's own ``K_out`` is (2m+1) T + m.
-
-    The alias sums factor over the axes j of ``axis_factors()``.  Let E_j
-    be the column sums of |beta_j^{-1}|^2 over the blocks 0 < |t| <= T,
-    and D_j = |beta_j^{-1}|^2 and A_j = |alpha_j|^2 on the band.  Over the
-    nonzero blocks of the box |t|_inf <= T the profile is
-
-        prod_j A_j (prod_j (D_j + E_j) - prod_j D_j),
-
-    which ``product_increment(D, E)`` forms on the (2m+1)^d box without
-    cancelling.  For d = 1 it is |alpha|^2 (positive + negative).  Past T
-    each column sum misses at most the l2 tail of beta_j beyond
-    (2m+1) T + m, so ``tail_sq`` is prod_j max A_j times
-    ``product_increment`` of the largest column sums max(D_j + E_j) and
-    those tails.
+    The sums factor over the axes j of ``axis_factors()``.  With D_j =
+    |beta_j^{-1}|^2 and A_j = |alpha_j|^2 on the band, and E_j the column
+    sums of |beta_j^{-1}|^2 over the rows 0 < |t| <= T = ceil((K - m) / (2m+1))
+    of the block grid less the columns of row T past K, the fold is
+    prod_j A_j (prod_j (D_j + E_j) - prod_j D_j), which ``product_increment``
+    forms without cancelling; for d = 1 it is |alpha|^2 (positive + negative).
+    Each column sum misses at most the l2 tail of beta_j beyond K, so
+    ``tail_sq`` is prod_j max A_j times ``product_increment`` of the largest
+    column sums max(D_j + E_j) and those tails.
 
     Each side squares the rows from ``alias_blocks`` into a buffer whose row 0
     carries the column sums, so ``np.sum(axis=0)`` (the rows of a C-ordered
     array in turn) adds each column in the order t = 1, ..., T: bit for bit
     one reduction over all T rows (for 2m+1 > 1 columns), in memory that does
-    not grow with K_out.  The negative side's columns run from k' = m down, so
+    not grow with K.  The negative side's columns run from k' = m down, so
     E_j adds them reversed; a ``symmetric`` beta_j has one side to sum.
-    Without ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
     """
     factors = (lam.axis_factors(), beta.axis_factors())
     if lam.dimension != beta.dimension or None in factors:
-        raise SequenceError("the alias profile needs two product sequences of one dimension")
-    if K_out is None:
-        K_out = default_K_out(lam, beta, m)
+        raise SequenceError("the alias fold needs two product sequences of one dimension")
     d, n = lam.dimension, 2 * m + 1
-    T = max(1, -(-(K_out - m) // n))  # ceil
+    T = max(1, -(-(K - m) // n))  # ceil
     A, D, E, a_max, c_max, tails = [], [], [], [], [], []
     for j, (axl, axb) in enumerate(zip(*factors)):
         _, inv_b, alpha = band_arrays(axl, axb, m)
         sym, bufs = axb.symmetric, np.zeros((2, min(T, max(1, _BLOCK // n)) + 1, n))
+        rows = 0
         for pos, neg in alias_blocks(axb, m, 1, T):
+            rows += len(pos)
             for buf, side in zip(bufs, (pos,) if sym else (pos, neg)):  # row 0: the column sums
                 block = buf[: len(side) + 1]
                 np.square(side, out=block[1:])
+                if rows == T:  # row T: the columns with |k| = (2m+1) T + k' > K
+                    block[-1, K - n * T + m + 1:] = 0
                 buf[0] = np.sum(block, axis=0)
         d_j, e_j = np.abs(inv_b) ** 2, bufs[0, 0] + bufs[0 if sym else 1, 0, ::-1]
         axis = (None,) * j + (slice(None),) + (None,) * (d - 1 - j)  # broadcast along axis j
@@ -199,10 +155,27 @@ def build_alias_profile(
         E.append(e_j[axis])
         a_max.append(float(np.max(np.abs(alpha))) ** 2)
         c_max.append(float(np.max(d_j + e_j)))
-        tails.append(axb.inv_tail(n * T + m, 2))
+        tails.append(axb.inv_tail(K, 2))
     sq = math.prod(A) * product_increment(D, E)
-    tail_sq = math.prod(a_max) * product_increment(c_max, tails)
-    return AliasProfile(lam, beta, m, n * T + m, sq, tail_sq)
+    return sq, math.prod(a_max) * product_increment(c_max, tails)
+
+
+def build_alias_profile(
+    lam: CoefficientSequence,
+    beta: CoefficientSequence,
+    m: int,
+    K_out: int | None = None,
+) -> AliasProfile:
+    """The alias profile of a product pair (lam, beta) at m: the
+    ``alias_fold`` of T = ceil((K_out - m) / (2m+1)) whole blocks per side
+    and axis, so the profile's own ``K_out`` is (2m+1) T + m.  Without
+    ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
+    """
+    if K_out is None:
+        K_out = default_K_out(lam, beta, m)
+    n = 2 * m + 1
+    K = n * max(1, -(-(K_out - m) // n)) + m  # T = ceil((K_out - m) / n) whole blocks
+    return AliasProfile(lam, beta, m, K, *alias_fold(lam, beta, m, K))
 
 
 _BLOCK = 1 << 15  # alias indices per streamed block: 256 KiB of float64

@@ -10,14 +10,13 @@ frequencies, which is what the error budgets measure.  d = 1 is the box
 of dimension 1; every function here takes any d.
 
 The spectral image and both error routes run on an ``ImagePlan``: for one
-(lambda, beta, m, K_out) it holds the multipliers gamma_k = alpha_{k'}
-beta_k^{-1} on the index box |k|_inf <= K_out (lambda_k^{-1} on the band),
-the gather index from each box position to its residue k', the mask of
-the positions outside the band and, once a p = 2 error asks for it, the
-fold of |gamma_k|^2 onto the residues.  These do not depend on the source,
-so a sweep row builds one plan and passes it through the ``plan=`` keyword
-of ``spectral_image`` and ``approximation_error``; called without one,
-each builds a one-off plan.
+(lambda, beta, m, K_out) it holds, from the first image on, the multipliers
+gamma_k = alpha_{k'} beta_k^{-1} on the index box |k|_inf <= K_out
+(lambda_k^{-1} on the band), the gather index to the residues k' and the
+off-band mask, and, once a p = 2 error asks for it, the fold of |gamma_k|^2
+onto the residues.  These do not depend on the source, so a sweep row
+builds one plan and passes it through the ``plan=`` keyword of
+``spectral_image`` and ``approximation_error``, which otherwise build one.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import spectral
 from ._alias import (
-    band_arrays, box_values, centre, default_K_out, index_box, k_prime_array, regrouped_error_sq,
+    alias_fold, band_arrays, box_values, centre, default_K_out, index_box, k_prime_array,
 )
 from .sequences import CoefficientSequence, SequenceError, box_inv_tail
 from .spectral import SpectralFunction, convolve, evaluate_many, lp_norm, synthesize
@@ -243,33 +242,41 @@ class ImagePlan:
     where k' is the residue of k in the band [-m, m]^d.  Off the band
     gamma_k = alpha_{k'} beta_k^{-1}; on it gamma_k = lambda_k^{-1}, so the
     target is reproduced there.  ``index`` maps each box position (C order)
-    to the flat band position of k' and ``outer`` marks |k|_inf > m.
-    Building the plan evaluates beta^{-1} on the box once; each image then
-    costs one gather and one product.  ``fold`` sums |gamma_k|^2 over the
-    off-band positions of each residue class, one pass over the box built
-    on first use, after which a p = 2 error costs O(bandwidth^d) per source
-    (``error_sq``).  A sweep row builds one plan and passes it to the public
-    image and error functions through ``plan=``.
+    to the flat band position of k' and ``outer`` marks |k|_inf > m; the
+    first image builds them with ``gamma`` and ``tail_scale``, and each
+    image then costs one gather and one product.  ``fold`` sums |gamma_k|^2
+    over the off-band positions of each residue class (``_alias.alias_fold``
+    for a product pair, a pass over the box otherwise), after which a p = 2
+    error costs O(bandwidth^d) per source (``error_sq``).  A sweep row passes
+    one plan to the public image and error functions through ``plan=``.
     """
 
     def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int):
-        d = lam.dimension
-        if beta.dimension != d:
+        if beta.dimension != lam.dimension:
             raise SequenceError("sequence dimensions differ")
         if K_out < m:
             raise ValueError("K_out must be >= m")
-        if d > 1 and (2 * K_out + 1) ** d > NODE_GUARD:
+        self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, lam.dimension
+        self._source = None  # the plan on a source's own box, for error_sq
+
+    def __getattr__(self, name: str):
+        if name not in ("index", "outer", "gamma", "tail_scale"):  # built together, on first use
+            raise AttributeError(name)
+        self._build_box()
+        return getattr(self, name)
+
+    def _build_box(self) -> None:
+        d, m, K = self.dimension, self.m, self.K_out
+        if d > 1 and (2 * K + 1) ** d > NODE_GUARD:
             raise ValueError("K_out box exceeds the coefficient guard")
-        inv_lam, _, alpha = band_arrays(lam, beta, m)
-        ks = index_box(K_out, d)
+        inv_lam, _, alpha = band_arrays(self.lam, self.beta, m)
+        ks = index_box(K, d)
         kp = (k_prime_array(ks, m) + m).reshape(-1, d)
         self.index = np.ravel_multi_index(tuple(kp.T), alpha.shape).astype(np.int32)
         self.outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
-        self.gamma = alpha.ravel()[self.index] * np.asarray(beta.inv_values(ks))
+        self.gamma = alpha.ravel()[self.index] * np.asarray(self.beta.inv_values(ks))
         self.gamma[~self.outer] = inv_lam.ravel()  # the band, in C order
-        self.tail_scale = image_tail_bound(alpha, beta, K_out, 1.0)
-        self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, d
-        self._source = None  # the plan on a source's own box, for regrouped_error_sq
+        self.tail_scale = image_tail_bound(alpha, self.beta, K, 1.0)
 
     def coefficients(self, g: SpectralFunction) -> np.ndarray:
         """Image coefficients of the source g, shape (2 K_out + 1,)^d."""
@@ -287,20 +294,45 @@ class ImagePlan:
     def fold(self) -> np.ndarray:
         """Per residue k', the sum of |gamma_k|^2 over the off-band positions
         of its class in the box, shape (2m+1,)^d."""
+        if None not in (self.lam.axis_factors(), self.beta.axis_factors()):
+            return alias_fold(self.lam, self.beta, self.m, self.K_out)[0]
         n, d = 2 * self.m + 1, self.dimension
         sq = np.abs(self.gamma[self.outer]) ** 2
         return np.bincount(self.index[self.outer], sq, minlength=n**d).reshape((n,) * d)
 
     def error_sq(self, g: SpectralFunction) -> float:
-        """Squared l2 norm of (image - target) over m < |k|_inf <= K_out, by
-        ``regrouped_error_sq``; coefficients of g beyond K_out are not counted."""
-        return regrouped_error_sq(self, self.fold, g, min(g.bandwidth, self.K_out))
+        """Squared l2 norm of (image - target) over m < |k|_inf <= K_out,
+        regrouped by residue classes; with r = min(bandwidth of g, K_out),
+
+            err^2 = sum_{k'} |ghat(k')|^2 fold(k')
+                  + sum_{m < |k|_inf <= r} ( |lam_k^{-1} ghat(k)|^2
+                                  - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] ),
+
+        with gamma_k ghat(k') the image on the source's own box of radius r,
+        whose plan and lam^{-1} off its band are kept for the last r: O(r^d)
+        per source after the fold.  Coefficients beyond K_out are not counted.
+        """
+        m, r = self.m, min(g.bandwidth, self.K_out)
+        total = float(np.sum(np.abs(box_values(g, m)) ** 2 * self.fold))
+        if r > m:
+            if self._source is None or self._source[0].K_out != r:
+                plan = ImagePlan(self.lam, self.beta, m, r)
+                ks = index_box(r, self.dimension)[plan.outer]
+                self._source = (plan, np.asarray(self.lam.inv_values(ks)))
+            plan, inv_lam = self._source
+            image = spectral_image(ClassElement(self.lam, g), self.beta, m, plan=plan)
+            bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
+            cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
+            total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
+        return total
 
 
 def quadrature_radius(K_out: int, p: float, m: int, bw: int) -> int:
-    """The image radius of a quadrature: K_out, cut so that the plan's box
-    stays affordable at p = 2, to 131072, and the sampling grid otherwise, to
-    max(4096, 16 m, bw + 1) (bw is the source bandwidth)."""
+    """The image radius of a quadrature: K_out, cut to 131072 at p = 2 and
+    to the sampling grid's max(4096, 16 m, bw + 1) otherwise (bw is the
+    source bandwidth).  A p = 2 error builds no box, so that cap saves no
+    memory; it stays because the golden CSVs and the benchmark's reference
+    values pin ``error_quadrature`` at it."""
     return min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
 
 
@@ -364,12 +396,12 @@ def approximation_error(
 
     At p = 2 both methods take ``ImagePlan.error_sq``: the squared
     coefficient differences over m < |k|_inf <= K_out regrouped by residue
-    classes (``_alias.regrouped_error_sq``), O(bandwidth^d) per source once
-    the plan's ``fold`` is built.  ``parseval_oracle`` (p = 2 only) stops
-    there; ``quadrature`` also counts the target's coefficients beyond K_out,
-    which only a source wider than K_out has, as its padded grid does at
-    other p.  So the two agree by construction, and the independent check of
-    the image is the physical-space ``TranslateApproximant.evaluate``.  At
+    classes, O(bandwidth^d) per source once the plan's ``fold`` is built.
+    ``parseval_oracle`` (p = 2 only) stops there; ``quadrature`` also counts
+    the target's coefficients beyond K_out, which only a source wider than
+    K_out has, as its padded grid does at other p.  So the two agree by
+    construction; the independent checks of the image are the physical-space
+    ``TranslateApproximant.evaluate`` and the DFT of the translate weights.  At
     other p ``quadrature`` takes the L_p norm of the coefficient difference,
     on the box padded to the source's, on a sampling grid.  Without
     ``K_out`` or ``plan`` the oracle truncates at ``default_K_out`` and the

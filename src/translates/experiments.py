@@ -131,10 +131,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     probes (the ``probe_count`` largest sums, ties in C order), errors on
     one image plan, budget.  Only the alias sums depend on d: d = 1 builds
     the alias profile, whose ``element_error`` gives the sources' p = 2
-    errors; a d >= 2 product pair takes ``md_single_frequency_errors_sq``
-    and its sources keep the plan's Parseval route, since ``element_error``
-    would change their truncation and leave that traced benchmark layer
-    unreached; other pairs probe the edge frequency (m, 0, ..., 0).
+    errors; a d >= 2 product pair takes ``md_single_frequency_errors_sq``,
+    other pairs probe the edge frequency (m, 0, ..., 0), and at d >= 2 the
+    sources' p = 2 errors are their quadrature errors on the plan.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
@@ -159,8 +158,9 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
             probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
-        err_q, err_p = _plan_errors(cfg, m, quad_K, sources, probes, p == 2.0 and profile is None)
-        if p == 2.0 and profile is not None:
+        err_q = _plan_errors(cfg, m, quad_K, sources, probes)
+        err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: the oracle's sum, as K > bw
+        if p == 2.0 and d == 1:
             err_p = [profile.element_error(g) for g in sources]
         if p == 2.0 and sq is not None:
             err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's oracle error
@@ -168,26 +168,21 @@ def run_sweep(cfg: SweepConfig) -> list:
     return rows
 
 
-def _plan_errors(cfg, m, K, sources, probes, parseval) -> tuple:
-    """Quadrature errors of the sources and the single-frequency probes and,
-    with ``parseval``, the oracle errors of the sources.
+def _plan_errors(cfg, m, K, sources, probes) -> list:
+    """Quadrature errors of the sources, then of the single-frequency probes.
 
-    All of them share one image plan on the box of radius K.  The plan is
-    the row's largest array and is freed on return, before the next row
-    builds its alias profile.
+    All of them share one image plan of radius K.  At p != 2 its box is the
+    row's largest array and is freed on return, before the next row builds
+    its alias profile.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     plan = ImagePlan(lam, beta, m, K)
     elems = [ClassElement(lam, g, p) for g in sources]
-    err_p = [
-        approximation_error(e, beta, m, p, "parseval_oracle", plan=plan) for e in elems
-    ] if parseval else []
     elems += [ClassElement(lam, SpectralFunction.single(k0, dimension=d), p) for k0 in probes]
-    err_q = [
+    return [
         approximation_error(e, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
         for e in elems
     ]
-    return err_q, err_p
 
 
 def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:

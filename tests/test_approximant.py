@@ -411,7 +411,7 @@ def test_element_error_keeps_one_plan_per_bandwidth():
         err = prof.element_error(g)
         # a new profile builds the plan for this source alone
         assert err == build_alias_profile(lam, lam, m, K_out=5_000).element_error(g)
-        plans.append(prof._source[0])
+        plans.append(prof._plan._source[0])
     assert plans[0] is plans[1] and plans[2] is plans[3]
     assert [p.K_out for p in plans] == [20, 20, 9, 9, 20]
 
@@ -507,7 +507,7 @@ def _direct(elem, beta, m, K):
 
 def _regrouped(direct):
     """The p = 2 errors sum the direct coefficient differences regrouped by
-    residue classes (``_alias.regrouped_error_sq``), so they may differ from
+    residue classes (``ImagePlan.error_sq``), so they may differ from
     ``_direct`` in the last bits."""
     return pytest.approx(direct, rel=1e-13)
 
@@ -581,6 +581,51 @@ def test_p2_errors_match_the_direct_sum(pair, extra, bw, single, seed):
         assert approximation_error(elem, beta, m, 2.0, "quadrature", **kwargs) == _regrouped(quad)
     if g.bandwidth > K:  # the target beyond K_out counts for the quadrature only
         assert quad > par
+
+
+def _box_fold(lam, beta, m, K):
+    """Per-residue sums of |gamma_k|^2 off the band, one bincount over the
+    whole box |k|_inf <= K."""
+    d, n = lam.dimension, 2 * m + 1
+    ks = index_box(K, d)
+    kp = k_prime_array(ks, m)
+    gamma = np.asarray(lam.inv_values(kp)) / beta.inv_values(kp) * beta.inv_values(ks)
+    outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
+    index = np.ravel_multi_index(tuple((kp.reshape(-1, d) + m).T), (n,) * d)
+    return np.bincount(index[outer], np.abs(gamma[outer]) ** 2, minlength=n**d).reshape((n,) * d)
+
+
+_CUT_PAIRS = [
+    (LAM2, Korobov(3.0)),  # lam != beta
+    (LAM2, CPLX),  # complex generator sequence
+    (Korobov(1.0), _ASYM),  # lopsided, complex: both sides walked
+    (Korobov(2.0, 2), ProductSequence((CPLX, Korobov(2.0)))),  # d = 2, a complex factor
+]
+
+
+@given(
+    pair=st.sampled_from(_CUT_PAIRS),
+    m=st.integers(1, 4),
+    blocks=st.integers(1, 4),
+    cut=st.sampled_from(["m", "m + 1", "mid-block", "whole block"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cut_fold_matches_the_box_bincount(pair, m, blocks, cut, data):
+    # the block walk cut at any radius K, as an image plan of a product pair
+    # takes it, against one bincount over the box; the box is never built
+    lam, beta = pair
+    n = 2 * m + 1
+    K = {
+        "m": m,
+        "m + 1": m + 1,
+        "mid-block": n * blocks + data.draw(st.integers(-m, m - 1)),
+        "whole block": n * blocks + m,
+    }[cut]
+    plan = ImagePlan(lam, beta, m, K)
+    np.testing.assert_allclose(plan.fold, _box_fold(lam, beta, m, K), rtol=1e-13, atol=0)
+    assert np.array_equal(plan.fold, _alias.alias_fold(lam, beta, m, K)[0])
+    assert "gamma" not in vars(plan)
 
 
 def test_plan_rejects_other_parameters():

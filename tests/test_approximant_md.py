@@ -107,6 +107,22 @@ def test_memory_guard():
         assemble_Qm(ClassElement(lam, g), lam, 120, K_gen=200)
 
 
+def test_coefficient_guard_bounds_the_box_not_the_radius():
+    # at K_out = 4192 in d = 2 a box would hold 8385^2 coefficients, past the
+    # guard; a p = 2 error reads the fold and the source's own box (radius 64)
+    m, K_out = 32, 65 * 64 + 32
+    g = random_real_spectral(2, 64, np.random.default_rng(1))
+    prof = build_alias_profile(LAM2D, LAM2D, m, K_out=K_out)
+    assert prof.K_out == K_out
+    err = prof.element_error(g)
+    assert err == pytest.approx(0.0136687564449298, rel=1e-13)
+    assert approximation_error(ClassElement(LAM2D, g), LAM2D, m, 2.0, K_out=K_out) == err
+    with pytest.raises(ValueError, match="coefficient guard"):
+        spectral_image(ClassElement(LAM2D, g), LAM2D, m, K_out=K_out)
+    with pytest.raises(ValueError, match="coefficient guard"):
+        ImagePlan(LAM2D, LAM2D, m, K_out).coefficients(g)
+
+
 def test_spectral_image_md_kernel_oracle():
     # brute-force check: image coefficients equal the translate-sum coefficients
     rng = np.random.default_rng(3)

@@ -1,6 +1,8 @@
 """The benchmark's tracer, ``perfbench/tracing.py``, patches functions of the
 package by module path.  These tests load it as it is and check that every
-name it binds exists, and that a traced pass leaves no wrapper behind."""
+name it binds exists, that a traced pass leaves no wrapper behind, and that
+a smoke pass of each sweep workload reaches every layer the benchmark's own
+tests require of it."""
 
 import importlib
 import importlib.util
@@ -9,15 +11,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("perfbench_tracing", TRACING)
+
+
+# the layers each workload must reach, as the benchmark's tests pin them
+EXPECTED_CALLS = _load("perfbench_tests", ROOT / "perfbench" / "test_perfbench.py").EXPECTED_CALLS
 
 
 def test_every_traced_target_resolves():
@@ -86,3 +99,17 @@ def test_traced_passes_leave_no_stale_wrapper():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", [w for w in EXPECTED_CALLS if w.startswith("sweep_")])
+def test_smoke_pass_reaches_every_pinned_layer(workload):
+    # the tracer rebinds names in the modules loaded before it is installed,
+    # and run_pass imports the sweep module
+    importlib.import_module("translates.experiments")
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    cfgs = workloads.load(workloads.WORKLOADS[workload].specs(5, True), ROOT)
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        workloads.run_pass(cfgs)
+    calls = tracer.summary()
+    assert [layer for layer in EXPECTED_CALLS[workload] if not calls[f"{layer}.calls"]] == []

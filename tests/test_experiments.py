@@ -512,26 +512,43 @@ def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
 
 
 def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
-    # Korobov r = 1 at m = 4: the quadrature box has radius 131072, the
-    # sources bandwidth 8; every p = 2 error reads the plan's fold and an
-    # image on the source's own box, never an image on the whole box
-    from translates.approximant import ImagePlan
-
-    text = BASIC.replace("r = 2.0", "r = 1.0").replace("m_list = 2 4 8", "m_list = 4")
-    cfg = SweepConfig.from_raw(parse_config(text))
+    # Korobov r = 1 at m = 4, d = 1: the quadrature box has radius 131072 and
+    # the sources bandwidth 8; Korobov r = 2 at m = 2, d = 2: radius 32 and
+    # bandwidth 4.  Every p = 2 error reads the plan's fold and an image on
+    # the source's own box, so no box is wider than 2 bw + 1 per axis; a
+    # p = 3 row builds its one quadrature box
     sizes, coefficients = [], ImagePlan.coefficients
+    built, build_box = [], ImagePlan._build_box
 
     def spying(self, g):
         out = coefficients(self, g)
         sizes.append(out.size)
         return out
 
+    def building(self):
+        built.append(self.K_out)
+        build_box(self)
+
     monkeypatch.setattr(ImagePlan, "coefficients", spying)
-    [row] = run_sweep(cfg)
+    monkeypatch.setattr(ImagePlan, "_build_box", building)
+    for r, dim, m, K_quad in ((1.0, 1, 4, 131072), (2.0, 2, 2, 32)):
+        text = BASIC.replace("r = 2.0", f"r = {r}\ndim = {dim}").replace("m_list = 2 4 8", f"m_list = {m}")
+        cfg = SweepConfig.from_raw(parse_config(text))
+        sizes.clear()
+        built.clear()
+        [row] = run_sweep(cfg)
+        bw = max(g.bandwidth for g in _random_sources(cfg, m))
+        K_out = max(default_K_out(cfg.lam, cfg.beta, m), bw + 1)
+        assert quadrature_radius(K_out, 2.0, m, bw) == K_quad and bw == 2 * m
+        assert built and max(built) <= bw
+        assert sizes and max(sizes) <= (2 * bw + 1) ** dim
+        assert row.error_quadrature > 0 and row.error_parseval > 0
+    text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4")
+    cfg = SweepConfig.from_raw(parse_config(text))
+    built.clear()
+    run_sweep(cfg)
     bw = max(g.bandwidth for g in _random_sources(cfg, 4))
-    assert quadrature_radius(default_K_out(cfg.lam, cfg.beta, 4), 2.0, 4, bw) == 131072
-    assert sizes and max(sizes) <= 2 * bw + 1 == 17
-    assert row.error_quadrature > 0 and row.error_parseval > 0
+    assert built == [quadrature_radius(max(default_K_out(cfg.lam, cfg.beta, 4), bw + 1), 3.0, 4, bw)]
 
 
 def _probes_by_row(monkeypatch, cfg) -> dict:
