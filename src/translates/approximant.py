@@ -430,6 +430,39 @@ def approximation_error(
     return lp_norm(diff, p, oversample=oversample)
 
 
+_CLASS_GRID = 2048  # least points per axis of a class grid, unless the full grid has fewer
+
+
+def _single_frequency_error(lam, beta, m, k0, p, K, oversample=8) -> float:
+    """L_p error, truncated at |k|_inf <= K, of the single frequency e^{i k0.x}
+    (k0 in the band), with its norm taken on its residue class.
+
+    The error lives on the class k0 + (2m+1)Z^d: e(x) = e^{i k0.x} h((2m+1) x)
+    with h_t = alpha_{k0} beta^{-1}_{k0 + (2m+1) t} for t != 0 inside the box,
+    so ||e||_p = ||h||_p, and h has radius T of about K / (2m+1): a grid
+    (2m+1)^d times smaller than the box's, and no box.  The grid has at least
+    min(2048, oversample (2K+1)) points per axis: the full box's grid can
+    sample h at all of its N points, and with only oversample (2T+1) of them
+    p = 1.5 read 1e-5 low at k0 = 1, m = 256.  The value is that of
+    ``approximation_error(..., "quadrature", K_out=K)`` up to the quadrature
+    error of the two grids.
+    """
+    d, n = lam.dimension, 2 * m + 1
+    k0 = np.array(k0, dtype=np.int64).reshape(1, d)
+    T = int(np.max((K + np.abs(k0)) // n))  # the widest axis of the class box
+    ts = index_box(T, d).reshape(-1, d)
+    ks = k0 + n * ts  # t = 0, k0 itself, is the centre
+    keep = (np.max(np.abs(ks), axis=1) <= K) & np.any(ts != 0, axis=1)
+    if d == 1:  # the index form of univariate sequences
+        k0, ks = k0[:, 0], ks[:, 0]
+    inv_beta = np.asarray(beta.inv_values(ks))
+    alpha = np.asarray(lam.inv_values(k0)) / inv_beta[ts.shape[0] // 2]
+    vals = np.where(keep, alpha * inv_beta, 0).reshape((2 * T + 1,) * d)
+    h = SpectralFunction(d, T, vals, copy=False)
+    grid = min(_CLASS_GRID, oversample * (2 * K + 1))
+    return lp_norm(h, p, oversample=max(oversample, -(-grid // (2 * h.bandwidth + 1))))
+
+
 # ---------------------------------------------------------------------------
 # Reproducing-kernel helpers (generator sequence = lam^2)
 

@@ -29,6 +29,7 @@ from ._alias import (
 from .approximant import (
     ClassElement,
     ImagePlan,
+    _single_frequency_error,
     approximation_error,
     image_tail_bound,
     quadrature_radius,
@@ -40,6 +41,7 @@ from .error_budget import (
     predicted_rate,
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
+from .sequences import box_inv_tail
 from .spectral import SpectralFunction, lp_norm, random_real_spectral
 
 __all__ = [
@@ -128,12 +130,14 @@ def run_sweep(cfg: SweepConfig) -> list:
 
     Every row runs the same stages for every d and p: sources, radii, alias
     sums (the squared p = 2 error of each single frequency on the band),
-    probes (the ``probe_count`` largest sums, ties in C order), errors on
-    one image plan, budget.  Only the alias sums depend on d: d = 1 builds
-    the alias profile, whose ``element_error`` gives the sources' p = 2
-    errors; a d >= 2 product pair takes ``md_single_frequency_errors_sq``,
-    other pairs probe the edge frequency (m, 0, ..., 0), and at d >= 2 the
-    sources' p = 2 errors are their quadrature errors on the plan.
+    probes (the ``probe_count`` largest sums, ties in C order), errors
+    (``_plan_errors``: the sources on one image plan, the probes on the same
+    plan at p = 2 and each on its residue class's grid otherwise), budget.
+    Only the alias sums depend on d: d = 1 builds the alias profile, whose
+    ``element_error`` gives the sources' p = 2 errors; a d >= 2 product pair
+    takes ``md_single_frequency_errors_sq``, other pairs probe the edge
+    frequency (m, 0, ..., 0), and at d >= 2 the sources' p = 2 errors are
+    their quadrature errors on the plan.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
@@ -146,7 +150,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         K_out = max(cfg.K_out or default_K_out(lam, beta, m), bw + 1)
         quad_K = quadrature_radius(K_out, p, m, bw)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
-            _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources)
+            _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p)
         profile = sq = None
         if d == 1:
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
@@ -169,20 +173,26 @@ def run_sweep(cfg: SweepConfig) -> list:
 
 
 def _plan_errors(cfg, m, K, sources, probes) -> list:
-    """Quadrature errors of the sources, then of the single-frequency probes.
+    """Quadrature errors, cut at |k|_inf <= K, of the sources, then of the
+    single-frequency probes.
 
-    All of them share one image plan of radius K.  At p != 2 its box is the
+    The sources share one image plan of radius K; at p != 2 its box is the
     row's largest array and is freed on return, before the next row builds
-    its alias profile.
+    its alias profile.  At p = 2 the probes take the plan's fold too; at
+    other p each probe's error lives on its residue class and takes its norm
+    on the class grid (``_single_frequency_error``), not on the plan's box.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     plan = ImagePlan(lam, beta, m, K)
-    elems = [ClassElement(lam, g, p) for g in sources]
-    elems += [ClassElement(lam, SpectralFunction.single(k0, dimension=d), p) for k0 in probes]
-    return [
-        approximation_error(e, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
-        for e in elems
-    ]
+
+    def error(g):
+        elem = ClassElement(lam, g, p)
+        return approximation_error(elem, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
+
+    errs = [error(g) for g in sources]
+    if p == 2.0:
+        return errs + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
+    return errs + [_single_frequency_error(lam, beta, m, k0, p, K, cfg.oversample) for k0 in probes]
 
 
 def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:
@@ -209,18 +219,28 @@ def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:
     )
 
 
-def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources) -> None:
-    """Report the l2 alias tail dropped by quadrature at quad_K < K_out.
+def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p) -> None:
+    """Report the alias tail dropped by quadrature at quad_K < K_out.
 
-    The bound covers every quadrature element of the row: the sources and
-    the single-frequency probes, whose one coefficient is 1.
+    The bounds cover every quadrature element of the row: the sources and
+    the single-frequency probes, whose one coefficient is 1.  The l2 bound
+    bounds the dropped L_p norm for p <= 2 only, so at p > 2 the l1 bound
+    max|alpha| max|ghat| ||beta^{-1}||_l1 beyond quad_K is reported too: it
+    bounds the sup norm, and so every L_p norm, of the dropped part, and is
+    infinite where the l1 tail of beta^{-1} diverges.
     """
     _, _, alpha = band_arrays(lam, beta, m)
     gmax = max([1.0] + [float(np.max(np.abs(g.values))) for g in sources])
-    log.debug(
-        "m=%d: quadrature radius %d < K_out %d drops an l2 tail <= %.3e",
-        m, quad_K, K_out, image_tail_bound(alpha, beta, quad_K, gmax),
-    )
+    msg = "m=%d: quadrature radius %d < K_out %d drops an l2 tail <= %.3e"
+    args = [m, quad_K, K_out, image_tail_bound(alpha, beta, quad_K, gmax)]
+    if p > 2.0:
+        sup = float(np.max(np.abs(alpha))) * box_inv_tail(beta, quad_K, 1) * gmax
+        if math.isfinite(sup):
+            msg += " and a sup norm <= %.3e"
+            args.append(sup)
+        else:
+            msg += ", and its L_p norm has no finite bound (the l1 tail diverges)"
+    log.debug(msg, *args)
 
 
 def epsilon_table(cfg: SweepConfig) -> list:

@@ -377,10 +377,11 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     it converges algebraically, like N^-(p+1).
 
     The grid arrays (spectrum, samples, |samples|^p) of the last grid
-    shape are kept and reused while the shape repeats, as it does for every
-    source and probe of a sweep row, so those calls allocate no grid.  Only
-    grids of at most ``_KEEP_GRID`` points are kept (10.5 MB at the cap); a
-    larger grid is allocated for its call and freed after it.  The values
+    shape are kept and reused while the shape repeats, as it does for the
+    sources of a sweep row (their normalisations, then their errors), so
+    those calls allocate no grid.  Only grids of at most ``_KEEP_GRID``
+    points are kept (10.5 MB at the cap); a larger grid is allocated for
+    its call and freed after it.  The values
     are those of ``synthesize`` on fresh arrays, bit for bit, except that an
     f with exactly Hermitian coefficients (no tolerance) is sampled with the
     real half-spectrum transform ``irfftn``, about twice as cheap, which

@@ -6,18 +6,32 @@ import pytest
 from translates import spectral
 
 
+class _Calls(list):
+    """Transform names in order; ``shapes`` holds the grid shape of each."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+    def clear(self):
+        super().clear()
+        self.shapes.clear()
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Names of the grid transforms ``translates.spectral`` takes, in order.
+    """Names of the grid transforms ``translates.spectral`` takes, in order,
+    with their grid shapes in ``fft_calls.shapes``.
 
     Only the spectral module's view of ``np.fft`` is replaced, so transforms
     taken elsewhere are not counted.
     """
-    calls = []
+    calls = _Calls()
 
     def counting(name):
         def transform(*args, **kwargs):
             calls.append(name)
+            calls.shapes.append(tuple(kwargs.get("s") or np.shape(args[0])))
             return getattr(np.fft, name)(*args, **kwargs)
 
         return transform

@@ -628,6 +628,80 @@ def test_cut_fold_matches_the_box_bincount(pair, m, blocks, cut, data):
     assert "gamma" not in vars(plan)
 
 
+_CLASS_PAIRS = [
+    (LAM2, Korobov(3.0)),  # lam != beta
+    (LAM2, CPLX),  # complex generator sequence
+    (Korobov(2.0, 2), ProductSequence((CPLX, Korobov(2.0)))),  # d = 2 product pair
+]
+
+
+def _probe(lam, m, data, kind):
+    """A band frequency of the given kind, at -m, 0, inside the band or at m on
+    the first axis, anywhere in the band on the others."""
+    first = {"-m": -m, "0": 0, "inside": data.draw(st.integers(-m, m)), "m": m}[kind]
+    rest = [data.draw(st.integers(-m, m)) for _ in range(lam.dimension - 1)]
+    return (first, *rest) if rest else first
+
+
+def _radius(low, data, radius):
+    """K >= low with the class grid's min(2048, 8 (2K+1)) below its 2048 floor,
+    or at it."""
+    return data.draw(st.integers(low, 127) if radius == "below" else st.integers(128, 400))
+
+
+@given(
+    pair=st.sampled_from(_CLASS_PAIRS),
+    m=st.integers(1, 6),
+    kind=st.sampled_from(["-m", "0", "inside", "m"]),
+    radius=st.sampled_from(["below", "above"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_class_grid_error_is_the_full_box_error_at_p4(pair, m, kind, radius, data):
+    # |e|^4 is a trigonometric polynomial that both grids integrate exactly, so
+    # at p = 4 the class grid and the full box agree to rounding: the class,
+    # alpha_{k0} and the cut at K are the full box's.  A d = 2 grid above the
+    # floor has 2048^2 points on each side, so d = 2 takes K below it only
+    lam, beta = pair
+    K = _radius(m, data, radius) if lam.dimension == 1 else data.draw(st.integers(m, 24))
+    k0 = _probe(lam, m, data, kind)
+    elem = ClassElement(lam, SpectralFunction.single(k0, dimension=lam.dimension))
+    full = approximation_error(elem, beta, m, 4.0, "quadrature", K_out=K)
+    assert approximant._single_frequency_error(lam, beta, m, k0, 4.0, K) == pytest.approx(full, rel=1e-12)
+
+
+@given(
+    pair=st.sampled_from(_CLASS_PAIRS[:2]),
+    m=st.integers(1, 6),
+    kind=st.sampled_from(["-m", "0", "inside", "m"]),
+    radius=st.sampled_from(["below", "above", "clamp"]),
+    p=st.sampled_from([3.0, 1.5]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_class_grid_error_matches_the_full_box(pair, m, kind, radius, p, data):
+    # At p = 3 and 1.5 both routes are quadratures of |h|^p, which is not
+    # smooth where h vanishes (k0 = 0 and a symmetric beta make h real).  At
+    # its default oversample the full box samples h at only N / gcd(N, 2m+1)
+    # points and reads up to 5.6e-5 off below the floor, so up to the sweep's
+    # clamp radius it runs on a grid of about 2^17 points instead, which
+    # resolves h.  The tolerance is then the class grid's own quadrature
+    # error, largest at k0 = 0: at p = 3, rel 1e-12 at the clamp (5.4e-15
+    # seen over 1500 scratch draws) and 1e-10 at the 2048 floor and below it
+    # (1.3e-12 and 1.1e-11 seen); at p = 1.5, rel 1e-6 (6.6e-8 seen).  K
+    # starts at 64, the least radius of a sweep row (``default_K_out``): at
+    # K = 3 the class grid has 60 points, h = 2c cos(y) and p = 3 reads 5.0e-7
+    # off, though the full box's own 60-point grid samples h at 20 points only.
+    lam, beta = pair
+    K = 4096 if radius == "clamp" else _radius(64, data, radius)
+    k0 = _probe(lam, m, data, kind)
+    oversample = 8 if radius == "clamp" else -(-(2**17) // (2 * K + 1))
+    elem = ClassElement(lam, SpectralFunction.single(k0))
+    full = approximation_error(elem, beta, m, p, "quadrature", K_out=K, oversample=oversample)
+    rel = 1e-6 if p == 1.5 else 1e-12 if radius == "clamp" else 1e-10
+    assert approximant._single_frequency_error(lam, beta, m, k0, p, K) == pytest.approx(full, rel=rel)
+
+
 def test_plan_rejects_other_parameters():
     elem = ClassElement(LAM2, unit_frequency(1))
     plan = ImagePlan(LAM2, LAM2, 3, 30)

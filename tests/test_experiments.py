@@ -16,6 +16,7 @@ from translates._alias import (
 from translates.approximant import (
     ClassElement,
     ImagePlan,
+    _single_frequency_error,
     approximation_error,
     quadrature_radius,
     spectral_image,
@@ -53,7 +54,7 @@ from translates.sequences import (
     box_inv_tail,
     truncated,
 )
-from translates.spectral import SpectralFunction
+from translates.spectral import SpectralFunction, _smooth_length
 
 DATA = Path(__file__).parent / "data"
 
@@ -337,18 +338,35 @@ def test_quadrature_clamp_is_logged(caplog):
     assert loud == quiet
     records = [r for r in caplog.records if r.name == "translates"]
     assert len(records) == 1
-    m, quad_K, K_out, bound = records[0].args
+    m, quad_K, K_out, bound, sup = records[0].args
     assert (m, quad_K, K_out) == (64, 4096, 4519)
-    # the bound covers the single-frequency probes' dropped coefficients
+    # both bounds cover the single-frequency probes' dropped coefficients: the
+    # l2 bound their l2 norm, the l1 bound their l1 norm, which bounds the sup
+    # norm and so the L_3 norm of the dropped part
     lam = Korobov(2.0)
     for k0 in range(-m, m + 1):
         probe = ClassElement(lam, SpectralFunction.single(k0), 3.0)
         img = spectral_image(probe, lam, m, K_out=K_out)
-        ks = img.function.axis_indices()
-        assert np.linalg.norm(img.function.values[np.abs(ks) > quad_K]) <= bound
+        dropped = img.function.values[np.abs(img.function.axis_indices()) > quad_K]
+        assert np.linalg.norm(dropped) <= bound
+        assert np.sum(np.abs(dropped)) <= sup
     # alpha = 1 (beta = lambda); max|ghat| = 1 is the probes' one coefficient,
     # which no coefficient of a unit-norm source exceeds
     assert bound == pytest.approx(math.sqrt(lam.inv_tail(quad_K, 2)), rel=1e-12)
+    assert sup == pytest.approx(lam.inv_tail(quad_K, 1), rel=1e-12)  # 4.9e-4
+    assert "sup norm <= 4.883e-04" in records[0].getMessage()
+    # Korobov r = 1: the l1 tail of beta^{-1} diverges, so at p = 3 no finite
+    # bound covers the L_3 norm the clamp to 4096 drops
+    caplog.clear()
+    text = BASIC.replace("r = 2.0", "r = 1.0").replace("p = 2.0", "p = 3.0")
+    cfg = SweepConfig.from_raw(parse_config(text.replace("m_list = 2 4 8", "m_list = 4")))
+    quiet = rows_to_csv_text(run_sweep(cfg))
+    with caplog.at_level(logging.DEBUG, logger="translates"):
+        loud = rows_to_csv_text(run_sweep(cfg))
+    assert loud == quiet
+    [record] = [r for r in caplog.records if r.name == "translates"]
+    assert record.args[:2] == (4, 4096) and len(record.args) == 4
+    assert "no finite bound" in record.getMessage()
 
 
 def test_alias_truncation_is_logged(caplog, monkeypatch):
@@ -482,9 +500,13 @@ def _sweep_errors_one_call_each(cfg):
             else:
                 par = []
                 probes = [int(i) - m for i in np.argsort(profile.sq_profile)[::-1][:8]]
-            elems = [ClassElement(lam, g, p) for g in sources]
-            elems += [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
-            quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+            quad = [approximation_error(ClassElement(lam, g, p), beta, m, p, "quadrature", K_out=K)
+                    for g in sources]
+            if p == 2.0:
+                elems = [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
+                quad += [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+            else:  # each probe on its class grid, cut at the same K
+                quad += [_single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
         out.append((max(quad), max(par) if par else None))
     return out
 
@@ -553,18 +575,29 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
 
 def _probes_by_row(monkeypatch, cfg) -> dict:
     """The single-frequency probes of each row of run_sweep, as index tuples
-    in the order their quadratures run."""
+    in the order their quadratures run: after the sources on the row's plan
+    at p = 2, each on its class grid (``_single_frequency_error``) otherwise."""
     from translates import experiments
 
     elems: dict = {}
+    singles: dict = {}
 
     def recording(elem, beta, m, p=None, method="parseval_oracle", **kwargs):
         if method == "quadrature":
             elems.setdefault(m, []).append(elem)
         return approximation_error(elem, beta, m, p, method, **kwargs)
 
+    def on_class(lam, beta, m, k0, *args):
+        singles.setdefault(m, []).append(tuple(np.atleast_1d(k0)))
+        return _single_frequency_error(lam, beta, m, k0, *args)
+
     monkeypatch.setattr(experiments, "approximation_error", recording)
+    monkeypatch.setattr(experiments, "_single_frequency_error", on_class)
     run_sweep(cfg)
+    if cfg.p != 2.0:
+        assert all(len(es) == cfg.g_count for es in elems.values())  # the sources only
+        return singles
+    assert not singles
     return {m: [k for e in es[cfg.g_count:] for k, _ in e.g.items()] for m, es in elems.items()}
 
 
@@ -597,8 +630,10 @@ def test_probe_count_is_honoured_in_every_dimension(monkeypatch, p, dim):
 
 def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     # every source is exactly Hermitian, and so is its error under a symmetric
-    # pair: its normalisation and its quadrature sample with irfftn; the
-    # single-frequency probes are complex and keep ifftn
+    # pair: its normalisation and its quadrature sample with irfftn, the
+    # quadrature on the full grid of the radius K = 4096; the single-frequency
+    # probes are complex and keep ifftn, each on its residue class's grid of
+    # at least 2048 points, not on the full one
     text = (
         BASIC.replace("r = 2.0", "r = 1.0")
         .replace("p = 2.0", "p = 3.0")
@@ -609,6 +644,12 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     assert cfg.probe_count == 8
     run_sweep(cfg)
     assert fft_calls == ["irfftn"] * 3 + ["irfftn"] * 3 + ["ifftn"] * 8
+    m, K = 4, 4096
+    full = _smooth_length(8 * (2 * K + 1))  # 65610
+    assert fft_calls.shapes[3:6] == [(full,)] * 3
+    T = (K + m) // (2 * m + 1)  # the widest class box of a band frequency
+    class_grid = _smooth_length(max(8 * (2 * T + 1), 2048))  # 7290
+    assert all(shape[0] <= class_grid < full for shape in fft_calls.shapes[6:])
 
 
 def test_row_dominance_invariant():
