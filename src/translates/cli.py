@@ -102,6 +102,13 @@ def _selftest_checks():
         kernel_section,
         spectral_image,
     )
+    from .lower_bound import (
+        _restart_nodes,
+        best_translate_fit,
+        default_probe_generator,
+        design_for_n,
+        sample_F_ns,
+    )
     from .sequences import Korobov, truncated
     from .spectral import analyze, evaluate, evaluate_many, random_real_spectral, synthesize
 
@@ -154,12 +161,31 @@ def _selftest_checks():
         ip = class_inner_product(f, section, lam)
         return abs(ip - evaluate(f, x)) < 1e-9
 
+    def check_translate_fit():
+        lam = Korobov(1.0)
+        psi = default_probe_generator(lam, 64)
+        if best_translate_fit(psi, psi, 3, restarts=2) > 1e-8:
+            return False
+        # a family member against a dense full-spectrum solve at the same nodes;
+        # at seed 2 the jittered restart beats the equispaced one and sets the fit
+        f = sample_F_ns(design_for_n(10, 1, lam), lam, 1, seed=0)[0]
+        fhat = f.padded(psi.radius).values
+        b2 = np.concatenate([fhat.real, fhat.imag])
+        want = np.inf
+        for nodes in _restart_nodes(10, 2, 2):
+            A = psi.values[:, None] * np.exp(-1j * np.outer(psi.axis_indices(), nodes))
+            A2 = np.concatenate([A.real, A.imag])
+            w = np.linalg.lstsq(A2, b2, rcond=None)[0]
+            want = min(want, float(np.linalg.norm(b2 - A2 @ w)))
+        return abs(best_translate_fit(f, psi, 10, restarts=2, seed=2) - want) <= 1e-10 * want
+
     return [
         ("aliasing identity", check_aliasing),
         ("grid round trip", check_roundtrip),
         ("exact reproduction", check_exactness),
         ("cross-path consistency", check_cross_path),
         ("reproducing kernel", check_kernel),
+        ("translate fit", check_translate_fit),
     ]
 
 

@@ -295,6 +295,8 @@ class ProbeConfig:
     def from_raw(cls, cfg: RawConfig, seed_override: Optional[int] = None,
                  out_override: Optional[str] = None) -> "ProbeConfig":
         lam = build_sequence(cfg, "lambda")
+        if lam.dimension != 1:
+            raise cfg.error("lambda", "dim", f"the probe's node search is univariate, got {lam.dimension}")
         sec = "probe"
         if not cfg.has(sec):
             raise ConfigError(f"{cfg.path}: missing section [probe]")

@@ -178,40 +178,107 @@ def default_probe_generator(
 _kept = None  # (n, psihat bytes, system) of the last equispaced restart
 
 
-def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
-    """``(A2, G, ill)`` for the translates of psihat at ``nodes``.
+def _phases(nodes: np.ndarray, K: int) -> np.ndarray:
+    """``E[l, k] = e^{-i k a_l}`` for k = 0..K, one row per node.
 
-    ``A2 = [Re A; Im A]`` with ``A[k, l] = psihat_k e^{-i k a_l}``,
-    ``G = A2^T A2`` and ``ill`` the ``cond(G) > 1e14`` verdict.  Only the
-    k >= 0 phases are exponentiated; the k < 0 rows are their conjugates,
-    bit for bit what exp gives, since (-k) a is exactly -(k a) and cos and
-    sin are even and odd.
+    Two-level table: with ``B = isqrt(K + 1)`` and ``k = jB + r``, the
+    phase is ``hi[j] * lo[r]``, where ``lo = e^{-i r a}`` (r < B) and
+    ``hi = e^{-i jB a}``, so a node takes about ``2 sqrt(K + 1)`` exps
+    instead of ``K + 1``.  Each product is off the direct ``exp`` by a few
+    ulp of ``k a``, the rounding the direct argument carries too.
+    """
+    B = math.isqrt(K + 1)
+    J = -(-(K + 1) // B)
+    lo = np.exp(-1j * np.outer(nodes, np.arange(B)))
+    hi = np.exp(-1j * np.outer(nodes, B * np.arange(J)))
+    return (hi[:, :, None] * lo[:, None, :]).reshape(nodes.size, J * B)[:, : K + 1]
+
+
+def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
+    """``(V, G, ill)`` for the translates of psihat at ``nodes``.
+
+    The translate at a_l has coefficients ``psihat_k e^{-i k a_l}``, and
+    its weight w_l is real, so the fit ``y = E w`` on ``k >= 0`` also gives
+    ``conj(y_k)`` at -k: the system lives on the half-spectrum.  ``V`` is
+    the phase table of ``_phases`` viewed as reals (Re and Im of each
+    phase, interleaved), ``G = Re(E^H diag(W) E)`` with the folded weights
+    ``W_0 = |psihat_0|^2`` and ``W_k = |psihat_k|^2 + |psihat_{-k}|^2``,
+    the Gram matrix of the full-spectrum ``[Re A; Im A]``, and ``ill``
+    the ``cond(G) > 1e14`` verdict.
     """
     K = (psihat.size - 1) // 2
-    A = np.empty((2 * K + 1, nodes.size), dtype=complex)
-    np.exp(-1j * np.outer(np.arange(K + 1), nodes), out=A[K:])
-    np.conj(A[2 * K : K : -1], out=A[:K])
-    np.multiply(psihat[:, None], A, out=A)  # psihat first: numpy's SIMD product is not symmetric
-    A2 = np.concatenate([A.real, A.imag])
-    G = A2.T @ A2
+    V = _phases(nodes, K).view(float)
+    W = np.abs(psihat) ** 2
+    W = W[K:] + np.concatenate([[0.0], W[:K][::-1]])
+    M = V * np.repeat(np.sqrt(W), 2)
+    G = M @ M.T
     try:
         ill = bool(np.linalg.cond(G) > 1e14)
     except np.linalg.LinAlgError:
         ill = True
-    return A2, G, ill
+    return V, G, ill
 
 
 def _equispaced_system(psihat: np.ndarray, base: np.ndarray) -> tuple:
-    """The restart-0 system at the equispaced ``base``, kept for the last
-    ``(psihat, n)``: every trial of a probe row shares it.  The kept tuple
-    is replaced whole and never mutated, so a concurrent call at worst
-    rebuilds it; it is never handed another key's system.
+    """The restart-0 ``_system`` (half-spectrum phase table, Gram matrix,
+    verdict) at the equispaced ``base``, kept for the last ``(psihat, n)``:
+    every trial of a probe row shares it, and only its right-hand side,
+    solve and residual are per trial.  The kept tuple is replaced whole and
+    never mutated, so a concurrent call at worst rebuilds it; it is never
+    handed another key's system.
     """
     global _kept
     kept, key = _kept, psihat.tobytes()
     if kept is None or kept[0] != base.size or kept[1] != key:
         kept = _kept = (base.size, key, _system(psihat, base))
     return kept[2]
+
+
+def _restart_nodes(n: int, restarts: int, seed):
+    """The node sets of the search: equispaced, then ``restarts - 1`` draws
+    of Gaussian jitter of a quarter node spacing, taken mod 2 pi."""
+    rng = np.random.default_rng(list(seed) if isinstance(seed, (list, tuple)) else [seed])
+    base = 2.0 * math.pi * np.arange(n) / n
+    yield base
+    sigma = 2.0 * math.pi / (4.0 * n)
+    for _ in range(restarts - 1):
+        yield (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)
+
+
+def _half_spectrum(fhat: np.ndarray, psihat: np.ndarray) -> tuple:
+    """``(f, p, zr)``: f and psihat at k = 0..K (row 0) and at -k (row 1),
+    and the right-hand-side weights ``zr`` with ``rhs = V @ zr`` for the
+    ``V`` of ``_system``: ``rhs = Re(E z)`` with ``z_k = conj(conj(psihat_k)
+    f_k) + conj(psihat_{-k}) f_{-k}``, the second term for k > 0 only.
+    """
+    K = (fhat.size - 1) // 2
+    f = np.stack([fhat[K:], fhat[K::-1]])
+    p = np.stack([psihat[K:], psihat[K::-1]])
+    z = p[0] * f[0].conj()
+    z[1:] += p[1, 1:].conj() * f[1, 1:]
+    return f, p, z.conj().view(float)
+
+
+def _solve(system: tuple, half: tuple) -> tuple:
+    """``(residual, w, ridged)`` for one node set: the least-squares real
+    weights, their L2 residual and whether the ``1e-12 I`` ridge was used.
+
+    The fit is ``y = E w`` at k >= 0 and ``conj(y_k)`` at -k, so the
+    residual is the norm of ``f_k - psihat_k y_k`` (k >= 0) together with
+    ``f_{-k} - psihat_{-k} conj(y_k)`` (k > 0).
+    """
+    V, G, ill = system
+    f, p, zr = half
+    rhs = V @ zr
+    try:
+        if ill:
+            raise np.linalg.LinAlgError
+        w, ridged = np.linalg.solve(G, rhs), False
+    except np.linalg.LinAlgError:
+        w, ridged = np.linalg.solve(G + 1e-12 * np.eye(G.shape[0]), rhs), True
+    y = (w @ V).view(complex)
+    r = f - p * np.stack([y, y.conj()])
+    return math.hypot(np.linalg.norm(r[0]), np.linalg.norm(r[1, 1:])), w, ridged
 
 
 def best_translate_fit(
@@ -230,10 +297,11 @@ def best_translate_fit(
     Parseval the L2 residual is the residual over |k| <= K, where the
     translate at node a_l has coefficients psihat_k e^{-i k a_l}.  The
     returned residual (L2, minimum across restarts) upper-bounds the
-    true best distance.  Only the k >= 0 phases are exponentiated (see
-    ``_system``), and the equispaced system is kept across calls with the
-    same psi and n, so restart 0 costs only the right-hand side, the
-    solve and the residual.
+    true best distance.  As the weights are real, the system is solved on
+    the k >= 0 half of the spectrum, with the phases from a two-level
+    table (see ``_system``), and the equispaced system is kept across
+    calls with the same psi and n, so restart 0 costs only the
+    right-hand side, the solve and the residual.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -242,27 +310,15 @@ def best_translate_fit(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     K = max(f.bandwidth, psi.bandwidth)
-    fhat = f.trimmed().padded(K).values
     psihat = psi.trimmed().padded(K).values
-    b2 = np.concatenate([fhat.real, fhat.imag])
-    entropy = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    rng = np.random.default_rng(entropy)
-    base = 2.0 * math.pi * np.arange(n) / n
-    sigma = 2.0 * math.pi / (4.0 * n)
+    half = _half_spectrum(f.trimmed().padded(K).values, psihat)
     best = math.inf
     regularized = False
-    for r in range(restarts):
-        A2, G, ill = (_equispaced_system(psihat, base) if r == 0 else
-                      _system(psihat, (base + rng.normal(0.0, sigma, size=n)) % (2 * math.pi)))
-        rhs = A2.T @ b2
-        try:
-            if ill:
-                raise np.linalg.LinAlgError
-            w = np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError:
-            w = np.linalg.solve(G + 1e-12 * np.eye(n), rhs)
-            regularized = True
-        best = min(best, float(np.linalg.norm(b2 - A2 @ w)))
+    for r, nodes in enumerate(_restart_nodes(n, restarts, seed)):
+        system = _equispaced_system(psihat, nodes) if r == 0 else _system(psihat, nodes)
+        residual, _, ridged = _solve(system, half)
+        best = min(best, residual)
+        regularized = regularized or ridged
     if full_output:
         return best, regularized
     return best

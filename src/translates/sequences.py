@@ -60,16 +60,28 @@ class SequenceError(ValueError):
 # Tail rules
 
 _EPS = sys.float_info.epsilon
+_TINY = math.ldexp(1.0, -1074)  # the least subnormal
+_LOG_TINY = math.log(_TINY)
 _SCAN = 256  # indices an exact sup scan covers past the radius
 
 
-def _round_up(x: float, log_term: float = 0.0) -> float:
+def _round_up(x: float, log_term: float = 0.0, factor: Optional[float] = None) -> float:
     """x raised past the few-ulp error of the arithmetic that produced it.
 
     Rounding the argument of exp or pow scales a term by up to
-    e^{|log_term| eps}, so that error grows with |log_term|.
+    e^{|log_term| eps}, so that error grows with |log_term|.  Where x is
+    ``factor * e^{log_term}`` (``factor`` given), the exponential and the
+    steps after it may be subnormal: each then carries an absolute error
+    of up to one 2^-1074, the first one scaled by ``factor``, so x is also
+    padded by ``4 (1 + factor) 2^-1074``.  A value below 2^-1074 / e keeps
+    its rounding to 0, as every term of the sum it bounds rounds to 0 too.
+    Where x and the exponential exceed about 1e-306 the pad is below half
+    an ulp of x and leaves it unchanged.
     """
-    return x * (1.0 + (8.0 + abs(log_term)) * _EPS)
+    up = x * (1.0 + (8.0 + abs(log_term)) * _EPS)
+    if factor is None or log_term + math.log(factor) < _LOG_TINY - 1.0:
+        return up
+    return up + 4.0 * (1.0 + factor) * _TINY
 
 
 @dataclass(frozen=True)
@@ -113,21 +125,23 @@ class TailRule:
                 return math.inf
             if self.kind == "power":
                 log_term = -self.rate * math.log(K + 1)
-                return _round_up((K + 1) ** (-self.rate) / self.scale, log_term)
+                return _round_up((K + 1) ** (-self.rate) / self.scale, log_term, 1.0 / self.scale)
             log_term = -self.rate * (K + 1)
-            return _round_up(math.exp(log_term) / self.scale, log_term)
+            return _round_up(math.exp(log_term) / self.scale, log_term, 1.0 / self.scale)
         q, scale = power * self.rate, self.scale**power
         if self.kind == "power" and q > 1:
             # integral bound beyond max(K, 1); at K = 0 the k = 1 term stands apart
             log_term = (1.0 - q) * math.log(max(K, 1))
             head = 1.0 if K == 0 else 0.0
+            factor = 1.0 / (q - 1.0)
             total = head + max(K, 1) ** (1.0 - q) / (q - 1.0)
         elif self.kind == "exponential" and q > 0:
             log_term = -q * (K + 1)
+            factor = 1.0 / -math.expm1(-q)
             total = math.exp(log_term) / -math.expm1(-q)
         else:
             return math.inf
-        return _round_up(2.0 * total / scale, log_term)
+        return _round_up(2.0 * total / scale, log_term, 2.0 * factor / scale)
 
     def radius_for(self, target: float, power: float, cap: int = 10**7) -> int:
         """Smallest K >= max(radius, 1), up to cap, with inv_tail(K, power) <= target, else cap."""

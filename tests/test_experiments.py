@@ -184,6 +184,18 @@ def test_probe_config_rejects_bad_values_at_their_line():
     assert (pc.trials, pc.restarts, pc.psi_truncation, pc.growth_rule) == (1, 1, 0, "log_power")
 
 
+def test_probe_config_rejects_a_multivariate_lambda_at_its_line(tmp_path, capsys, monkeypatch):
+    text = "[lambda]\nfamily = korobov\nr = 1.0\ndim = 2\n[probe]\nn_list = 10\n"
+    with pytest.raises(ConfigError, match=r":4: key 'dim' in \[lambda\]: .*univariate"):
+        ProbeConfig.from_raw(parse_config(text))
+    # the CLI stops at the config, before it builds a design or draws the family
+    monkeypatch.setattr(cli.experiments, "design_for_n", None)
+    path = tmp_path / "probe_d2.cfg"
+    path.write_text(text)
+    assert cli.main(["probe-lower", "--config", str(path)]) == 2
+    assert "key 'dim' in [lambda]" in capsys.readouterr().err
+
+
 def test_sweep_k_out_and_j_max_are_auto_or_positive():
     for key in ("k_out", "j_max"):
         for value in ("0", "-3", "abc", "2.5"):

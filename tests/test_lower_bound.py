@@ -193,6 +193,17 @@ def _oracle_cases():
     ks = psi.axis_indices()
     shifted = SpectralFunction(1, psi.radius, psi.values * np.exp(-0.3j * ks))
     yield "off-grid-translate", shifted, psi, 3, 5
+    # psi_k != conj(psi_{-k}), with k > 0 weighted 3x and k < 0 0.2x, and a
+    # complex f: a wrong fold of the weights or of the right-hand side shows here
+    rng = np.random.default_rng(11)
+    psi = default_probe_generator(lam, 64)
+    ks = psi.axis_indices()
+    lopsided = np.where(ks > 0, 3.0, 0.2) * np.exp(2j * math.pi * rng.random(ks.size))
+    f = SpectralFunction(1, 40, rng.normal(size=81) + 1j * rng.normal(size=81))
+    yield "non-hermitian", f, SpectralFunction(1, 64, psi.values * lopsided), 12, 6
+    # psi_truncation = 0: K = 0 and a one-entry phase table
+    yield "bandwidth-0", SpectralFunction.single(0, 0.7 + 0.2j), default_probe_generator(lam, 0), 2, 7
+    yield "one-translate", member, default_probe_generator(lam, 512), 1, 8
 
 
 @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
@@ -218,21 +229,41 @@ def test_best_fit_ridge_matches_grid_oracle():
     assert got[0] == pytest.approx(want[0], rel=0.05)
 
 
-def test_system_mirrors_the_exp_of_every_row_bit_for_bit():
+def test_half_spectrum_system_matches_the_dense_full_spectrum():
+    # a non-Hermitian psihat and a complex f, so neither half of the spectrum
+    # mirrors the other, against [Re A; Im A] built from exp of every row
     K = 512
     rng = np.random.default_rng(0)
     psihat = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    fhat = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    b2 = np.concatenate([fhat.real, fhat.imag])
+    half = lower_bound._half_spectrum(fhat, psihat)
     two_pi = 2 * math.pi
     edges = [0.0, 1e-300, np.nextafter(two_pi, 0), two_pi - 1e-9, math.pi, 0.5 * math.pi]
     jittered = (two_pi * np.arange(40) / 40 + rng.normal(0.0, two_pi / 160, 40)) % two_pi
+    rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)
     for nodes in (np.array(edges), jittered):
         phases = np.exp(-1j * np.outer(np.arange(-K, K + 1), nodes))
         A = psihat[:, None] * phases
-        want = np.concatenate([A.real, A.imag])
-        A2, G, ill = lower_bound._system(psihat, nodes)
-        assert np.array_equal(A2.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(G.view(np.uint64), (want.T @ want).view(np.uint64))
-        assert ill == (np.linalg.cond(want.T @ want) > 1e14)
+        A2 = np.concatenate([A.real, A.imag])
+        # the table is off exp by the rounding of k a itself
+        E = lower_bound._phases(nodes, K)
+        assert np.max(np.abs(E - phases[K:].T)) <= 4 * (K + 1) * two_pi * np.finfo(float).eps
+        system = lower_bound._system(psihat, nodes)
+        V, G, ill = system
+        assert rel(G, A2.T @ A2) <= 1e-12
+        assert rel(V @ half[2], A2.T @ b2) <= 1e-12
+        residual, w, ridged = lower_bound._solve(system, half)
+        assert ill == ridged == (np.linalg.cond(A2.T @ A2) > 1e14)
+        # the fold against the full spectrum of the table's own phases; at the
+        # ill-conditioned edges the ridge leaves |w| ~ 5e4, which scales the
+        # table's rounding (~4e-13) into ~1e-10 against the exp of every row
+        At = psihat[:, None] * np.concatenate([E[:, :0:-1].conj(), E], axis=1).T
+        At2 = np.concatenate([At.real, At.imag])
+        assert residual == pytest.approx(np.linalg.norm(b2 - At2 @ w), rel=1e-12)
+        if not ill:
+            assert residual == pytest.approx(np.linalg.norm(b2 - A2 @ w), rel=1e-12)
+    assert not ill  # the jittered nodes took the exp comparison
 
 
 def test_kept_equispaced_system_changes_no_bit(monkeypatch):

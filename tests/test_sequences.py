@@ -292,6 +292,22 @@ def test_tail_bounds_dominate_brute_force_property(case):
         assert rule.inv_tail(K, power) >= brute(beyond, power), power
 
 
+def test_tail_bound_holds_where_the_tail_is_subnormal():
+    # e^{-2 rate 96} is subnormal at rate 3.71484375: a relative pad alone left
+    # this bound (1.38934001616e-311) below the brute sum (1.389340016161e-311);
+    # at rate 3.9 it underflows to 0, and scale 0.1 lifts the sum to 1e-323
+    for rate, scale in ((3.71484375, 5.0), (3.9, 0.1)):
+        seq = CustomSequence({k: 1.0 for k in range(-35, 36)},
+                             TailRule("exponential", rate=rate, scale=scale))
+        ks = np.arange(96, 40096)
+        inv = np.abs(seq.inv_values(np.concatenate([ks, -ks])))
+        assert seq.inv_tail(95, 2) >= math.fsum(inv**2) > 0
+    # far below 2^-1074 the bound keeps its rounding to 0, and exact zeros stay 0
+    assert TailRule("exponential", rate=4.0, scale=0.1).inv_tail(300, 2) == 0.0
+    assert truncated(Korobov(2.0), 5).inv_tail(5, 2) == 0.0
+    assert TailRule("finite", radius=3).inv_tail(10, math.inf) == 0.0
+
+
 @pytest.mark.parametrize("power", [1, 2, math.inf])
 def test_box_tail_of_one_axis_is_the_sequence_tail(power):
     lopsided = CustomSequence(
