@@ -217,15 +217,21 @@ def _default_J(rule: TailRule) -> int:
 
 
 def _variation(sides, far_tail: float) -> tuple:
-    """(sum of |differences| along the sides, bound on what lies beyond): a
-    side whose last ``_MONOTONE_WINDOW`` values do not increase telescopes to
-    its last value, any other side is bounded by ``far_tail``."""
-    total = tail = 0.0
-    for vals in sides:
+    """(sum of |differences| along the two sides, bound on what lies beyond):
+    a side whose last ``_MONOTONE_WINDOW`` values do not increase telescopes
+    to its last value, any other side is bounded by ``far_tail``.  A second
+    side that ``is`` the first is not reduced again: its share doubles the
+    first's, bit for bit, since x + x is exact."""
+
+    def share(vals):
         steps = np.diff(vals)
-        total += float(np.sum(np.abs(steps)))
-        tail += float(vals[-1]) if np.all(steps[-(_MONOTONE_WINDOW - 1) :] <= 0) else far_tail
-    return total, tail
+        tail = float(vals[-1]) if np.all(steps[-(_MONOTONE_WINDOW - 1) :] <= 0) else far_tail
+        return float(np.sum(np.abs(steps, out=steps))), tail
+
+    pos, neg = sides
+    total, tail = share(pos)
+    total2, tail2 = (total, tail) if neg is pos else share(neg)
+    return total + total2, tail + tail2
 
 
 def epsilon_general_p(
@@ -239,7 +245,11 @@ def epsilon_general_p(
     The two bracketed quantities are max-ed: the sum of reciprocal
     differences over both tails, and the sum of gamma differences plus
     the gamma values on the block right-edges m + t(2m+1), t in Z.
-    Negative tails traverse the reflected sequence.
+    Negative tails traverse the reflected sequence.  Each distinct array
+    is reduced once: a symmetric sequence's two sides are one array, whose
+    share counts twice; with ``beta is lam`` every |alpha| is 1 and the
+    gamma sides are lam's own.  Along k = m + 1, m + 2, ... (residues
+    -m, -m + 1, ...) the band factor is |alpha| repeated with period 2m + 1.
     """
     if lam.dimension != 1 or beta.dimension != 1:
         raise SequenceError("epsilon_general_p is univariate")
@@ -262,12 +272,17 @@ def epsilon_general_p(
 
     ks = np.arange(m + 1, K_max + 2)
     delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_tail(K_max, 1))
+    a = np.abs(alpha)
+    if beta is lam and np.all(a == 1.0):  # gamma is lam^{-1}, bit for bit
+        delta_gamma, dg_tail = delta_lambda, dl_tail
+    else:
+        pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
+        g_pos = np.resize(a, ks.size)  # ks starts at m + 1, residue -m: a repeats from its start
+        g_pos *= pos
+        g_neg = np.resize(a[::-1], ks.size) * neg
+        delta_gamma, dg_tail = _variation((g_pos, g_neg), alpha_max * beta.inv_tail(K_max, 1))
     if rule_l.kind == "constant" and rule_l.radius <= K_max:
         dl_tail = 0.0  # |lam^{-1}| is 1 / scale past K_max: no variation is left
-    a, kp = np.abs(alpha), k_prime_array(ks, m) + m
-    pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
-    g = (a[kp] * pos, a[::-1][kp] * neg)
-    delta_gamma, dg_tail = _variation(g, alpha_max * beta.inv_tail(K_max, 1))
 
     T = max(1, (K_max - m) // n)
     ts = np.arange(-T, T + 1)

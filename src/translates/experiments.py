@@ -134,7 +134,11 @@ def run_sweep(cfg: SweepConfig) -> list:
     (``_plan_errors``: the sources on one image plan, the probes on the same
     plan at p = 2 and each on its residue class's grid otherwise), budget.
     Only the alias sums depend on d: d = 1 builds the alias profile, whose
-    ``element_error`` gives the sources' p = 2 errors; a d >= 2 product pair
+    ``element_error`` gives the sources' p = 2 errors.  At p = 2 it runs to
+    K_out; at other p it serves only the probe ranking and stops at the whole
+    blocks covering the row's quadrature radius, where the probes' errors are
+    cut (a ranking that differs from the K_out one, which only a lopsided beta
+    could give, ranks the probes by the sums the row measures); a d >= 2 product pair
     takes ``md_single_frequency_errors_sq``, other pairs probe the edge
     frequency (m, 0, ..., 0), and at d >= 2 the sources' p = 2 errors are
     their quadrature errors on the plan.
@@ -153,7 +157,7 @@ def run_sweep(cfg: SweepConfig) -> list:
             _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p)
         profile = sq = None
         if d == 1:
-            profile = build_alias_profile(lam, beta, m, K_out=K_out)
+            profile = build_alias_profile(lam, beta, m, K_out=K_out if p == 2.0 else quad_K)
             sq = profile.sq_profile
         elif lam.axis_factors() and beta.axis_factors():
             sq = md_single_frequency_errors_sq(lam, beta, m)

@@ -204,7 +204,8 @@ def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
     phase, interleaved), ``G = Re(E^H diag(W) E)`` with the folded weights
     ``W_0 = |psihat_0|^2`` and ``W_k = |psihat_k|^2 + |psihat_{-k}|^2``,
     the Gram matrix of the full-spectrum ``[Re A; Im A]``, and ``ill``
-    the ``cond(G) > 1e14`` verdict.
+    the ``cond(G) > 1e14`` verdict, taken from the extreme eigenvalues of
+    the symmetric G (ill where the smallest is not positive), not an SVD.
     """
     K = (psihat.size - 1) // 2
     V = _phases(nodes, K).view(float)
@@ -213,7 +214,8 @@ def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
     M = V * np.repeat(np.sqrt(W), 2)
     G = M @ M.T
     try:
-        ill = bool(np.linalg.cond(G) > 1e14)
+        lo, hi = np.linalg.eigvalsh(G)[[0, -1]]  # G is symmetric PSD: cond(G) = hi / lo
+        ill = not (lo > 0 and hi / lo <= 1e14)
     except np.linalg.LinAlgError:
         ill = True
     return V, G, ill

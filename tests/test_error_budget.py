@@ -457,6 +457,8 @@ def _general_p_two_sided(lam, beta, m, K_max):
     dl_tail = dg_tail = 0.0
     for side in il:
         dl_tail += float(side[-1]) if monotone(side) else lam.inv_tail(K_max, 1)
+    if lam.tail_rule().kind == "constant" and lam.tail_rule().radius <= K_max:
+        dl_tail = 0.0  # no lam difference is left past K_max
     for side in g:
         dg_tail += float(side[-1]) if monotone(side) else alpha_max * beta.inv_tail(K_max, 1)
     T = max(1, (K_max - m) // n)
@@ -476,6 +478,11 @@ _PHASED = CustomSequence(
     {k: (1 + abs(k)) ** 1.5 * (1 + 0.1 * (k % 3) + 0.3j * (k > 0)) for k in range(-40, 41)},
     TailRule("power", rate=1.5),
 )
+_SYMMETRIC_TABLE = CustomSequence(
+    {k: (1 + abs(k)) ** 2 * (1 + 0.2 * (abs(k) % 4)) for k in range(-30, 31)},
+    TailRule("power", rate=2.0),
+)
+_CONSTANT = Constant(2.0)
 
 
 @pytest.mark.parametrize(
@@ -487,6 +494,14 @@ _PHASED = CustomSequence(
         (_LOPSIDED, _LOPSIDED, 2, 2500),
         (LAM2, _PHASED, 3, 30),
         (_PHASED, LAM1, 1, 4000),
+        # beta is lam (alpha = 1: the gamma sides are lam's), symmetric or not
+        (LAM1, LAM1, 3, 2000),
+        (_SYMMETRIC_TABLE, _SYMMETRIC_TABLE, 2, 40),
+        (_CONSTANT, _CONSTANT, 2, 30),
+        (LAM1, LAM2, 1, 3000),  # |alpha| = 1 on the band, yet beta is not lam
+        (Constant(2.0), Exponential(0.5), 4, 60),
+        (LAM2, _SYMMETRIC_TABLE, 3, 25),  # both symmetric, |alpha| mirror-symmetric
+        (_LOPSIDED, Exponential(0.5), 1, 1500),
     ],
 )
 def test_general_p_matches_two_sided_formulas(lam, beta, m, K_max):

@@ -260,9 +260,13 @@ def test_csv_schema_and_roundtrip(tmp_path):
 
 CONFIGS = DATA.parent.parent / "configs"
 # (config, recorded CSV): the golden sweeps (d = 1 at p = 2, the d = 2 route,
-# the p = 3 quadrature route), then every shipped sweep config
+# the p = 3 quadrature route at r = 1 and at r = 2, whose quadrature radius
+# is K_out up to m = 32 and below it from m = 64), then every shipped sweep config
 SWEEP_GOLDEN = [
-    *((DATA / f"{n}.cfg", DATA / f"{n}.csv") for n in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3")),
+    *(
+        (DATA / f"{n}.cfg", DATA / f"{n}.csv")
+        for n in ("golden_sweep", "golden_sweep_d2", "golden_sweep_p3", "golden_sweep_p3_r2")
+    ),
     *((CONFIGS / f"{n}.cfg", DATA / f"shipped_{n}.csv") for n in ("acceptance", "exponential", "korobov_r2")),
 ]
 # (config, recorded CSV) of budget tables whose tail rules the sweeps above do not
@@ -638,6 +642,44 @@ def test_probe_count_is_honoured_in_every_dimension(monkeypatch, p, dim):
             # the largest squared errors first, ties in C order (residues is in C order)
             ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))
             assert probes == [residues[i] for i in ranked[: cfg.probe_count]]
+
+
+def test_general_p_row_ranks_its_probes_at_the_quadrature_radius(monkeypatch):
+    # a p != 2 row reads only the probe ranking of its alias profile, so the
+    # profile stops at the whole blocks covering the row's quadrature radius
+    # (Korobov r = 1 walked to K_out = 2^21 before); the ranking is the one
+    # at default_K_out for every shipped p = 3 family
+    from translates import experiments
+
+    built = {}
+
+    def building(lam, beta, m, K_out=None):
+        profile = build_alias_profile(lam, beta, m, K_out=K_out)
+        built[m] = profile.K_out
+        return profile
+
+    monkeypatch.setattr(experiments, "build_alias_profile", building)
+    for family in ("korobov\nr = 1.0", "korobov\nr = 2.0", "exponential\ns = 0.5"):
+        text = (
+            BASIC.replace("korobov\nr = 2.0", family)
+            .replace("p = 2.0", "p = 3.0")
+            .replace("m_list = 2 4 8", "m_list = 4 8 16 32 64 128 256")
+            .replace("g_count = 5", "g_count = 1")
+        )
+        cfg = SweepConfig.from_raw(parse_config(text))
+        built.clear()
+        probes = _probes_by_row(monkeypatch, cfg)
+        assert sorted(probes) == sorted(built) == list(cfg.m_list)
+        for m in cfg.m_list:
+            bw = max(g.bandwidth for g in _random_sources(cfg, m))
+            K_out = max(default_K_out(cfg.lam, cfg.beta, m), bw + 1)
+            quad_K = quadrature_radius(K_out, 3.0, m, bw)
+            assert quad_K <= built[m] <= quad_K + 2 * m
+            sq = build_alias_profile(cfg.lam, cfg.beta, m, K_out=default_K_out(cfg.lam, cfg.beta, m)).sq_profile
+            ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[: cfg.probe_count]
+            assert probes[m] == [(i - m,) for i in ranked]
+        if family.endswith("r = 1.0"):
+            assert default_K_out(cfg.lam, cfg.beta, 4) == 2**21 and max(built.values()) <= 4096 + 2 * 256
 
 
 def test_p3_sweep_sources_take_the_real_transform(fft_calls):
