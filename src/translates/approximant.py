@@ -403,10 +403,17 @@ def approximation_error(
     construction; the independent checks of the image are the physical-space
     ``TranslateApproximant.evaluate`` and the DFT of the translate weights.  At
     other p ``quadrature`` takes the L_p norm of the coefficient difference,
-    on the box padded to the source's, on a sampling grid.  Without
-    ``K_out`` or ``plan`` the oracle truncates at ``default_K_out`` and the
-    quadrature at its ``quadrature_radius``, as a sweep row does.  ``plan``
-    is as for ``spectral_image``.
+    on the box padded to the source's, on a sampling grid.  That grid is
+    poor for an element supported on one residue class (a single
+    frequency): its error is h((2m+1)x) times a phase, so the N grid points
+    sample h at only N / gcd(N, 2m+1) distinct points.  For lambda =
+    Korobov(2), beta = Korobov(3), m = 2, K_out = 8 and the frequency 0 that
+    is 18 points (N = 90), and the value reads 5.6e-5 off a resolved one at
+    p = 3 and 9.1e-4 off at p = 1.5; a sweep takes such errors on their
+    class grid instead (``_single_frequency_error``).
+    Without ``K_out`` or ``plan`` the oracle truncates at ``default_K_out``
+    and the quadrature at its ``quadrature_radius``, as a sweep row does.
+    ``plan`` is as for ``spectral_image``.
     """
     if p is None:
         p = elem.p
@@ -424,10 +431,16 @@ def approximation_error(
             beyond[centre(elem.g.radius, plan.K_out, elem.dimension)] = 0
             err_sq += float(np.sum(np.abs(beyond) ** 2))
         return math.sqrt(max(err_sq, 0.0))
+    return lp_norm(_error_coefficients(elem, beta, m, plan), p, oversample=oversample)
+
+
+def _error_coefficients(elem, beta, m, plan) -> SpectralFunction:
+    """Coefficients of (image - target) on the plan's box padded to the
+    source's: what a p != 2 quadrature takes the L_p norm of."""
     # a fresh array, changed in place
     diff = spectral_image(elem, beta, m, plan=plan).function.padded(max(elem.g.radius, plan.K_out))
     diff.values[centre(diff.radius, elem.g.radius, elem.dimension)] -= elem.target_spectral().values
-    return lp_norm(diff, p, oversample=oversample)
+    return diff
 
 
 _CLASS_GRID = 2048  # least points per axis of a class grid, unless the full grid has fewer

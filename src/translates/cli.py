@@ -96,6 +96,8 @@ def _cmd_verify(args) -> int:
 def _selftest_checks():
     from .approximant import (
         ClassElement,
+        ImagePlan,
+        _error_coefficients,
         approximation_error,
         assemble_Qm,
         class_inner_product,
@@ -110,7 +112,9 @@ def _selftest_checks():
         sample_F_ns,
     )
     from .sequences import Korobov, truncated
-    from .spectral import analyze, evaluate, evaluate_many, random_real_spectral, synthesize
+    from .spectral import (
+        analyze, evaluate, evaluate_many, lp_norm_bound, random_real_spectral, synthesize,
+    )
 
     def check_aliasing():
         for m in (1, 3, 5):
@@ -161,6 +165,19 @@ def _selftest_checks():
         ip = class_inner_product(f, section, lam)
         return abs(ip - evaluate(f, x)) < 1e-9
 
+    def check_error_bound():
+        # lp_norm_bound of an error's coefficients against its full quadrature
+        rng = np.random.default_rng(9)
+        lam, beta, m = Korobov(1.0), Korobov(2.0), 4
+        plan = ImagePlan(lam, beta, m, 64)
+        for p in (1.5, 3.0, 4.0):
+            elem = ClassElement(lam, random_real_spectral(1, 8, rng, normalize_p=p), p)
+            bound = lp_norm_bound(_error_coefficients(elem, beta, m, plan), p)
+            quad = approximation_error(elem, beta, m, p, "quadrature", plan=plan)
+            if (bound < quad) if p < 4.0 else abs(bound - quad) > 1e-12 * quad:
+                return False
+        return True
+
     def check_translate_fit():
         lam = Korobov(1.0)
         psi = default_probe_generator(lam, 64)
@@ -185,6 +202,7 @@ def _selftest_checks():
         ("exact reproduction", check_exactness),
         ("cross-path consistency", check_cross_path),
         ("reproducing kernel", check_kernel),
+        ("L_p error bound", check_error_bound),
         ("translate fit", check_translate_fit),
     ]
 

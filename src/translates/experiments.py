@@ -29,6 +29,7 @@ from ._alias import (
 from .approximant import (
     ClassElement,
     ImagePlan,
+    _error_coefficients,
     _single_frequency_error,
     approximation_error,
     image_tail_bound,
@@ -42,7 +43,7 @@ from .error_budget import (
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
 from .sequences import box_inv_tail
-from .spectral import SpectralFunction, lp_norm, random_real_spectral
+from .spectral import SpectralFunction, lp_norm, lp_norm_bound, random_real_spectral
 
 __all__ = [
     "CSV_COLUMNS",
@@ -132,7 +133,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     sums (the squared p = 2 error of each single frequency on the band),
     probes (the ``probe_count`` largest sums, ties in C order), errors
     (``_plan_errors``: the sources on one image plan, the probes on the same
-    plan at p = 2 and each on its residue class's grid otherwise), budget.
+    plan at p = 2 and each on its residue class's grid otherwise; at p != 2
+    only the sources whose ``lp_norm_bound`` reaches the row's max are
+    measured, which leaves the max unchanged), budget.
     Only the alias sums depend on d: d = 1 builds the alias profile, whose
     ``element_error`` gives the sources' p = 2 errors.  At p = 2 it runs to
     K_out; at other p it serves only the probe ranking and stops at the whole
@@ -176,15 +179,27 @@ def run_sweep(cfg: SweepConfig) -> list:
     return rows
 
 
+# Relative rounding allowance of lp_norm_bound: a single coefficient attains
+# the bound, and its measured norm reads about 1e-15 above it.
+_BOUND_SLACK = 1e-9
+
+
 def _plan_errors(cfg, m, K, sources, probes) -> list:
-    """Quadrature errors, cut at |k|_inf <= K, of the sources, then of the
-    single-frequency probes.
+    """Quadrature errors, cut at |k|_inf <= K, of the single-frequency probes
+    and of the sources the row's max needs.
 
     The sources share one image plan of radius K; at p != 2 its box is the
     row's largest array and is freed on return, before the next row builds
-    its alias profile.  At p = 2 the probes take the plan's fold too; at
-    other p each probe's error lives on its residue class and takes its norm
-    on the class grid (``_single_frequency_error``), not on the plan's box.
+    its alias profile.  At p = 2 every source is measured and the probes take
+    the plan's fold too.  At other p each probe's error lives on its residue
+    class and takes its norm on the class grid (``_single_frequency_error``),
+    not on the plan's box; and since the row keeps only the max, a source is
+    measured only if ``lp_norm_bound`` of its error coefficients cannot rule
+    it out.  The source with the largest bound always is, then the probes,
+    then the rest in descending bound order while their bound reaches the
+    running max; the first one below it ends the row, as all later ones are
+    below it too.  Each measured value is checked against its bound.  So the
+    max is the one of every source and probe, bit for bit.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     plan = ImagePlan(lam, beta, m, K)
@@ -193,10 +208,24 @@ def _plan_errors(cfg, m, K, sources, probes) -> list:
         elem = ClassElement(lam, g, p)
         return approximation_error(elem, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
 
-    errs = [error(g) for g in sources]
     if p == 2.0:
-        return errs + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
-    return errs + [_single_frequency_error(lam, beta, m, k0, p, K, cfg.oversample) for k0 in probes]
+        return [error(g) for g in sources] + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
+    bounds = [lp_norm_bound(_error_coefficients(ClassElement(lam, g, p), beta, m, plan), p) for g in sources]
+    order = sorted(range(len(sources)), key=lambda i: -bounds[i])  # ties in source order
+
+    def measured(i):
+        value = error(sources[i])
+        if value > bounds[i] * (1.0 + _BOUND_SLACK):
+            raise RuntimeError(f"m={m}: source {i} has L_p error {value!r} above its bound {bounds[i]!r}")
+        return value
+
+    errs = [measured(i) for i in order[:1]]
+    errs += [_single_frequency_error(lam, beta, m, k0, p, K, cfg.oversample) for k0 in probes]
+    for i in order[1:]:
+        if bounds[i] * (1.0 + _BOUND_SLACK) < max(errs):
+            break
+        errs.append(measured(i))
+    return errs
 
 
 def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:

@@ -35,6 +35,7 @@ __all__ = [
     "evaluate_many",
     "convolve",
     "lp_norm",
+    "lp_norm_bound",
     "partial_sum",
     "synthesize",
     "analyze",
@@ -374,7 +375,9 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     factors into small radices.  The rule is exact to rounding when |f|^p
     is a trigonometric polynomial of degree below the grid size (p an even
     integer) and converges spectrally when f has no zeros; where f vanishes
-    it converges algebraically, like N^-(p+1).
+    it converges algebraically, like N^-(p+1).  So p = 4 at oversample 2 is
+    exact: |f|^4 has degree 4 bandwidth, and the grid has at least
+    4 bandwidth + 2 points per axis.  ``lp_norm_bound`` relies on it.
 
     The grid arrays (spectrum, samples, |samples|^p) of the last grid
     shape are kept and reused while the shape repeats, as it does for the
@@ -409,6 +412,31 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     np.abs(samples, out=absp)
     np.power(absp, p, out=absp)
     return float(np.mean(absp) ** (1.0 / p))
+
+
+def lp_norm_bound(f: SpectralFunction, p: float) -> float:
+    """An upper bound on ``lp_norm(f, p, oversample)`` for every oversample
+    >= 2, from norms exact on that grid (inf for p > 4).
+
+    For 1 < p <= 4 it is l2^theta L4^(1 - theta) with theta = min(1, 4/p - 1):
+    Lyapunov's inequality (log-convexity of the norms in 1/p; for p <= 2 the
+    power-mean inequality) applied to the grid mean of |f|^p.  On a grid of
+    N > 2 bandwidth points per axis the grid mean of |f|^2 is the square of
+    the coefficient norm ``f.l2()`` (discrete Parseval), and that of |f|^4
+    the fourth power of ``lp_norm(f, 4.0, oversample=2)``, exact as that
+    grid is.  So the bound holds in any d, for real or complex f, up to
+    rounding; at p = 4 it is the L4 norm itself, and for p <= 2 the l2
+    norm, which costs no grid.
+    """
+    if not (1.0 < p < math.inf):
+        raise SpectralError("lp_norm_bound supports 1 < p < inf only")
+    if p > 4.0:
+        return math.inf
+    theta = min(1.0, 4.0 / p - 1.0)
+    bound = f.l2() ** theta
+    if theta < 1.0:
+        bound *= lp_norm(f, 4.0, oversample=2) ** (1.0 - theta)
+    return bound
 
 
 _grid = None  # (spectrum, samples, |samples|^p) of the last kept lp_norm grid

@@ -41,6 +41,8 @@ from translates.experiments import (
     plotdata_text,
     probe_rows_to_csv_text,
     run_probe,
+    _load_source,
+    _plan_errors,
     _random_sources,
 )
 from translates.error_budget import epsilon_p2_md
@@ -54,7 +56,7 @@ from translates.sequences import (
     box_inv_tail,
     truncated,
 )
-from translates.spectral import SpectralFunction, _smooth_length
+from translates.spectral import SpectralFunction, _smooth_length, lp_norm_bound, random_real_spectral
 
 DATA = Path(__file__).parent / "data"
 
@@ -489,54 +491,62 @@ def test_generator_vanishing_in_band_raises_on_the_d2_paths():
 
 
 def _sweep_errors_one_call_each(cfg):
-    """(error_quadrature, error_parseval) of each row of run_sweep, with one
-    public per-source call for every source and probe and no shared plan."""
+    """Per row of run_sweep: the quadrature errors of every source and probe
+    and the oracle errors, each from one public per-source call with no
+    shared plan and no bound, and the number of sources."""
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     out = []
     for m in cfg.m_list:
-        sources = _random_sources(cfg, m)
-        bw = max(g.bandwidth for g in sources)
+        sources = [_load_source(cfg)] if cfg.g_file else _random_sources(cfg, m)
+        bw = max((g.bandwidth for g in sources), default=m)
         if d > 1:
-            K = max(4 * m, 32, bw + 1)
+            K_out = K = max(4 * m, 32, bw + 1)
             sq = md_single_frequency_errors_sq(lam, beta, m)
-            k0 = tuple(int(c) - m for c in np.unravel_index(int(np.argmax(sq)), sq.shape))
-            elems = [ClassElement(lam, g, p) for g in sources]
-            par = [approximation_error(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
-            par.append(float(math.sqrt(np.max(sq))))
-            elems.append(ClassElement(lam, SpectralFunction.single(k0), p))
-            quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
         else:
             K_out = max(default_K_out(lam, beta, m), bw + 1)
             K = min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
             profile = build_alias_profile(lam, beta, m, K_out=K_out)
-            if p == 2.0:
-                errs = np.sqrt(profile.sq_profile)
-                par = [profile.element_error(g) for g in sources] + [float(np.max(errs))]
-                probes = [int(np.argmax(errs)) - m]
+            sq = profile.sq_profile
+        ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[: cfg.probe_count]
+        probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
+        elems = [ClassElement(lam, g, p) for g in sources]
+        quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+        par = []
+        if p == 2.0:
+            if d > 1:
+                par = [approximation_error(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
             else:
-                par = []
-                probes = [int(i) - m for i in np.argsort(profile.sq_profile)[::-1][:8]]
-            quad = [approximation_error(ClassElement(lam, g, p), beta, m, p, "quadrature", K_out=K)
-                    for g in sources]
-            if p == 2.0:
-                elems = [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
-                quad += [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
-            else:  # each probe on its class grid, cut at the same K
-                quad += [_single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
-        out.append((max(quad), max(par) if par else None))
+                par = [profile.element_error(g) for g in sources]
+            par.append(float(math.sqrt(sq.flat[ranked[0]])))
+            elems = [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
+            quad += [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+        else:  # each probe on its class grid, cut at the same K
+            quad += [_single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
+        out.append((quad, par, len(sources)))
     return out
 
 
+def _case(lam, p, dim, m_list, sweep="", note=""):
+    return pytest.param(lam, p, dim, m_list, sweep, id="-".join(filter(None, (lam, str(p), str(dim), m_list, note))))
+
+
 @pytest.mark.parametrize(
-    "lam, p, dim, m_list",
+    "lam, p, dim, m_list, sweep",
     [
-        ("r = 1.0", 2.0, 1, "4 16"),
-        ("s = 0.5", 2.0, 1, "4 16"),
-        ("r = 2.0", 3.0, 1, "4 16"),
-        ("r = 2.0", 2.0, 2, "2 4"),
+        _case("r = 1.0", 2.0, 1, "4 16"),
+        _case("s = 0.5", 2.0, 1, "4 16"),
+        _case("r = 2.0", 3.0, 1, "4 16"),
+        _case("r = 2.0", 2.0, 2, "2 4"),
+        _case("r = 1.0", 3.0, 1, "4", "seed = 224", "a source is the row max"),
+        _case("r = 1.0", 3.0, 1, "2", "seed = 0\ng_count = 20", "the bounds leave three sources"),
+        _case("r = 2.0", 1.5, 1, "4 16", "", "the bound is l2 alone"),
+        _case("r = 2.0", 5.0, 1, "4 16", "", "no bound"),
+        _case("r = 2.0", 3.0, 1, "4 16", "g_count = 0", "no source"),
+        _case("r = 2.0", 2.0, 1, "4 16", "g_count = 0", "no source"),
+        _case("r = 2.0", 3.0, 1, "4 16", "g_file", "g_file"),
     ],
 )
-def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
+def test_sweep_plan_equals_one_call_per_source(tmp_path, lam, p, dim, m_list, sweep):
     family = "korobov" if lam.startswith("r") else "exponential"
     text = (
         BASIC.replace("family = korobov\nr = 2.0", f"family = {family}\n{lam}\ndim = {dim}")
@@ -544,9 +554,54 @@ def test_sweep_plan_equals_one_call_per_source(lam, p, dim, m_list):
         .replace("m_list = 2 4 8", f"m_list = {m_list}")
         .replace("g_count = 5", "g_count = 3")
     )
+    if sweep == "g_file":
+        gpath = tmp_path / "source.txt"
+        g = random_real_spectral(1, 6, np.random.default_rng(3))
+        gpath.write_text("\n".join(g.to_lines()) + "\n")
+        sweep = f"g_file = {gpath}"
+    for line in filter(None, sweep.split("\n")):  # replaces the key BASIC sets, if it does
+        key = line.split(" = ")[0]
+        text = "\n".join(ln for ln in text.split("\n") if not ln.startswith(key + " ")) + line + "\n"
     cfg = SweepConfig.from_raw(parse_config(text))
     rows = run_sweep(cfg)
-    assert [(r.error_quadrature, r.error_parseval) for r in rows] == _sweep_errors_one_call_each(cfg)
+    want = _sweep_errors_one_call_each(cfg)
+    assert [(r.error_quadrature, r.error_parseval) for r in rows] == [
+        (max(quad), max(par) if par else None) for quad, par, _ in want
+    ]
+    if sweep.startswith("seed = 224"):
+        [(quad, _, n)] = want
+        assert max(quad[:n]) > max(quad[n:])
+    if sweep.startswith("g_count = 0"):
+        assert all(n == 0 for _, _, n in want)
+
+
+def test_general_p_row_checks_each_measured_source_against_its_bound(monkeypatch):
+    # a bound that does not bound stops the sweep instead of dropping a source
+    from translates import experiments
+
+    monkeypatch.setattr(experiments, "lp_norm_bound", lambda f, p: 0.5 * lp_norm_bound(f, p))
+    text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4")
+    with pytest.raises(RuntimeError, match="above its bound"):
+        run_sweep(SweepConfig.from_raw(parse_config(text)))
+
+
+def test_general_p_row_errors_in_d2_equal_one_call_per_source():
+    # a sweep rejects d = 2 at p != 2 (its budget is univariate), but the
+    # row's error stage is d-generic: its max is that of one call per source
+    # and per probe at d = 2, p = 3 too
+    text = BASIC.replace("r = 2.0", "r = 2.0\ndim = 2").replace("g_count = 5", "g_count = 3")
+    cfg = replace(SweepConfig.from_raw(parse_config(text)), p=3.0, probe_count=8)
+    for m in (2, 4):
+        sources = _random_sources(cfg, m)
+        bw = max(g.bandwidth for g in sources)
+        K = max(4 * m, 32, bw + 1)
+        sq = md_single_frequency_errors_sq(cfg.lam, cfg.beta, m)
+        ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[:8]
+        probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
+        want = [approximation_error(ClassElement(cfg.lam, g, 3.0), cfg.beta, m, 3.0, "quadrature", K_out=K)
+                for g in sources]
+        want += [_single_frequency_error(cfg.lam, cfg.beta, m, k0, 3.0, K) for k0 in probes]
+        assert max(_plan_errors(cfg, m, K, sources, probes)) == max(want)
 
 
 def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
@@ -610,8 +665,10 @@ def _probes_by_row(monkeypatch, cfg) -> dict:
     monkeypatch.setattr(experiments, "approximation_error", recording)
     monkeypatch.setattr(experiments, "_single_frequency_error", on_class)
     run_sweep(cfg)
-    if cfg.p != 2.0:
-        assert all(len(es) == cfg.g_count for es in elems.values())  # the sources only
+    if cfg.p != 2.0:  # sources only: those the bound could not rule out, at least one a row
+        for m in cfg.m_list:
+            sources = _random_sources(cfg, m)
+            assert elems[m] and all(any(np.array_equal(e.g.values, g.values) for g in sources) for e in elems[m])
         return singles
     assert not singles
     return {m: [k for e in es[cfg.g_count:] for k, _ in e.g.items()] for m, es in elems.items()}
@@ -684,10 +741,12 @@ def test_general_p_row_ranks_its_probes_at_the_quadrature_radius(monkeypatch):
 
 def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     # every source is exactly Hermitian, and so is its error under a symmetric
-    # pair: its normalisation and its quadrature sample with irfftn, the
-    # quadrature on the full grid of the radius K = 4096; the single-frequency
-    # probes are complex and keep ifftn, each on its residue class's grid of
-    # at least 2048 points, not on the full one
+    # pair: its normalisation, its bound and its quadrature sample with
+    # irfftn.  The bounds take the L4 norm on the oversample-2 grid of the
+    # radius K = 4096; only the source with the largest bound is measured on
+    # the full grid, as the probes beat the other bounds here.  The
+    # single-frequency probes are complex and keep ifftn, each on its residue
+    # class's grid of at least 2048 points, not on the full one
     text = (
         BASIC.replace("r = 2.0", "r = 1.0")
         .replace("p = 2.0", "p = 3.0")
@@ -697,13 +756,14 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     cfg = SweepConfig.from_raw(parse_config(text))
     assert cfg.probe_count == 8
     run_sweep(cfg)
-    assert fft_calls == ["irfftn"] * 3 + ["irfftn"] * 3 + ["ifftn"] * 8
+    assert fft_calls == ["irfftn"] * 3 + ["irfftn"] * 3 + ["irfftn"] + ["ifftn"] * 8
     m, K = 4, 4096
+    bound_grid = _smooth_length(2 * (2 * K + 1))  # 16875
     full = _smooth_length(8 * (2 * K + 1))  # 65610
-    assert fft_calls.shapes[3:6] == [(full,)] * 3
+    assert fft_calls.shapes[3:7] == [(bound_grid,)] * 3 + [(full,)]
     T = (K + m) // (2 * m + 1)  # the widest class box of a band frequency
     class_grid = _smooth_length(max(8 * (2 * T + 1), 2048))  # 7290
-    assert all(shape[0] <= class_grid < full for shape in fft_calls.shapes[6:])
+    assert all(shape[0] <= class_grid < full for shape in fft_calls.shapes[7:])
 
 
 def test_row_dominance_invariant():

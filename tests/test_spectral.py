@@ -17,6 +17,7 @@ from translates.spectral import (
     evaluate,
     freq_norm,
     lp_norm,
+    lp_norm_bound,
     partial_sum,
     random_real_spectral,
     synthesize,
@@ -106,6 +107,40 @@ def test_lp_norm_examples():
     # closed form: mean of cos^4 is 3/8; confirmed by a fine-grid estimate
     assert lp_norm(cosx, 4.0) == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-12)
     assert lp_norm(cosx, 4.0, oversample=64) == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-12)
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    bw=st.integers(0, 12),
+    kind=st.sampled_from(["real", "complex", "single"]),
+    p=st.one_of(st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.floats(1.0, 4.0, exclude_min=True)),
+    oversample=st.sampled_from([2, 3, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_lp_norm_bound_bounds_the_quadrature(dim, bw, kind, p, oversample, seed):
+    # a single frequency attains the bound (|f| is constant), so the margin
+    # is met with equality up to rounding there
+    rng = np.random.default_rng(seed)
+    shape = (2 * bw + 1,) * dim
+    if kind == "real":
+        f = random_real_spectral(dim, bw, rng)
+    elif kind == "complex":
+        f = SpectralFunction(dim, bw, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        f = SpectralFunction.single(tuple(rng.integers(-bw, bw + 1, dim)), complex(*rng.standard_normal(2)))
+    assert lp_norm(f, p, oversample=oversample) <= lp_norm_bound(f, p) * (1.0 + 1e-9)
+
+
+def test_lp_norm_bound_values():
+    f = random_real_spectral(1, 7, np.random.default_rng(4))
+    assert lp_norm_bound(f, 1.5) == lp_norm_bound(f, 2.0) == f.l2()  # no grid below p = 2
+    assert lp_norm_bound(f, 4.0) == lp_norm(f, 4.0, oversample=2)
+    assert lp_norm_bound(f, 4.0) == pytest.approx(lp_norm(f, 4.0, oversample=64), rel=1e-12)
+    assert lp_norm_bound(f, 3.0) == pytest.approx(f.l2() ** (1 / 3) * lp_norm(f, 4.0) ** (2 / 3), rel=1e-12)
+    assert lp_norm_bound(f, 5.0) == math.inf
+    with pytest.raises(SpectralError):
+        lp_norm_bound(f, 1.0)
 
 
 def _is_5_smooth(n):
