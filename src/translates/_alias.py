@@ -6,7 +6,8 @@ operator's spectral image and the theoretical error budgets are sums
 over these residue classes and share the residue map and band arrays
 built here.  ``alias_blocks`` walks the rows t of the block grid, k' +
 (2m+1) t for all k' in [-m, m], on both sides of zero; the alias fold (of
-the profile and of every image plan) and both error budgets reduce it.
+the profile and of every image plan) and the p = 2 budget's block sums
+reduce it; the p != 2 budget enumerates ``two_sided`` over its own range.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class AliasProfile:
     |gamma_{k' + (2m+1)t}|^2, truncated at |k|_inf <= K_out; ``tail_sq``
     bounds the discarded part of each class.  ``alias_fold``
     describes how the sums are formed.  ``element_error`` takes them as the
-    fold of a box-free image plan, the exact p = 2 error at K_out in
-    O(bandwidth^d) per source after the one-off pass over the alias blocks.
+    fold of a box-free image plan, the exact p = 2 error of
+    ``approximation_error`` at K_out in O(bandwidth^d) per source after the
+    one-off pass over the alias blocks.
     """
 
     lam: CoefficientSequence
@@ -91,11 +93,11 @@ class AliasProfile:
     tail_sq: float
 
     def element_error(self, g) -> float:
-        """p = 2 error for a source g with bandwidth <= K_out."""
-        if g.dimension != self.lam.dimension:
+        """p = 2 error of the source g, its image cut at K_out
+        (``ImagePlan.error_sq``); a source wider than K_out adds its target
+        beyond K_out."""
+        if g.dimension != self.lam.dimension:  # a d = 1 source would broadcast against the fold
             raise SequenceError("source and profile dimensions differ")
-        if g.bandwidth > self.K_out:
-            raise ValueError("source bandwidth exceeds the profile truncation")
         return math.sqrt(max(self._plan.error_sq(g), 0.0))
 
     @functools.cached_property

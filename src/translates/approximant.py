@@ -9,7 +9,7 @@ the box and aliases the band alpha ghat coordinatewise onto higher
 frequencies, which is what the error budgets measure.  d = 1 is the box
 of dimension 1; every function here takes any d.
 
-The spectral image and both error routes run on an ``ImagePlan``: for one
+The spectral image and the error run on an ``ImagePlan``: for one
 (lambda, beta, m, K_out) it holds, from the first image on, the multipliers
 gamma_k = alpha_{k'} beta_k^{-1} on the index box |k|_inf <= K_out
 (lambda_k^{-1} on the band), the gather index to the residues k' and the
@@ -301,16 +301,19 @@ class ImagePlan:
         return np.bincount(self.index[self.outer], sq, minlength=n**d).reshape((n,) * d)
 
     def error_sq(self, g: SpectralFunction) -> float:
-        """Squared l2 norm of (image - target) over m < |k|_inf <= K_out,
-        regrouped by residue classes; with r = min(bandwidth of g, K_out),
+        """Squared l2 norm of (image - target), with the image cut at
+        |k|_inf <= K_out and the target counted at every k.  Inside the box the
+        sum is regrouped by residue classes; with r = min(bandwidth of g, K_out),
 
             err^2 = sum_{k'} |ghat(k')|^2 fold(k')
                   + sum_{m < |k|_inf <= r} ( |lam_k^{-1} ghat(k)|^2
-                                  - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] ),
+                                  - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] )
+                  + sum_{|k|_inf > K_out} |lam_k^{-1} ghat(k)|^2,
 
         with gamma_k ghat(k') the image on the source's own box of radius r,
         whose plan and lam^{-1} off its band are kept for the last r: O(r^d)
-        per source after the fold.  Coefficients beyond K_out are not counted.
+        per source after the fold.  The last sum is nonzero only for a source
+        wider than K_out.
         """
         m, r = self.m, min(g.bandwidth, self.K_out)
         total = float(np.sum(np.abs(box_values(g, m)) ** 2 * self.fold))
@@ -324,28 +327,36 @@ class ImagePlan:
             bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
             cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
             total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
+        if g.bandwidth > self.K_out:
+            beyond = ClassElement(self.lam, g).target_spectral().values  # a fresh array, changed in place
+            beyond[centre(g.radius, self.K_out, self.dimension)] = 0
+            total += float(np.sum(np.abs(beyond) ** 2))
         return total
 
 
 def quadrature_radius(K_out: int, p: float, m: int, bw: int) -> int:
-    """The image radius of a quadrature: K_out, cut to 131072 at p = 2 and
-    to the sampling grid's max(4096, 16 m, bw + 1) otherwise (bw is the
-    source bandwidth).  A p = 2 error builds no box, so that cap saves no
+    """The image radius of a sweep row's quadrature: K_out, cut to 131072 at
+    p = 2 and to the sampling grid's max(4096, 16 m, bw + 1) otherwise (bw is
+    the source bandwidth).  A p = 2 error builds no box, so that cap saves no
     memory; it stays because the golden CSVs and the benchmark's reference
-    values pin ``error_quadrature`` at it."""
+    values pin ``error_quadrature`` at it (a one-off p = 2 error is not cut)."""
     return min(K_out, 131072 if p == 2.0 else max(4096, 16 * m, bw + 1))
 
 
-def _plan_for(elem, beta, m, K_out, plan, quadrature_p=None) -> ImagePlan:
+def _radii(lam, beta, m: int, p: float, bw: int, K_out: Optional[int] = None) -> tuple:
+    """(K_out, quad_K) of a sweep row or a one-off error whose sources have
+    bandwidth <= bw: K_out is the given radius or ``default_K_out``, at least
+    bw + 1, and quad_K its ``quadrature_radius``."""
+    K_out = max(K_out or default_K_out(lam, beta, m), bw + 1)
+    return K_out, quadrature_radius(K_out, p, m, bw)
+
+
+def _plan_for(elem, beta, m, K_out, plan) -> ImagePlan:
     """The given plan, checked against the call, or a one-off plan; without
-    K_out that takes ``default_K_out`` (at least the source bandwidth), cut to
-    ``quadrature_radius`` for a quadrature at ``quadrature_p``."""
+    K_out that takes the K_out of ``_radii`` for the source."""
     if plan is None:
         if K_out is None:
-            bw = elem.g.bandwidth
-            K_out = max(default_K_out(elem.lam, beta, m), bw)
-            if quadrature_p is not None:
-                K_out = quadrature_radius(K_out, quadrature_p, m, bw)
+            K_out = _radii(elem.lam, beta, m, elem.p, elem.g.bandwidth)[0]
         return ImagePlan(elem.lam, beta, m, K_out)
     if (plan.lam, plan.beta, plan.m) != (elem.lam, beta, m) or K_out not in (None, plan.K_out):
         raise ValueError("the plan was built for another (lam, beta, m, K_out)")
@@ -385,53 +396,33 @@ def approximation_error(
     elem: ClassElement,
     beta: CoefficientSequence,
     m: int,
-    p: Optional[float] = None,
-    method: str = "parseval_oracle",
     K_out: Optional[int] = None,
     oversample: int = 8,
     *,
     plan: Optional[ImagePlan] = None,
 ) -> float:
-    """Norm of (target - approximant), truncated at |k|_inf <= K_out.
+    """L_p norm, p = ``elem.p``, of (target - approximant), the approximant's
+    image cut at |k|_inf <= K_out and the target counted at every k.
 
-    At p = 2 both methods take ``ImagePlan.error_sq``: the squared
-    coefficient differences over m < |k|_inf <= K_out regrouped by residue
-    classes, O(bandwidth^d) per source once the plan's ``fold`` is built.
-    ``parseval_oracle`` (p = 2 only) stops there; ``quadrature`` also counts
-    the target's coefficients beyond K_out, which only a source wider than
-    K_out has, as its padded grid does at other p.  So the two agree by
-    construction; the independent checks of the image are the physical-space
-    ``TranslateApproximant.evaluate`` and the DFT of the translate weights.  At
-    other p ``quadrature`` takes the L_p norm of the coefficient difference,
-    on the box padded to the source's, on a sampling grid.  That grid is
+    At p = 2 it is ``ImagePlan.error_sq``, O(bandwidth^d) per source once the
+    plan's ``fold`` is built; at other p the L_p norm of the same coefficient
+    difference (``_error_coefficients``) on a sampling grid.  That grid is
     poor for an element supported on one residue class (a single
     frequency): its error is h((2m+1)x) times a phase, so the N grid points
     sample h at only N / gcd(N, 2m+1) distinct points.  For lambda =
     Korobov(2), beta = Korobov(3), m = 2, K_out = 8 and the frequency 0 that
     is 18 points (N = 90), and the value reads 5.6e-5 off a resolved one at
     p = 3 and 9.1e-4 off at p = 1.5; a sweep takes such errors on their
-    class grid instead (``_single_frequency_error``).
-    Without ``K_out`` or ``plan`` the oracle truncates at ``default_K_out``
-    and the quadrature at its ``quadrature_radius``, as a sweep row does.
-    ``plan`` is as for ``spectral_image``.
+    class grid instead (``_single_frequency_error``).  Without ``K_out`` or
+    ``plan`` the radius is a sweep row's (``_radii``): its K_out at p = 2 and
+    its quad_K otherwise.  ``plan`` is as for ``spectral_image``.
     """
-    if p is None:
-        p = elem.p
-    if not 1.0 < p < math.inf:
-        raise ValueError("p must lie in (1, inf)")
-    if method not in ("parseval_oracle", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "parseval_oracle" and p != 2.0:
-        raise ValueError("parseval_oracle applies to p = 2 only")
-    plan = _plan_for(elem, beta, m, K_out, plan, p if method == "quadrature" else None)
-    if p == 2.0:
-        err_sq = plan.error_sq(elem.g)
-        if method == "quadrature" and elem.g.bandwidth > plan.K_out:
-            beyond = elem.target_spectral().values  # a fresh array, changed in place
-            beyond[centre(elem.g.radius, plan.K_out, elem.dimension)] = 0
-            err_sq += float(np.sum(np.abs(beyond) ** 2))
-        return math.sqrt(max(err_sq, 0.0))
-    return lp_norm(_error_coefficients(elem, beta, m, plan), p, oversample=oversample)
+    if plan is None and K_out is None and elem.p != 2.0:
+        K_out = _radii(elem.lam, beta, m, elem.p, elem.g.bandwidth)[1]
+    plan = _plan_for(elem, beta, m, K_out, plan)
+    if elem.p == 2.0:
+        return math.sqrt(max(plan.error_sq(elem.g), 0.0))
+    return lp_norm(_error_coefficients(elem, beta, m, plan), elem.p, oversample=oversample)
 
 
 def _error_coefficients(elem, beta, m, plan) -> SpectralFunction:
@@ -457,8 +448,8 @@ def _single_frequency_error(lam, beta, m, k0, p, K, oversample=8) -> float:
     min(2048, oversample (2K+1)) points per axis: the full box's grid can
     sample h at all of its N points, and with only oversample (2T+1) of them
     p = 1.5 read 1e-5 low at k0 = 1, m = 256.  The value is that of
-    ``approximation_error(..., "quadrature", K_out=K)`` up to the quadrature
-    error of the two grids.
+    ``approximation_error(..., K_out=K)`` for the element of exponent p, up to
+    the quadrature error of the two grids.
     """
     d, n = lam.dimension, 2 * m + 1
     k0 = np.array(k0, dtype=np.int64).reshape(1, d)

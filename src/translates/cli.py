@@ -141,9 +141,7 @@ def _selftest_checks():
         rng = np.random.default_rng(6)
         lam = Korobov(2.0)
         g = random_real_spectral(1, 4, rng)
-        err = approximation_error(
-            ClassElement(lam, g), truncated(lam, 4), 4, 2.0, "parseval_oracle", K_out=200
-        )
+        err = approximation_error(ClassElement(lam, g), truncated(lam, 4), 4, K_out=200)
         return err == 0.0
 
     def check_cross_path():
@@ -173,7 +171,7 @@ def _selftest_checks():
         for p in (1.5, 3.0, 4.0):
             elem = ClassElement(lam, random_real_spectral(1, 8, rng, normalize_p=p), p)
             bound = lp_norm_bound(_error_coefficients(elem, beta, m, plan), p)
-            quad = approximation_error(elem, beta, m, p, "quadrature", plan=plan)
+            quad = approximation_error(elem, beta, m, plan=plan)
             if (bound < quad) if p < 4.0 else abs(bound - quad) > 1e-12 * quad:
                 return False
         return True

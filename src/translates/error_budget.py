@@ -531,7 +531,8 @@ def predicted_rate(
 
     Hypotheses are certified by finite probes (radius 64 in one
     dimension), so a positive answer is probe-certified, never proved.
-    Returns a no-theorem prediction when every gate fails.
+    Returns a no-theorem prediction when every gate fails, and when a
+    nondecreasing-type probe would meet complex values.
     """
     d = lam.dimension
     if beta.dimension != d:
@@ -559,6 +560,8 @@ def predicted_rate(
                 )
             return none("mask/exponent pair needs mask type r > 1")
         if p == 2.0:
+            if any(np.iscomplexobj(s.values(0)) for s in (lam, beta)):  # the probes order values
+                return none("nondecreasing-type probes need real values; the pair has complex ones")
             if not (
                 check_nondecreasing_type(lam, 64).holds
                 and check_nondecreasing_type(beta, 64).holds
@@ -588,6 +591,8 @@ def predicted_rate(
 
     if p != 2.0:
         return none("multivariate rate theory covers p = 2 only")
+    if np.iscomplexobj(lam.values((0,) * d)):
+        return none("nondecreasing-type probes need real values; lam has complex ones")
     probe_radius = 6 if d == 2 else 4
     lo = d / 2.0 + 0.25
     for rho in np.arange(lo, 4.0 * d + 0.01, 0.25):

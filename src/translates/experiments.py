@@ -20,20 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import (
-    band_arrays,
-    build_alias_profile,
-    default_K_out,
-    md_single_frequency_errors_sq,
-)
+from ._alias import band_arrays, build_alias_profile, md_single_frequency_errors_sq
 from .approximant import (
     ClassElement,
     ImagePlan,
     _error_coefficients,
+    _radii,
     _single_frequency_error,
     approximation_error,
     image_tail_bound,
-    quadrature_radius,
 )
 from .config import ProbeConfig, SweepConfig
 from .error_budget import (
@@ -129,7 +124,8 @@ def _load_source(cfg: SweepConfig) -> SpectralFunction:
 def run_sweep(cfg: SweepConfig) -> list:
     """One row per m: empirical worst-case errors, budget, prediction.
 
-    Every row runs the same stages for every d and p: sources, radii, alias
+    Every row runs the same stages for every d and p: sources, radii (K_out
+    and quad_K of ``_radii``, the rule of a one-off error too), alias
     sums (the squared p = 2 error of each single frequency on the band),
     probes (the ``probe_count`` largest sums, ties in C order), errors
     (``_plan_errors``: the sources on one image plan, the probes on the same
@@ -154,8 +150,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         t0 = time.perf_counter()
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
-        K_out = max(cfg.K_out or default_K_out(lam, beta, m), bw + 1)
-        quad_K = quadrature_radius(K_out, p, m, bw)
+        K_out, quad_K = _radii(lam, beta, m, p, bw, cfg.K_out)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
             _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p)
         profile = sq = None
@@ -170,11 +165,11 @@ def run_sweep(cfg: SweepConfig) -> list:
             order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
             probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
         err_q = _plan_errors(cfg, m, quad_K, sources, probes)
-        err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: the oracle's sum, as K > bw
+        err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: quad_K is K_out there
         if p == 2.0 and d == 1:
             err_p = [profile.element_error(g) for g in sources]
         if p == 2.0 and sq is not None:
-            err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's oracle error
+            err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's error at K_out
         rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
     return rows
 
@@ -205,8 +200,7 @@ def _plan_errors(cfg, m, K, sources, probes) -> list:
     plan = ImagePlan(lam, beta, m, K)
 
     def error(g):
-        elem = ClassElement(lam, g, p)
-        return approximation_error(elem, beta, m, p, "quadrature", oversample=cfg.oversample, plan=plan)
+        return approximation_error(ClassElement(lam, g, p), beta, m, oversample=cfg.oversample, plan=plan)
 
     if p == 2.0:
         return [error(g) for g in sources] + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]

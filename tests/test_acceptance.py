@@ -137,7 +137,7 @@ def test_criterion_4_oracle_equivalence():
         g = random_real_spectral(1, bw, rng)
         elem = ClassElement(lam, g)
         K = max(default_K_out(lam, lam, m), bw + 1)
-        par = approximation_error(elem, lam, m, 2.0, "parseval_oracle", K_out=K)
+        par = approximation_error(elem, lam, m, K_out=K)
         ks = np.arange(-K, K + 1)
         weights_dft = np.fft.fft(assemble_Qm(elem, lam, m).weights)
         image = lam.inv_values(ks) * weights_dft[ks % (2 * m + 1)]
@@ -187,8 +187,7 @@ def test_criterion_6_exact_reproduction():
         lam = Korobov(r)
         beta = truncated(lam, m)
         g = random_real_spectral(1, bw, rng)
-        err = approximation_error(ClassElement(lam, g), beta, m, 2.0,
-                                  "parseval_oracle", K_out=max(64, 8 * m))
+        err = approximation_error(ClassElement(lam, g), beta, m, K_out=max(64, 8 * m))
         worst = max(worst, err)
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12

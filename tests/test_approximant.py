@@ -131,10 +131,10 @@ def test_one_off_quadrature_takes_the_sweep_radius(monkeypatch):
         return plan(lam_, beta_, m_, K_out)
 
     monkeypatch.setattr(approximant, "ImagePlan", recording_plan)
-    got = approximation_error(elem, lam, m, method="quadrature")
+    got = approximation_error(elem, lam, m)
     assert default_K_out(lam, lam, m) == 2**21
     assert radii == [quadrature_radius(2**21, 3.0, m, bw)] == [4096]
-    assert got == approximation_error(elem, lam, m, method="quadrature", K_out=4096)
+    assert got == approximation_error(elem, lam, m, K_out=4096)
 
 
 def test_default_K_gen_policies():
@@ -256,8 +256,8 @@ def test_error_series_oracle_two_routes():
     series = math.sqrt(float(np.sum(np.where(keep, ks**-4.0, 0.0))))
     assert series == pytest.approx(FROZEN_WAVE_ERROR, abs=1e-11)
 
-    par = approximation_error(elem, LAM2, 1, 2.0, "parseval_oracle", K_out=10**6)
-    quad = approximation_error(elem, LAM2, 1, 2.0, "quadrature", K_out=4096)
+    par = approximation_error(elem, LAM2, 1, K_out=10**6)
+    quad = approximation_error(elem, LAM2, 1, K_out=4096)
     assert par == pytest.approx(series, rel=1e-9)
     assert quad == pytest.approx(par, rel=1e-6)
 
@@ -266,27 +266,26 @@ def test_error_oracle_equivalence_shared_truncation():
     rng = np.random.default_rng(31)
     elem = ClassElement(LAM2, random_real_spectral(1, 12, rng))
     K = 2048
-    par = approximation_error(elem, LAM2, 4, 2.0, "parseval_oracle", K_out=K)
-    quad = approximation_error(elem, LAM2, 4, 2.0, "quadrature", K_out=K)
+    par = approximation_error(elem, LAM2, 4, K_out=K)
+    quad = approximation_error(elem, LAM2, 4, plan=ImagePlan(LAM2, LAM2, 4, K))
     assert abs(par - quad) <= 1e-8 * par
 
 
 def test_error_exact_reproduction():
     rng = np.random.default_rng(41)
     g = random_real_spectral(1, 6, rng)
-    err = approximation_error(ClassElement(LAM2, g), truncated(LAM2, 6), 6, 2.0,
-                              "parseval_oracle", K_out=500)
+    err = approximation_error(ClassElement(LAM2, g), truncated(LAM2, 6), 6, K_out=500)
     assert err == 0.0
 
 
 def test_error_validation():
-    elem = ClassElement(LAM2, unit_frequency(1))
+    with pytest.raises(ValueError):  # the exponent is the element's, in (1, inf)
+        approximation_error(ClassElement(LAM2, unit_frequency(1), 1.0), LAM2, 2)
+    elem = ClassElement(LAM2, unit_frequency(1), 3.0)
     with pytest.raises(ValueError):
-        approximation_error(elem, LAM2, 2, 3.0, "parseval_oracle")
+        approximation_error(elem, LAM2, 2, K_out=1)
     with pytest.raises(ValueError):
-        approximation_error(elem, LAM2, 2, 1.0)
-    with pytest.raises(ValueError):
-        approximation_error(elem, LAM2, 2, 2.0, "bogus")
+        approximation_error(elem, LAM2, 2, K_out=8, plan=ImagePlan(LAM2, LAM2, 2, 9))
 
 
 def test_error_monotone_with_budget_ratio():
@@ -312,7 +311,7 @@ def test_profile_matches_direct_parseval():
         elem = ClassElement(lam, g)
         K = default_K_out(lam, lam, m)
         prof = build_alias_profile(lam, lam, m, K_out=K)
-        direct = approximation_error(elem, lam, m, 2.0, "parseval_oracle", K_out=prof.K_out)
+        direct = approximation_error(elem, lam, m, K_out=prof.K_out)
         assert prof.element_error(g) == pytest.approx(direct, rel=1e-12)
 
 
@@ -480,7 +479,7 @@ def _lookup(g, ks):
 
 
 def _direct(elem, beta, m, K):
-    """Image values, tail bound and the two errors, one coefficient at a time.
+    """Image values, tail bound and the p = 2 error, one coefficient at a time.
 
     Off the band the image is gamma_k ghat(k') with gamma_k = alpha_{k'}
     beta_k^{-1}, evaluated at each k; on it lambda_k^{-1} ghat(k).
@@ -497,12 +496,7 @@ def _direct(elem, beta, m, K):
     alpha_max = float(np.max(np.abs(np.asarray(lam.inv_values(band)) / beta.inv_values(band))))
     tail = alpha_max * math.sqrt(box_inv_tail(beta, K, 2)) * float(np.max(np.abs(g.values)))
     img = SpectralFunction(d, K, vals.reshape((2 * K + 1,) * d))
-    outer = ~inner
-    diff = gamma[outer] * _lookup(g, kp[outer]) - np.asarray(
-        lam.inv_values(ks[outer])
-    ) * _lookup(g, ks[outer])
-    quad = lp_norm(img - elem.target_spectral(), 2.0)
-    return img.values, tail, float(np.linalg.norm(diff)), quad
+    return img.values, tail, lp_norm(img - elem.target_spectral(), 2.0)
 
 
 def _regrouped(direct):
@@ -533,16 +527,15 @@ def test_plan_matches_direct_image(lam, beta, m, K, bw):
     d = lam.dimension
     for g in (random_real_spectral(d, bw, rng), SpectralFunction.single((m,) * d)):
         elem = ClassElement(lam, g)
-        vals, tail, par, quad = _direct(elem, beta, m, K)
+        vals, tail, err = _direct(elem, beta, m, K)
         img = spectral_image(elem, beta, m, K_out=K)
         assert np.array_equal(img.function.values, vals)
         assert img.tail_bound == tail
-        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", K_out=K) == _regrouped(par)
-        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K) == _regrouped(quad)
+        assert approximation_error(elem, beta, m, K_out=K) == _regrouped(err)
         plan = ImagePlan(lam, beta, m, K)  # a shared plan gives the same numbers
         assert np.array_equal(spectral_image(elem, beta, m, plan=plan).function.values, vals)
-        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", plan=plan) == _regrouped(par)
-        assert approximation_error(elem, beta, m, 2.0, "quadrature", K_out=K, plan=plan) == _regrouped(quad)
+        assert approximation_error(elem, beta, m, plan=plan) == _regrouped(err)
+        assert approximation_error(elem, beta, m, K_out=K, plan=plan) == _regrouped(err)
     if beta is CPLX or isinstance(beta, ProductSequence):
         assert np.max(np.abs(img.function.values.imag)) > 0.01
 
@@ -565,8 +558,8 @@ _FOLD_PAIRS = [
 )
 @settings(max_examples=60, deadline=None)
 def test_p2_errors_match_the_direct_sum(pair, extra, bw, single, seed):
-    # both methods, on a shared plan and on a one-off plan, for random
-    # sources and single frequencies, inside, on and past K_out = m + extra
+    # on a shared plan and on a one-off plan, for random sources and single
+    # frequencies, inside, on and past K_out = m + extra
     lam, beta, m = pair
     d, K, rng = lam.dimension, m + extra, np.random.default_rng(seed)
     if single:
@@ -574,13 +567,50 @@ def test_p2_errors_match_the_direct_sum(pair, extra, bw, single, seed):
     else:
         g = random_real_spectral(d, bw, rng)
     elem = ClassElement(lam, g)
-    _, _, par, quad = _direct(elem, beta, m, K)
+    _, _, err = _direct(elem, beta, m, K)
     plan = ImagePlan(lam, beta, m, K)
     for kwargs in ({"plan": plan}, {"K_out": K}):
-        assert approximation_error(elem, beta, m, 2.0, "parseval_oracle", **kwargs) == _regrouped(par)
-        assert approximation_error(elem, beta, m, 2.0, "quadrature", **kwargs) == _regrouped(quad)
-    if g.bandwidth > K:  # the target beyond K_out counts for the quadrature only
-        assert quad > par
+        assert approximation_error(elem, beta, m, **kwargs) == _regrouped(err)
+
+
+@pytest.mark.parametrize("lam, beta, m", [_FOLD_PAIRS[i] for i in (1, 3, 4)])  # lam != beta, CPLX, d = 2
+@pytest.mark.parametrize("extra", [-1, 0, 1])  # the source inside, on and past K_out
+def test_p2_error_is_the_norm_of_the_error_coefficients(lam, beta, m, extra):
+    # one definition at every p: at p = 2 the error is the l2 norm of the
+    # coefficients a p != 2 error takes its L_p norm of, target beyond K_out included
+    d, bw = lam.dimension, 6
+    K = bw - extra
+    g = random_real_spectral(d, bw, np.random.default_rng(bw + extra))
+    elem, plan = ClassElement(lam, g), ImagePlan(lam, beta, m, K)
+    want = approximant._error_coefficients(elem, beta, m, plan).l2()
+    for kwargs in ({"plan": plan}, {"K_out": K}):
+        assert approximation_error(elem, beta, m, **kwargs) == pytest.approx(want, rel=1e-13)
+    if d == 1:
+        profile = build_alias_profile(lam, beta, m, K_out=K)
+        want = approximant._error_coefficients(elem, beta, m, ImagePlan(lam, beta, m, profile.K_out)).l2()
+        assert profile.element_error(g) == pytest.approx(want, rel=1e-13)
+
+
+def test_one_off_p2_takes_the_row_K_out(monkeypatch):
+    # without K_out a p = 2 error and an image take the row's K_out: at least
+    # bw + 1, and at p = 2 not cut to the quadrature radius
+    radii, plan = [], approximant.ImagePlan
+
+    def recording_plan(lam_, beta_, m_, K_out):
+        radii.append(K_out)
+        return plan(lam_, beta_, m_, K_out)
+
+    monkeypatch.setattr(approximant, "ImagePlan", recording_plan)
+    lam, m, bw = Exponential(0.5), 2, 80
+    elem = ClassElement(lam, random_real_spectral(1, bw, np.random.default_rng(4)))
+    assert default_K_out(lam, lam, m) == 64
+    assert spectral_image(elem, lam, m).K_out == bw + 1
+    assert approximation_error(elem, lam, m) == approximation_error(elem, lam, m, K_out=bw + 1)
+    lam, m, bw = Korobov(1.0), 4, 8
+    elem = ClassElement(lam, random_real_spectral(1, bw, np.random.default_rng(5)))
+    radii.clear()
+    approximation_error(elem, lam, m)
+    assert radii[0] == default_K_out(lam, lam, m) == 2**21 > quadrature_radius(2**21, 2.0, m, bw)
 
 
 def _box_fold(lam, beta, m, K):
@@ -665,8 +695,8 @@ def test_class_grid_error_is_the_full_box_error_at_p4(pair, m, kind, radius, dat
     lam, beta = pair
     K = _radius(m, data, radius) if lam.dimension == 1 else data.draw(st.integers(m, 24))
     k0 = _probe(lam, m, data, kind)
-    elem = ClassElement(lam, SpectralFunction.single(k0, dimension=lam.dimension))
-    full = approximation_error(elem, beta, m, 4.0, "quadrature", K_out=K)
+    elem = ClassElement(lam, SpectralFunction.single(k0, dimension=lam.dimension), 4.0)
+    full = approximation_error(elem, beta, m, K_out=K)
     assert approximant._single_frequency_error(lam, beta, m, k0, 4.0, K) == pytest.approx(full, rel=1e-12)
 
 
@@ -696,8 +726,8 @@ def test_class_grid_error_matches_the_full_box(pair, m, kind, radius, p, data):
     K = 4096 if radius == "clamp" else _radius(64, data, radius)
     k0 = _probe(lam, m, data, kind)
     oversample = 8 if radius == "clamp" else -(-(2**17) // (2 * K + 1))
-    elem = ClassElement(lam, SpectralFunction.single(k0))
-    full = approximation_error(elem, beta, m, p, "quadrature", K_out=K, oversample=oversample)
+    elem = ClassElement(lam, SpectralFunction.single(k0), p)
+    full = approximation_error(elem, beta, m, K_out=K, oversample=oversample)
     rel = 1e-6 if p == 1.5 else 1e-12 if radius == "clamp" else 1e-10
     assert approximant._single_frequency_error(lam, beta, m, k0, p, K) == pytest.approx(full, rel=rel)
 

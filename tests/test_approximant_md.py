@@ -116,7 +116,7 @@ def test_coefficient_guard_bounds_the_box_not_the_radius():
     assert prof.K_out == K_out
     err = prof.element_error(g)
     assert err == pytest.approx(0.0136687564449298, rel=1e-13)
-    assert approximation_error(ClassElement(LAM2D, g), LAM2D, m, 2.0, K_out=K_out) == err
+    assert approximation_error(ClassElement(LAM2D, g), LAM2D, m, K_out=K_out) == err
     with pytest.raises(ValueError, match="coefficient guard"):
         spectral_image(ClassElement(LAM2D, g), LAM2D, m, K_out=K_out)
     with pytest.raises(ValueError, match="coefficient guard"):
@@ -145,14 +145,13 @@ def test_md_error_examples():
     rng = np.random.default_rng(9)
     g = random_real_spectral(2, 2, rng)
     bt = ProductSequence((truncated(Korobov(2.0), 2), truncated(Korobov(2.0), 2)))
-    err = approximation_error(ClassElement(LAM2D, g), bt, 2, 2.0,
-                              "parseval_oracle", K_out=20)
+    err = approximation_error(ClassElement(LAM2D, g), bt, 2, K_out=20)
     assert err == 0.0
 
     # dual oracle for the diagonal wave
     wave = ClassElement(LAM2D, SpectralFunction.single((1, 1)))
-    got = approximation_error(wave, LAM2D, 1, 2.0, "parseval_oracle", K_out=64)
-    quad = approximation_error(wave, LAM2D, 1, 2.0, "quadrature", K_out=64)
+    got = approximation_error(wave, LAM2D, 1, K_out=64)
+    quad = approximation_error(wave, LAM2D, 1, plan=ImagePlan(LAM2D, LAM2D, 1, 64))
     # independent series: coefficients gamma_k at k = (1,1) mod 3, |k|_inf > 1
     total = 0.0
     for k1 in range(-64, 65):

@@ -79,7 +79,7 @@ elem = approximant.ClassElement(lam, SpectralFunction.single((1, 0)))
 for _ in range(2):
     tracer = tracing.Tracer()
     with tracer.installed():
-        md.approximation_error_md(elem, lam, 2, 2.0, K_out=8)
+        md.approximation_error_md(elem, lam, 2, K_out=8)
         error_budget.epsilon_p2_md(lam, lam, 2, J_max=4)
     counts = tracer.summary()
     assert counts["approximant.approximation_error.calls"] == 1, counts

@@ -256,7 +256,7 @@ def test_complex_custom_budget_paths():
     src = random_real_spectral(1, 6, rng)
     elem = ClassElement(lam, src)
     prof = build_alias_profile(lam, beta, 2, K_out=2000)
-    direct = approximation_error(elem, beta, 2, 2.0, "parseval_oracle", K_out=prof.K_out)
+    direct = approximation_error(elem, beta, 2, K_out=prof.K_out)
     assert prof.element_error(src) == pytest.approx(direct, rel=1e-10)
 
 

@@ -45,7 +45,7 @@ from translates.experiments import (
     _plan_errors,
     _random_sources,
 )
-from translates.error_budget import epsilon_p2_md
+from translates.error_budget import epsilon_p2_md, predicted_rate
 from translates.sequences import (
     CoefficientSequence,
     CustomSequence,
@@ -53,6 +53,7 @@ from translates.sequences import (
     Korobov,
     ProductSequence,
     SequenceError,
+    TailRule,
     box_inv_tail,
     truncated,
 )
@@ -444,11 +445,11 @@ def test_non_product_pair_takes_the_fallbacks():
     K = max(4 * m, 32, max(g.bandwidth for g in sources) + 1)
     elems = [ClassElement(seq, g) for g in sources]
     assert row.error_parseval == max(
-        approximation_error(e, seq, m, 2.0, "parseval_oracle", K_out=K) for e in elems
+        approximation_error(e, seq, m, K_out=K) for e in elems
     )
     elems.append(ClassElement(seq, SpectralFunction.single((m, 0))))
     assert row.error_quadrature == max(
-        approximation_error(e, seq, m, 2.0, "quadrature", K_out=K) for e in elems
+        approximation_error(e, seq, m, K_out=K) for e in elems
     )
 
 
@@ -466,6 +467,20 @@ def test_d2_alias_profile_takes_the_default_K_out():
     auto, given = build_alias_profile(lam, beta, m), build_alias_profile(lam, beta, m, K_out=32)
     assert auto.K_out == given.K_out and auto.tail_sq == given.tail_sq
     assert np.array_equal(auto.sq_profile, given.sq_profile)
+
+
+def test_p2_sweep_of_a_complex_pair_predicts_nothing():
+    # the nondecreasing-type probes cannot order complex values: a complex beta
+    # (d = 1) or lam (d = 2) leaves the prediction empty instead of failing the sweep
+    cplx = CustomSequence({k: max(abs(k), 1) ** 2 * complex(np.exp(0.3j * k)) for k in range(-6, 7)},
+                          TailRule("power", rate=2.0))
+    text = BASIC.replace("m_list = 2 4 8", "m_list = 2 4")
+    for dim, lam, beta in ((1, Korobov(2.0), cplx), (2, ProductSequence((cplx, Korobov(2.0))), Korobov(2.0, 2))):
+        cfg = SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = 2.0\ndim = {dim}")))
+        rows = run_sweep(replace(cfg, lam=lam, beta=beta))
+        assert [r.m for r in rows] == [2, 4]
+        assert all(r.predicted is None and r.error_parseval > 0 for r in rows)
+        assert "complex" in predicted_rate(lam, beta, 2.0).reason
 
 
 def test_d2_sweep_never_truncates_below_the_source_bandwidth():
@@ -510,16 +525,16 @@ def _sweep_errors_one_call_each(cfg):
         ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[: cfg.probe_count]
         probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
         elems = [ClassElement(lam, g, p) for g in sources]
-        quad = [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+        quad = [approximation_error(e, beta, m, K_out=K) for e in elems]
         par = []
         if p == 2.0:
             if d > 1:
-                par = [approximation_error(e, beta, m, p, "parseval_oracle", K_out=K) for e in elems]
+                par = [approximation_error(e, beta, m, K_out=K) for e in elems]
             else:
                 par = [profile.element_error(g) for g in sources]
             par.append(float(math.sqrt(sq.flat[ranked[0]])))
             elems = [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
-            quad += [approximation_error(e, beta, m, p, "quadrature", K_out=K) for e in elems]
+            quad += [approximation_error(e, beta, m, K_out=K) for e in elems]
         else:  # each probe on its class grid, cut at the same K
             quad += [_single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
         out.append((quad, par, len(sources)))
@@ -598,8 +613,7 @@ def test_general_p_row_errors_in_d2_equal_one_call_per_source():
         sq = md_single_frequency_errors_sq(cfg.lam, cfg.beta, m)
         ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[:8]
         probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
-        want = [approximation_error(ClassElement(cfg.lam, g, 3.0), cfg.beta, m, 3.0, "quadrature", K_out=K)
-                for g in sources]
+        want = [approximation_error(ClassElement(cfg.lam, g, 3.0), cfg.beta, m, K_out=K) for g in sources]
         want += [_single_frequency_error(cfg.lam, cfg.beta, m, k0, 3.0, K) for k0 in probes]
         assert max(_plan_errors(cfg, m, K, sources, probes)) == max(want)
 
@@ -653,10 +667,9 @@ def _probes_by_row(monkeypatch, cfg) -> dict:
     elems: dict = {}
     singles: dict = {}
 
-    def recording(elem, beta, m, p=None, method="parseval_oracle", **kwargs):
-        if method == "quadrature":
-            elems.setdefault(m, []).append(elem)
-        return approximation_error(elem, beta, m, p, method, **kwargs)
+    def recording(elem, beta, m, **kwargs):
+        elems.setdefault(m, []).append(elem)
+        return approximation_error(elem, beta, m, **kwargs)
 
     def on_class(lam, beta, m, k0, *args):
         singles.setdefault(m, []).append(tuple(np.atleast_1d(k0)))

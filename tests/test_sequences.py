@@ -205,6 +205,21 @@ def test_axis_factors():
         assert np.array_equal(seq.values(ks), parts[0] * parts[1])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("v", [2.0, -2.5, 0.3])
+def test_constant_values_are_the_full_arrays(d, v):
+    # Constant takes values and inv_values from its axis factors; they are
+    # bit for bit the arrays filled with v and 1 / v
+    seq, rng = Constant(v, dimension=d), np.random.default_rng(d)
+    for ks in (rng.integers(-9, 10, size=(d,) if d > 1 else ()),
+               rng.integers(-9, 10, size=(7, d) if d > 1 else (7,)),
+               rng.integers(-9, 10, size=(3, 4, d) if d > 1 else (3, 4))):
+        shape = np.shape(ks) if d == 1 else np.shape(ks)[:-1]
+        for got, want in ((seq.values(ks), np.full(shape, v)), (seq.inv_values(ks), np.full(shape, 1.0 / v))):
+            assert got.shape == shape and got.dtype == np.float64
+            assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+
+
 def test_custom_requires_contiguous_table():
     with pytest.raises(SequenceError):
         CustomSequence({0: 1.0, 2: 1.0, -2: 1.0}, TailRule("power", rate=1.0))
