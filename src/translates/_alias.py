@@ -4,10 +4,10 @@ Sampling a function at the 2m+1 uniform nodes folds every frequency k
 onto its representative k' in [-m, m] with k = k' (mod 2m+1).  Both the
 operator's spectral image and the theoretical error budgets are sums
 over these residue classes and share the residue map and band arrays
-built here.  ``alias_blocks`` walks the rows t of the block grid, k' +
-(2m+1) t for all k' in [-m, m], on both sides of zero; the alias fold (of
-the profile and of every image plan) and the p = 2 budget's block sums
-reduce it; the p != 2 budget enumerates ``two_sided`` over its own range.
+built here.  ``alias_folds`` folds one walk over m < k <= K onto every (m, K)
+asked for, the profile's and the image plans' fold; ``alias_blocks`` walks
+the rows t of the block grid, k' + (2m+1) t, k' in [-m, m], for the p = 2
+budget's block sums; the p != 2 budget enumerates ``two_sided`` itself.
 """
 
 from __future__ import annotations
@@ -123,43 +123,70 @@ def alias_fold(lam: CoefficientSequence, beta: CoefficientSequence, m: int, K: i
     forms without cancelling; for d = 1 it is |alpha|^2 (positive + negative).
     Each column sum misses at most the l2 tail of beta_j beyond K, so
     ``tail_sq`` is prod_j max A_j times ``product_increment`` of the largest
-    column sums max(D_j + E_j) and those tails.
+    column sums max(D_j + E_j) and those tails.  It is ``alias_folds`` of the
+    one pair, or the same bits that a sweep's walk kept (``_keep_folds``).
+    """
+    kept_lam, kept_beta, kept = _kept  # read once: a sweep in another thread may replace it
+    hit = kept.get((m, K)) if kept_lam is lam and kept_beta is beta else None
+    return hit or alias_folds(lam, beta, [(m, K)])[0]
 
-    Each side squares the rows from ``alias_blocks`` into a buffer whose row 0
-    carries the column sums, so ``np.sum(axis=0)`` (the rows of a C-ordered
-    array in turn) adds each column in the order t = 1, ..., T: bit for bit
-    one reduction over all T rows (for 2m+1 > 1 columns), in memory that does
-    not grow with K.  The negative side's columns run from k' = m down, so
-    E_j adds them reversed; a ``symmetric`` beta_j has one side to sum.
+
+def alias_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> list:
+    """``alias_fold`` of each (m, K) of ``pairs``, from one walk per axis.
+
+    ``two_sided`` evaluates beta_j once over k = min m + 1..max K, in blocks of
+    ``_BLOCK`` squared once.  Per side, each pair copies its slice k = m+1..K,
+    zero past K, behind its carry row (its column sums so far); ``np.sum(axis=0)``
+    adds each column in the order carry, t = 1, ..., T: bit for bit one
+    reduction over all T rows (for 2m+1 > 1 columns), in memory that grows with
+    neither K nor the pair count.  E_j adds the negative side (k' = m down) reversed.
     """
     factors = (lam.axis_factors(), beta.axis_factors())
     if lam.dimension != beta.dimension or None in factors:
         raise SequenceError("the alias fold needs two product sequences of one dimension")
-    d, n = lam.dimension, 2 * m + 1
-    T = max(1, -(-(K - m) // n))  # ceil
-    A, D, E, a_max, c_max, tails = [], [], [], [], [], []
+    d, ns, K_max = lam.dimension, [2 * m + 1 for m, _ in pairs], max(K for _, K in pairs)
+    scratch, parts = np.empty(_BLOCK + 3 * max(ns)), [[] for _ in pairs]
     for j, (axl, axb) in enumerate(zip(*factors)):
-        _, inv_b, alpha = band_arrays(axl, axb, m)
-        sym, bufs = axb.symmetric, np.zeros((2, min(T, max(1, _BLOCK // n)) + 1, n))
-        rows = 0
-        for pos, neg in alias_blocks(axb, m, 1, T):
-            rows += len(pos)
-            for buf, side in zip(bufs, (pos,) if sym else (pos, neg)):  # row 0: the column sums
-                block = buf[: len(side) + 1]
-                np.square(side, out=block[1:])
-                if rows == T:  # row T: the columns with |k| = (2m+1) T + k' > K
-                    block[-1, K - n * T + m + 1:] = 0
-                buf[0] = np.sum(block, axis=0)
-        d_j, e_j = np.abs(inv_b) ** 2, bufs[0, 0] + bufs[0 if sym else 1, 0, ::-1]
+        state = [np.zeros((1 if axb.symmetric else 2, 2 * n)) for n in ns]  # carry row, waiting values
+        for k0 in range(min(m for m, _ in pairs) + 1, K_max + 1, _BLOCK):
+            k1 = min(K_max, k0 + _BLOCK - 1)
+            blocks = [np.square(side) for side in two_sided(axb, np.arange(k0, k1 + 1))[: len(state[0])]]
+            for (m, K), n, sides in zip(pairs, ns, state):
+                lo, hi = max(k0, m + 1), min(k1, K)
+                if lo <= hi:
+                    w = (lo - m - 1) % n  # the values of k = m+1..lo-1 past the last whole row
+                    size = n + w + hi - lo + 1
+                    end = n * (-(-size // n) if hi == K else size // n)  # row T: zero past K
+                    for st, block in zip(sides, blocks):
+                        scratch[: n + w], scratch[n + w : size] = st[: n + w], block[lo - k0 : hi - k0 + 1]
+                        scratch[size:end] = 0
+                        st[n : n + size - end] = scratch[end:size]
+                        st[:n] = np.sum(scratch[:end].reshape(-1, n), axis=0)
         axis = (None,) * j + (slice(None),) + (None,) * (d - 1 - j)  # broadcast along axis j
-        A.append((np.abs(alpha) ** 2)[axis])
-        D.append(d_j[axis])
-        E.append(e_j[axis])
-        a_max.append(float(np.max(np.abs(alpha))) ** 2)
-        c_max.append(float(np.max(d_j + e_j)))
-        tails.append(axb.inv_tail(K, 2))
-    sq = math.prod(A) * product_increment(D, E)
-    return sq, math.prod(a_max) * product_increment(c_max, tails)
+        for (m, K), n, st, part in zip(pairs, ns, state, parts):  # A_j, D_j, E_j, max A_j, max(D_j+E_j), tail
+            _, inv_b, alpha = band_arrays(axl, axb, m)
+            d_j, e_j = np.abs(inv_b) ** 2, st[0, :n] + st[-1, n - 1 :: -1]
+            part.append(((np.abs(alpha) ** 2)[axis], d_j[axis], e_j[axis], float(np.max(np.abs(alpha))) ** 2,
+                         float(np.max(d_j + e_j)), axb.inv_tail(K, 2)))
+    out = [(math.prod(A) * product_increment(D, E), math.prod(a) * product_increment(c, t))
+           for A, D, E, a, c, t in (zip(*part) for part in parts)]
+    for fold, _ in out:
+        fold.flags.writeable = False  # a fold that a sweep keeps is shared by all who ask for it
+    return out
+
+
+_kept = (None, None, {})  # (lam, beta, {(m, K): (fold, tail_sq)}) of the last sweep config's walk
+
+
+def _keep_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> None:
+    """Keep the ``alias_folds`` of ``pairs`` for ``alias_fold``."""
+    global _kept
+    _kept = (lam, beta, dict(zip(pairs, alias_folds(lam, beta, pairs))))
+
+
+def whole_blocks(m: int, K: int) -> int:
+    """The radius (2m+1) T + m of the T = ceil((K - m) / (2m+1)) >= 1 whole blocks covering K."""
+    return (2 * m + 1) * max(1, -(-(K - m) // (2 * m + 1))) + m
 
 
 def build_alias_profile(
@@ -168,15 +195,11 @@ def build_alias_profile(
     m: int,
     K_out: int | None = None,
 ) -> AliasProfile:
-    """The alias profile of a product pair (lam, beta) at m: the
-    ``alias_fold`` of T = ceil((K_out - m) / (2m+1)) whole blocks per side
-    and axis, so the profile's own ``K_out`` is (2m+1) T + m.  Without
-    ``K_out`` the profile takes ``default_K_out`` of the pair, in any d.
+    """The alias profile of a product pair (lam, beta) at m: the ``alias_fold``
+    (a sweep's kept one, if its walk covered it) of the ``whole_blocks`` over
+    K_out, its own ``K_out``.  Without ``K_out`` it takes ``default_K_out``.
     """
-    if K_out is None:
-        K_out = default_K_out(lam, beta, m)
-    n = 2 * m + 1
-    K = n * max(1, -(-(K_out - m) // n)) + m  # T = ceil((K_out - m) / n) whole blocks
+    K = whole_blocks(m, default_K_out(lam, beta, m) if K_out is None else K_out)
     return AliasProfile(lam, beta, m, K, *alias_fold(lam, beta, m, K))
 
 

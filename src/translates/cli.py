@@ -94,23 +94,13 @@ def _cmd_verify(args) -> int:
 
 
 def _selftest_checks():
+    from ._alias import alias_fold, alias_folds
     from .approximant import (
-        ClassElement,
-        ImagePlan,
-        _error_coefficients,
-        approximation_error,
-        assemble_Qm,
-        class_inner_product,
-        kernel_section,
-        spectral_image,
+        ClassElement, ImagePlan, _error_coefficients, approximation_error, assemble_Qm,
+        class_inner_product, kernel_section, spectral_image,
     )
-    from .lower_bound import (
-        _restart_nodes,
-        best_translate_fit,
-        default_probe_generator,
-        design_for_n,
-        sample_F_ns,
-    )
+    from .lower_bound import _restart_nodes, best_translate_fit, default_probe_generator
+    from .lower_bound import design_for_n, sample_F_ns
     from .sequences import Korobov, truncated
     from .spectral import (
         analyze, evaluate, evaluate_many, lp_norm_bound, random_real_spectral, synthesize,
@@ -176,6 +166,16 @@ def _selftest_checks():
                 return False
         return True
 
+    def check_alias_fold():
+        # a two-pair walk against each pair's own walk (bit for bit) and the box (1e-12)
+        lam, beta, pairs = Korobov(1.0), Korobov(2.0), [(2, 500), (5, 333)]
+        for (m, K), (fold, tail) in zip(pairs, alias_folds(lam, beta, pairs)):
+            one, box = alias_fold(lam, beta, m, K), ImagePlan(lam, beta, m, K)
+            sums = np.bincount(box.index[box.outer], np.abs(box.gamma[box.outer]) ** 2)
+            if not (np.array_equal(fold, one[0]) and tail == one[1] and np.allclose(fold, sums, 1e-12, 0)):
+                return False
+        return True
+
     def check_translate_fit():
         lam = Korobov(1.0)
         psi = default_probe_generator(lam, 64)
@@ -201,6 +201,7 @@ def _selftest_checks():
         ("cross-path consistency", check_cross_path),
         ("reproducing kernel", check_kernel),
         ("L_p error bound", check_error_bound),
+        ("alias fold", check_alias_fold),
         ("translate fit", check_translate_fit),
     ]
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import band_arrays, build_alias_profile, md_single_frequency_errors_sq
+from ._alias import _keep_folds, band_arrays, build_alias_profile, md_single_frequency_errors_sq, whole_blocks
 from .approximant import (
     ClassElement,
     ImagePlan,
@@ -103,13 +103,16 @@ def _seq_param(seq) -> Optional[float]:
 
 def _random_sources(cfg: SweepConfig, m: int) -> list:
     rng = np.random.default_rng([cfg.seed, m])
-    bw = max(1, int(round(cfg.g_bandwidth_factor * m)))
     return [
         random_real_spectral(
-            cfg.dimension, bw, rng, normalize_p=cfg.p, oversample=cfg.oversample
+            cfg.dimension, _drawn_bandwidth(cfg, m), rng, normalize_p=cfg.p, oversample=cfg.oversample
         )
         for _ in range(cfg.g_count)
     ]
+
+
+def _drawn_bandwidth(cfg: SweepConfig, m: int) -> int:
+    return max(1, int(round(cfg.g_bandwidth_factor * m)))
 
 
 def _load_source(cfg: SweepConfig) -> SpectralFunction:
@@ -140,17 +143,27 @@ def run_sweep(cfg: SweepConfig) -> list:
     could give, ranks the probes by the sums the row measures); a d >= 2 product pair
     takes ``md_single_frequency_errors_sq``, other pairs probe the edge
     frequency (m, 0, ..., 0), and at d >= 2 the sources' p = 2 errors are
-    their quadrature errors on the plan.
+    their quadrature errors on the plan.  At d = 1 every row's folds come from one
+    ``alias_folds`` walk before the first row, which the rows' ``seconds`` leave out.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
     fixed = [_load_source(cfg)] if cfg.g_file else None
+    radii, pairs = {}, set()
+    for m in cfg.m_list:  # from the bandwidth the row's sources are drawn at
+        bw = fixed[0].bandwidth if fixed else _drawn_bandwidth(cfg, m)
+        K_out, quad_K = radii[m, bw] = _radii(lam, beta, m, p, bw, cfg.K_out)
+        pairs |= {(m, whole_blocks(m, K_out)), (m, quad_K)} if p == 2.0 else {(m, whole_blocks(m, quad_K))}
+    if d == 1:  # each profile's fold, and at p = 2 each row plan's, from one walk
+        t0 = time.perf_counter()
+        _keep_folds(lam, beta, sorted(pairs))
+        log.debug("one alias walk for %d folds took %.3f s", len(pairs), time.perf_counter() - t0)
     rows = []
     for m in cfg.m_list:
         t0 = time.perf_counter()
         sources = fixed if fixed is not None else _random_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
-        K_out, quad_K = _radii(lam, beta, m, p, bw, cfg.K_out)
+        K_out, quad_K = radii.get((m, bw)) or _radii(lam, beta, m, p, bw, cfg.K_out)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
             _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p)
         profile = sq = None
@@ -164,9 +177,11 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
             probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
-        err_q = _plan_errors(cfg, m, quad_K, sources, probes)
+        plan = ImagePlan(lam, beta, m, quad_K)
+        err_q = _plan_errors(cfg, plan, sources, probes)
         err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: quad_K is K_out there
         if p == 2.0 and d == 1:
+            profile._plan._source = plan._source  # one plan on the sources' own box a row
             err_p = [profile.element_error(g) for g in sources]
         if p == 2.0 and sq is not None:
             err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's error at K_out
@@ -179,13 +194,13 @@ def run_sweep(cfg: SweepConfig) -> list:
 _BOUND_SLACK = 1e-9
 
 
-def _plan_errors(cfg, m, K, sources, probes) -> list:
-    """Quadrature errors, cut at |k|_inf <= K, of the single-frequency probes
-    and of the sources the row's max needs.
+def _plan_errors(cfg, plan, sources, probes) -> list:
+    """Quadrature errors, cut at the plan's |k|_inf <= K, of the single-frequency
+    probes and of the sources the row's max needs.
 
-    The sources share one image plan of radius K; at p != 2 its box is the
-    row's largest array and is freed on return, before the next row builds
-    its alias profile.  At p = 2 every source is measured and the probes take
+    The sources share the image plan of radius K; at p != 2 its box is the
+    row's largest array, freed when the next row's plan replaces it, before
+    that one builds its box.  At p = 2 every source is measured and the probes take
     the plan's fold too.  At other p each probe's error lives on its residue
     class and takes its norm on the class grid (``_single_frequency_error``),
     not on the plan's box; and since the row keeps only the max, a source is
@@ -197,7 +212,7 @@ def _plan_errors(cfg, m, K, sources, probes) -> list:
     max is the one of every source and probe, bit for bit.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
-    plan = ImagePlan(lam, beta, m, K)
+    m, K = plan.m, plan.K_out
 
     def error(g):
         return approximation_error(ClassElement(lam, g, p), beta, m, oversample=cfg.oversample, plan=plan)

@@ -396,7 +396,7 @@ def test_symmetric_profile_evaluates_one_side(monkeypatch):
     build_alias_profile(Korobov(1.0), Korobov(1.0), m, K_out=K_out)
     n = 2 * m + 1
     T = -(-(K_out - m) // n)
-    alias = np.concatenate([k.ravel() for k in counted if k.ndim == 2])
+    alias = np.concatenate([k for k in counted if k.size != n])  # the band arrays have 2m+1 entries
     assert alias.size == T * n and np.all(alias > m)
 
 
@@ -656,6 +656,78 @@ def test_cut_fold_matches_the_box_bincount(pair, m, blocks, cut, data):
     np.testing.assert_allclose(plan.fold, _box_fold(lam, beta, m, K), rtol=1e-13, atol=0)
     assert np.array_equal(plan.fold, _alias.alias_fold(lam, beta, m, K)[0])
     assert "gamma" not in vars(plan)
+
+
+# complex, and lopsided out to |k| = 120: a beta with both sides to walk
+_LOPSIDED = CustomSequence(
+    {k: (1 + abs(k)) ** 1.5 * (1.5 if k > 0 else 1.0) * (1 + 0.2j * (k % 3 == 0)) for k in range(-120, 121)},
+    TailRule("power", rate=1.5),
+)
+
+_WALK_PAIRS = [
+    (Korobov(1.0), Korobov(2.0)),  # symmetric beta, one side
+    (Korobov(1.0), _LOPSIDED),  # both sides
+    (Korobov(1.0, 2), ProductSequence((Korobov(2.0), _LOPSIDED))),  # d = 2 product pair
+]
+
+
+@st.composite
+def _pair_sets(draw, cap):
+    """1 to 5 pairs (m, K), m in 1..40 and m <= K <= about cap: a radius cut
+    inside a row, T = 1, whole rows, or a pair drawn before."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["cut", "T = 1", "whole rows", "again"]))
+        if kind == "again" and pairs:
+            pairs.append(draw(st.sampled_from(pairs)))
+            continue
+        m = draw(st.integers(1, 40))
+        n = 2 * m + 1
+        if kind == "whole rows":
+            K = n * draw(st.integers(1, max(1, (cap - m) // n))) + m
+        else:
+            K = draw(st.integers(m, m + n if kind == "T = 1" else max(m, cap)))
+        pairs.append((m, K))
+    return pairs
+
+
+@given(pair=st.sampled_from(_WALK_PAIRS), block=st.sampled_from([5, 64, 1000, None]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_shared_walk_equals_one_walk_per_pair(pair, block, data):
+    # the folds of one walk over a set of pairs, against each pair's own
+    # alias_fold bit for bit (the carry is row 0 of every block's sum, so the
+    # block size does not move a bit either) and against the residue sums
+    # of |gamma|^2 over the box
+    lam, beta = pair
+    pairs = data.draw(_pair_sets(3000 if lam.dimension == 1 else 120))
+    saved = _alias._BLOCK
+    _alias._BLOCK = block or saved  # small blocks: pairs that span many of them
+    try:
+        folds = _alias.alias_folds(lam, beta, pairs)
+    finally:
+        _alias._BLOCK = saved
+    for (m, K), (fold, tail_sq) in zip(pairs, folds):
+        one, one_tail = _alias.alias_fold(lam, beta, m, K)
+        assert np.array_equal(fold, one) and tail_sq == one_tail
+        np.testing.assert_allclose(fold, _box_fold(lam, beta, m, K), rtol=1e-12, atol=0)
+
+
+def test_shared_walk_memory_does_not_grow_with_the_pairs():
+    # seven pairs share the walk's blocks and scratch buffer: each adds only
+    # its carry row, so the peak stays that of one pair
+    import tracemalloc
+
+    lam, K = Korobov(1.0), 2**18
+
+    def peak(pairs):
+        tracemalloc.start()
+        try:
+            _alias.alias_folds(lam, lam, pairs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([(m, K) for m in (4, 8, 16, 32, 64, 128, 256)]) <= 1.25 * peak([(256, K)])
 
 
 _CLASS_PAIRS = [

@@ -355,7 +355,9 @@ def test_quadrature_clamp_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="translates"):
         loud = rows_to_csv_text(run_sweep(cfg))
     assert loud == quiet
-    records = [r for r in caplog.records if r.name == "translates"]
+    walk = [r for r in caplog.records if r.name == "translates" and "alias walk" in r.msg]
+    assert len(walk) == 1 and walk[0].args[0] == 2  # one fold a row, at its quadrature radius
+    records = [r for r in caplog.records if r.name == "translates" and "quadrature radius" in r.msg]
     assert len(records) == 1
     m, quad_K, K_out, bound, sup = records[0].args
     assert (m, quad_K, K_out) == (64, 4096, 4519)
@@ -383,7 +385,7 @@ def test_quadrature_clamp_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="translates"):
         loud = rows_to_csv_text(run_sweep(cfg))
     assert loud == quiet
-    [record] = [r for r in caplog.records if r.name == "translates"]
+    [record] = [r for r in caplog.records if r.name == "translates" and "quadrature radius" in r.msg]
     assert record.args[:2] == (4, 4096) and len(record.args) == 4
     assert "no finite bound" in record.getMessage()
 
@@ -509,6 +511,9 @@ def _sweep_errors_one_call_each(cfg):
     """Per row of run_sweep: the quadrature errors of every source and probe
     and the oracle errors, each from one public per-source call with no
     shared plan and no bound, and the number of sources."""
+    from translates import _alias
+
+    _alias._kept = (None, None, {})  # drop the sweep's kept folds: each call walks its own
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     out = []
     for m in cfg.m_list:
@@ -615,7 +620,7 @@ def test_general_p_row_errors_in_d2_equal_one_call_per_source():
         probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
         want = [approximation_error(ClassElement(cfg.lam, g, 3.0), cfg.beta, m, K_out=K) for g in sources]
         want += [_single_frequency_error(cfg.lam, cfg.beta, m, k0, 3.0, K) for k0 in probes]
-        assert max(_plan_errors(cfg, m, K, sources, probes)) == max(want)
+        assert max(_plan_errors(cfg, ImagePlan(cfg.lam, cfg.beta, m, K), sources, probes)) == max(want)
 
 
 def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
@@ -656,6 +661,78 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
     run_sweep(cfg)
     bw = max(g.bandwidth for g in _random_sources(cfg, 4))
     assert built == [quadrature_radius(max(default_K_out(cfg.lam, cfg.beta, 4), bw + 1), 3.0, 4, bw)]
+
+
+def test_p2_sweep_row_builds_one_plan_on_the_sources_box(monkeypatch):
+    # the profile's element errors and the row plan's quadrature errors share
+    # one image plan on the sources' own box of radius bw = 2m a row
+    built, init = [], ImagePlan.__init__
+
+    def recording(self, lam, beta, m, K_out):
+        built.append((m, K_out))
+        init(self, lam, beta, m, K_out)
+
+    monkeypatch.setattr(ImagePlan, "__init__", recording)
+    for family in ("korobov\nr = 1.0", "korobov\nr = 2.0", "exponential\ns = 0.5"):
+        cfg = SweepConfig.from_raw(parse_config(BASIC.replace("korobov\nr = 2.0", family)))
+        built.clear()
+        run_sweep(cfg)
+        assert [m for m, K in built if K == 2 * m] == list(cfg.m_list)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_sweep_walks_the_alias_blocks_once(monkeypatch, p):
+    # one alias_folds walk before the first row gives every row's profile
+    # fold and, at p = 2, its row plan's fold at quad_K; no row walks again
+    from translates import _alias
+
+    walks, folds = [], _alias.alias_folds
+
+    def walking(lam, beta, pairs):
+        walks.append(list(pairs))
+        return folds(lam, beta, pairs)
+
+    monkeypatch.setattr(_alias, "alias_folds", walking)
+    text = BASIC.replace("r = 2.0", "r = 1.0").replace("p = 2.0", f"p = {p}")
+    cfg = SweepConfig.from_raw(parse_config(text))
+    run_sweep(cfg)
+    [pairs] = walks
+    for m in cfg.m_list:
+        K_out = default_K_out(cfg.lam, cfg.beta, m)
+        quad_K = quadrature_radius(K_out, p, m, 2 * m)
+        n = 2 * m + 1
+        whole = n * -(-(K_out - m) // n) + m if p == 2.0 else n * -(-(quad_K - m) // n) + m
+        assert [K for mm, K in pairs if mm == m] == ([quad_K, whole] if p == 2.0 else [whole])
+
+
+def test_sweeps_in_threads_read_only_their_own_folds():
+    # every sweep replaces the kept folds whole, and a row reads them once, so
+    # two configs with the same radii (k_out = 200), each swept in two threads
+    # (more threads than cores, switched often), give their serial rows
+    import sys
+    import threading
+
+    text = BASIC.replace("g_count = 5", "g_count = 1\nk_out = 200")
+    cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 3.0)] * 2
+    want = [rows_to_csv_text(run_sweep(cfg)) for cfg in cfgs]
+    got = [[] for _ in cfgs]
+
+    def sweeping(i):
+        for _ in range(50):
+            got[i].append(rows_to_csv_text(run_sweep(cfgs[i])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweeping, args=(i,)) for i in range(len(cfgs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 50 for w in want]
 
 
 def _probes_by_row(monkeypatch, cfg) -> dict:
