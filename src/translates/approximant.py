@@ -92,11 +92,15 @@ class ClassElement:
     def target_spectral(self) -> SpectralFunction:
         """Coefficients of f on the support box of g."""
         d, g = self.dimension, self.g
-        inv = np.asarray(self.lam.inv_values(index_box(g.radius, d))).reshape(g.values.shape)
-        return SpectralFunction(d, g.radius, inv * g.values, copy=False)
+        return SpectralFunction(d, g.radius, _inv_box(self.lam, g.radius, d) * g.values, copy=False)
 
     def evaluate(self, x) -> complex:
         return spectral.evaluate(self.target_spectral(), x)
+
+
+def _inv_box(lam: CoefficientSequence, r: int, d: int) -> np.ndarray:
+    """lambda_k^{-1} on the box |k|_inf <= r, shape (2r+1,)^d."""
+    return np.asarray(lam.inv_values(index_box(r, d))).reshape((2 * r + 1,) * d)
 
 
 def default_K_gen(beta: CoefficientSequence, m: int, tol: float = 1e-10) -> int:
@@ -278,16 +282,18 @@ class ImagePlan:
         self.gamma[~self.outer] = inv_lam.ravel()  # the band, in C order
         self.tail_scale = image_tail_bound(alpha, self.beta, K, 1.0)
 
-    def coefficients(self, g: SpectralFunction) -> np.ndarray:
-        """Image coefficients of the source g, shape (2 K_out + 1,)^d."""
-        vals = box_values(g, self.m).ravel()[self.index]
-        np.multiply(self.gamma, vals, out=vals)
-        return vals.reshape((2 * self.K_out + 1,) * self.dimension)
+    def coefficients(self, sources: list) -> np.ndarray:
+        """Image coefficients of each source of a list, stacked: shape
+        (len(sources),) + (2 K_out + 1,)^d."""
+        index, gamma = self.index, self.gamma
+        vals = np.take(np.stack([box_values(g, self.m).ravel() for g in sources]), index, axis=1)
+        np.multiply(gamma, vals, out=vals)
+        return vals.reshape((len(sources),) + (2 * self.K_out + 1,) * self.dimension)
 
     def image(self, g: SpectralFunction) -> SpectralImage:
         """The image of g with the l2 bound on its coefficients beyond K_out."""
         gmax = float(np.max(np.abs(g.values))) if g.values.size else 0.0
-        func = SpectralFunction(self.dimension, self.K_out, self.coefficients(g), copy=False)
+        func = SpectralFunction(self.dimension, self.K_out, self.coefficients([g])[0], copy=False)
         return SpectralImage(func, self.K_out, self.tail_scale * gmax)
 
     @functools.cached_property
@@ -426,11 +432,28 @@ def approximation_error(
 
 
 def _error_coefficients(elem, beta, m, plan) -> SpectralFunction:
-    """Coefficients of (image - target) on the plan's box padded to the
-    source's: what a p != 2 quadrature takes the L_p norm of."""
-    # a fresh array, changed in place
-    diff = spectral_image(elem, beta, m, plan=plan).function.padded(max(elem.g.radius, plan.K_out))
-    diff.values[centre(diff.radius, elem.g.radius, elem.dimension)] -= elem.target_spectral().values
+    """Coefficients of (image - target) of one source: the one-row case of
+    ``_error_stack``, on the image of ``spectral_image``."""
+    image = spectral_image(elem, beta, m, plan=plan).function.values
+    diff = _error_stack(elem.lam, plan, [elem.g], image[None])[0]
+    return SpectralFunction(elem.dimension, (diff.shape[0] - 1) // 2, diff, copy=False)
+
+
+def _error_stack(lam, plan, sources, image) -> np.ndarray:
+    """Coefficients of (image - target) of each source of a list, stacked on
+    the plan's box padded to the widest source's: what a p != 2 quadrature
+    or bound takes the L_p norm of.  ``image`` is the stack of the sources'
+    images on the plan (``ImagePlan.coefficients``); it is changed in place
+    unless padded."""
+    d, K = plan.dimension, plan.K_out
+    R = max([K] + [g.radius for g in sources])
+    diff = image
+    if R > K:
+        diff = np.zeros((len(sources),) + (2 * R + 1,) * d, dtype=complex)
+        diff[(slice(None),) + centre(R, K, d)] = image
+    inv = {r: _inv_box(lam, r, d) for r in {g.radius for g in sources}}  # the targets' lambda^{-1}
+    for row, g in zip(diff, sources):
+        row[centre(R, g.radius, d)] -= inv[g.radius] * g.values
     return diff
 
 

@@ -103,7 +103,8 @@ def _selftest_checks():
     from .lower_bound import design_for_n, sample_F_ns
     from .sequences import Korobov, truncated
     from .spectral import (
-        analyze, evaluate, evaluate_many, lp_norm_bound, random_real_spectral, synthesize,
+        SpectralFunction, _lp_norms, analyze, evaluate, evaluate_many, lp_norm, lp_norm_bound,
+        random_real_spectral, synthesize,
     )
 
     def check_aliasing():
@@ -166,6 +167,18 @@ def _selftest_checks():
                 return False
         return True
 
+    def check_stacked_norms():
+        # a stack of five rows, one of them complex, against lp_norm row by row, bit for bit
+        rng = np.random.default_rng(10)
+        rows = [random_real_spectral(1, 12, rng).values for _ in range(4)]
+        rows.insert(2, rows[0] + 1j * rows[1])
+        stack = np.stack(rows)
+        for p in (1.5, 3.0, 4.0):
+            want = [lp_norm(SpectralFunction(1, 12, v), p) for v in stack]
+            if np.array(_lp_norms(stack, p)).view(np.int64).tolist() != np.array(want).view(np.int64).tolist():
+                return False
+        return True
+
     def check_alias_fold():
         # a two-pair walk against each pair's own walk (bit for bit) and the box (1e-12)
         lam, beta, pairs = Korobov(1.0), Korobov(2.0), [(2, 500), (5, 333)]
@@ -201,6 +214,7 @@ def _selftest_checks():
         ("cross-path consistency", check_cross_path),
         ("reproducing kernel", check_kernel),
         ("L_p error bound", check_error_bound),
+        ("stacked L_p norms", check_stacked_norms),
         ("alias fold", check_alias_fold),
         ("translate fit", check_translate_fit),
     ]

@@ -24,7 +24,7 @@ from ._alias import _keep_folds, band_arrays, build_alias_profile, md_single_fre
 from .approximant import (
     ClassElement,
     ImagePlan,
-    _error_coefficients,
+    _error_stack,
     _radii,
     _single_frequency_error,
     approximation_error,
@@ -38,7 +38,9 @@ from .error_budget import (
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
 from .sequences import box_inv_tail
-from .spectral import SpectralFunction, lp_norm, lp_norm_bound, random_real_spectral
+from .spectral import (
+    SpectralError, SpectralFunction, _lp_norm_bounds, _lp_norms, _smooth_length, lp_norm, random_real_spectral,
+)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -102,13 +104,50 @@ def _seq_param(seq) -> Optional[float]:
 
 
 def _random_sources(cfg: SweepConfig, m: int) -> list:
+    """The row's ``g_count`` random sources, scaled to unit L_p norm.
+
+    Each is drawn by ``random_real_spectral`` from the row's stream, one after
+    another, and scaled by its norm.  At p = 2 that is its coefficient l2
+    norm (``lp_norm`` takes no grid), taken as each is drawn.  Otherwise the
+    sources are drawn and normalised in chunks whose grid has no more points
+    than the row's full quadrature grid (``_stack_rows``), each chunk's
+    grids as one stack (``_lp_norms``).  Each norm is the one ``lp_norm``
+    gives that source alone, bit for bit, and only one chunk of unscaled
+    sources is held at a time.
+    """
     rng = np.random.default_rng([cfg.seed, m])
-    return [
-        random_real_spectral(
-            cfg.dimension, _drawn_bandwidth(cfg, m), rng, normalize_p=cfg.p, oversample=cfg.oversample
-        )
-        for _ in range(cfg.g_count)
-    ]
+    bw = _drawn_bandwidth(cfg, m)
+
+    def normalised(chunk):
+        sources = [random_real_spectral(cfg.dimension, bw, rng) for _ in chunk]
+        if cfg.p == 2.0:
+            norms = [lp_norm(g, 2.0) for g in sources]
+        else:
+            norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample)
+        if 0.0 in norms:
+            raise SpectralError("degenerate random draw")
+        return [g * (1.0 / norm) for g, norm in zip(sources, norms)]
+
+    if cfg.p == 2.0:
+        return _in_chunks(normalised, range(cfg.g_count), 1)
+    quad_K = _radii(cfg.lam, cfg.beta, m, cfg.p, bw, cfg.K_out)[1]
+    return _in_chunks(normalised, range(cfg.g_count), _stack_rows(cfg, quad_K, bw, cfg.oversample))
+
+
+def _stack_rows(cfg: SweepConfig, K: int, radius: int, oversample: int) -> int:
+    """How many coefficient boxes of the given radius a stacked L_p grid at
+    ``oversample`` takes at once: as many as fit, at least one, in the points
+    of the full quadrature grid of a row at radius K (``lp_norm``'s grid at
+    ``cfg.oversample``).  The stacks share the kept grid arrays, so a row's
+    stacks need no more grid memory than its measured sources do."""
+    full = _smooth_length(cfg.oversample * (2 * K + 1)) ** cfg.dimension
+    return max(1, full // _smooth_length(oversample * (2 * radius + 1)) ** cfg.dimension)
+
+
+def _in_chunks(stacked, items: list, rows: int) -> list:
+    """``stacked`` applied to consecutive chunks of at most ``rows`` items,
+    its results concatenated."""
+    return [value for i in range(0, len(items), rows) for value in stacked(items[i : i + rows])]
 
 
 def _drawn_bandwidth(cfg: SweepConfig, m: int) -> int:
@@ -205,7 +244,10 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     class and takes its norm on the class grid (``_single_frequency_error``),
     not on the plan's box; and since the row keeps only the max, a source is
     measured only if ``lp_norm_bound`` of its error coefficients cannot rule
-    it out.  The source with the largest bound always is, then the probes,
+    it out.  The bounds take the sources as stacks: chunks of ``_stack_rows``
+    sources, whose error coefficients (``_error_stack``) share one L4 grid
+    (``_lp_norm_bounds``), each bound that of the source alone, bit for bit.
+    The source with the largest bound always is measured, then the probes,
     then the rest in descending bound order while their bound reaches the
     running max; the first one below it ends the row, as all later ones are
     below it too.  Each measured value is checked against its bound.  So the
@@ -219,7 +261,11 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
 
     if p == 2.0:
         return [error(g) for g in sources] + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
-    bounds = [lp_norm_bound(_error_coefficients(ClassElement(lam, g, p), beta, m, plan), p) for g in sources]
+    R = max([K] + [g.radius for g in sources])
+    bounds = _in_chunks(
+        lambda c: _lp_norm_bounds(_error_stack(lam, plan, c, plan.coefficients(c)), p),
+        sources, _stack_rows(cfg, K, R, 2),
+    )
     order = sorted(range(len(sources)), key=lambda i: -bounds[i])  # ties in source order
 
     def measured(i):

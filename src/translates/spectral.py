@@ -20,7 +20,9 @@ materialized.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -57,6 +59,20 @@ def freq_norm(k, p=2.0) -> float:
     if p < 1:
         raise SpectralError("freq_norm requires p >= 1")
     return float((a**p).sum() ** (1.0 / p))
+
+
+def _bandwidth(v: np.ndarray) -> int:
+    """Bandwidth of the coefficient box v (shape (2r+1,)^d): r when a face of
+    the box holds a nonzero, else that of the nonzero support."""
+    r = (v.shape[0] - 1) // 2
+    for j in range(v.ndim):
+        before = (slice(None),) * j  # the two faces normal to axis j
+        if v[before + (0,)].any() or v[before + (-1,)].any():
+            return r
+    nz = np.argwhere(v != 0)
+    if nz.size == 0:
+        return 0
+    return int(np.max(np.abs(nz - r)))
 
 
 def _as_index(k, dimension):
@@ -149,15 +165,7 @@ class SpectralFunction:
         """Smallest box radius containing the nonzero support: the radius
         itself when a boundary face of the box holds a nonzero, without a
         scan of the whole box."""
-        v = self.values
-        for j in range(self.dimension):
-            before = (slice(None),) * j  # the two faces normal to axis j
-            if v[before + (0,)].any() or v[before + (-1,)].any():
-                return self.radius
-        nz = np.argwhere(v != 0)
-        if nz.size == 0:
-            return 0
-        return int(np.max(np.abs(nz - self.radius)))
+        return _bandwidth(self.values)
 
     def is_real_valued(self) -> bool:
         """True only if coeff(-k) == conj(coeff(k)) for every k, bit for bit."""
@@ -379,39 +387,22 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     exact: |f|^4 has degree 4 bandwidth, and the grid has at least
     4 bandwidth + 2 points per axis.  ``lp_norm_bound`` relies on it.
 
-    The grid arrays (spectrum, samples, |samples|^p) of the last grid
-    shape are kept and reused while the shape repeats, as it does for the
-    sources of a sweep row (their normalisations, then their errors), so
-    those calls allocate no grid.  Only grids of at most ``_KEEP_GRID``
-    points are kept (10.5 MB at the cap); a larger grid is allocated for
-    its call and freed after it.  The values
-    are those of ``synthesize`` on fresh arrays, bit for bit, except that an
-    f with exactly Hermitian coefficients (no tolerance) is sampled with the
-    real half-spectrum transform ``irfftn``, about twice as cheap, which
-    agrees with the complex samples to rounding.  The reuse
-    makes lp_norm non-re-entrant: do not call it from several threads at
-    once.
+    It is the one-row case of ``_lp_norms``, which takes a stack of
+    coefficient boxes through the same grid, each row bit for bit as here.
+    An f with exactly Hermitian coefficients (no tolerance) is sampled with
+    the real half-spectrum transform ``irfftn``, about twice as cheap, which
+    agrees with the complex samples of ``synthesize`` to rounding; any other
+    f with ``ifftn``.  At p = 4 |f| is squared twice.  Each thread keeps the
+    grid arrays of its last grid shape and reuses them while the shape
+    repeats, so those calls allocate no grid; only grids of at most
+    ``_KEEP_GRID`` points are kept (10.5 MB at the cap), and a larger one is
+    allocated for its call and freed after it.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm supports 1 < p < inf only")
     if oversample < 2:
         raise SpectralError("oversample must be >= 2")
-    if p == 2.0:
-        return f.l2()
-    g = f.trimmed()  # its radius is its bandwidth
-    N = _smooth_length(oversample * (2 * g.radius + 1))
-    spec, vals, absp = _grid_buffers((N,) * g.dimension)
-    spec.fill(0)
-    fold_into(g, spec)
-    if g.is_real_valued():  # real f: the half spectrum, into the float buffer
-        half = spec[..., : N // 2 + 1]
-        samples = np.fft.irfftn(half, s=spec.shape, axes=tuple(range(g.dimension)), out=absp)
-    else:
-        samples = np.fft.ifftn(spec, out=vals)
-    samples *= N**g.dimension
-    np.abs(samples, out=absp)
-    np.power(absp, p, out=absp)
-    return float(np.mean(absp) ** (1.0 / p))
+    return _lp_norms(f.values[None], p, oversample)[0]
 
 
 def lp_norm_bound(f: SpectralFunction, p: float) -> float:
@@ -426,32 +417,119 @@ def lp_norm_bound(f: SpectralFunction, p: float) -> float:
     the fourth power of ``lp_norm(f, 4.0, oversample=2)``, exact as that
     grid is.  So the bound holds in any d, for real or complex f, up to
     rounding; at p = 4 it is the L4 norm itself, and for p <= 2 the l2
-    norm, which costs no grid.
+    norm, which costs no grid.  It is the one-row case of
+    ``_lp_norm_bounds``.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm_bound supports 1 < p < inf only")
+    return _lp_norm_bounds(f.values[None], p)[0]
+
+
+def _lp_norm_bounds(values: np.ndarray, p: float) -> list:
+    """``lp_norm_bound`` of each row of a stack laid out as for ``_lp_norms``,
+    as floats: the L4 norms of the rows share their grids."""
     if p > 4.0:
-        return math.inf
+        return [math.inf] * len(values)
     theta = min(1.0, 4.0 / p - 1.0)
-    bound = f.l2() ** theta
+    bounds = [l2**theta for l2 in _lp_norms(values, 2.0)]
     if theta < 1.0:
-        bound *= lp_norm(f, 4.0, oversample=2) ** (1.0 - theta)
-    return bound
+        l4 = _lp_norms(values, 4.0, oversample=2)
+        bounds = [b * n ** (1.0 - theta) for b, n in zip(bounds, l4)]
+    return bounds
 
 
-_grid = None  # (spectrum, samples, |samples|^p) of the last kept lp_norm grid
+def _lp_norms(values: np.ndarray, p: float, oversample: int = 8) -> list:
+    """``lp_norm`` of each row of a stack of coefficient boxes, as floats.
+
+    ``values`` has the batch axis first, then d axes of 2r+1: the box
+    |k|_inf <= r of each row.  At p = 2 a row's norm is its coefficient l2
+    norm.  Otherwise the rows of one bandwidth b take one grid, of
+    ``lp_norm``'s size for b, on their boxes cut to radius b
+    (``_grid_means``), and each root is taken on a Python float, as a root
+    of the array of means can differ in the last bit.  So every row reads
+    what ``lp_norm`` gives it alone, bit for bit.  The grid holds all rows
+    of a bandwidth at once: the caller sizes the stack.
+    """
+    if p == 2.0:
+        return [float(np.linalg.norm(row.ravel())) for row in values]
+    d, R = values.ndim - 1, (values.shape[-1] - 1) // 2
+    widths = [_bandwidth(row) for row in values]
+    norms = [0.0] * len(widths)
+    for b in sorted(set(widths)):
+        rows = [i for i, w in enumerate(widths) if w == b]
+        box = (rows if len(rows) < len(widths) else slice(None),) + (slice(R - b, R + b + 1),) * d
+        means = _grid_means(values[box], p, _smooth_length(oversample * (2 * b + 1)))
+        for i, mean in zip(rows, means):
+            norms[i] = float(mean) ** (1.0 / p)
+    return norms
+
+
+def _grid_means(values: np.ndarray, p: float, N: int) -> np.ndarray:
+    """The mean of |f|^p on the grid of N points per axis for each row of a
+    stack of boxes of radius r, 2r + 1 < N, so that no frequency wraps.
+
+    Hermitian symmetry is checked once for the stack: its exactly Hermitian
+    rows take one ``irfftn`` on the half spectrum, the others one ``ifftn``.
+    A spectrum is filled by slices: per axis the frequencies 0..r go to the
+    first r + 1 grid points and -r..-1 to the last r (the half spectrum has
+    no negative frequencies on the last axis).  The arrays are the thread's
+    kept grid (``_grid_buffers``); a real grid holds only the half spectrum
+    and |f|^p, 40% of a complex one.
+    """
+    d, r = values.ndim - 1, (values.shape[-1] - 1) // 2
+    axes = tuple(range(1, d + 1))
+    # flipping every axis of a box reverses its flat C order, and a row is
+    # Hermitian when its first half and centre mirror the rest
+    flat = values.reshape(len(values), -1)
+    h = (flat.shape[1] + 1) // 2
+    head, tail = flat[:, :h], flat[:, : -h - 1 : -1]
+    real = np.all(head.real == tail.real, axis=1) & np.all(head.imag == -tail.imag, axis=1)
+    means = np.empty(len(values))
+    for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
+        if rows.size == 0:
+            continue
+        block = values if rows.size == len(values) else values[rows]
+        half = bool(real[rows[0]])
+        shape = (rows.size,) + (N,) * d
+        spec_shape = shape[:-1] + (N // 2 + 1,) if half else shape
+        spec, samples, out = _grid_buffers(spec_shape, (0,) if half else shape, shape)
+        spec.fill(0)
+        pieces = [((slice(r, 2 * r + 1), slice(0, r + 1)), (slice(0, r), slice(N - r, N)))] * d
+        if half:
+            pieces[-1] = pieces[-1][:1]
+        for piece in itertools.product(*pieces):
+            src, dst = zip(*piece)
+            spec[(slice(None),) + dst] = block[(slice(None),) + src]
+        if half:
+            grid = np.fft.irfftn(spec, s=shape[1:], axes=axes, out=out)
+        else:
+            grid = np.fft.ifftn(spec, axes=axes, out=samples)
+        grid *= N**d
+        np.abs(grid, out=out)
+        if p == 4.0:  # two squares cost a fraction of np.power(out, 4.0)
+            np.square(out, out=out)
+            np.square(out, out=out)
+        else:
+            np.power(out, p, out=out)
+        means[rows] = np.mean(out.reshape(rows.size, -1), axis=1)
+    return means
+
+
+_kept = threading.local()  # .grid: this thread's kept lp_norm arrays
 _KEEP_GRID = 1 << 18  # grid points up to which lp_norm keeps its arrays
 
 
-def _grid_buffers(shape: tuple) -> tuple:
-    """The lp_norm grid arrays of this shape: the kept ones, or new ones."""
-    global _grid
-    if _grid is not None and _grid[0].shape == shape:
-        return _grid
-    _grid = None  # free the old grid before allocating the new one
-    grid = (np.empty(shape, complex), np.empty(shape, complex), np.empty(shape))
-    if math.prod(shape) <= _KEEP_GRID:
-        _grid = grid
+def _grid_buffers(*shapes) -> tuple:
+    """Arrays of the given shapes for a grid: the spectrum and the samples,
+    complex (a real grid needs no complex samples: shape (0,)), and
+    |samples|^p.  The thread's kept ones if of these shapes, or new ones."""
+    grid = getattr(_kept, "grid", None)
+    if grid is not None and tuple(a.shape for a in grid) == shapes:
+        return grid
+    grid = _kept.grid = None  # free the old grid before allocating the new one
+    grid = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, (complex, complex, float)))
+    if math.prod(shapes[-1]) <= _KEEP_GRID:
+        _kept.grid = grid
     return grid
 
 

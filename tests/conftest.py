@@ -7,7 +7,8 @@ from translates import spectral
 
 
 class _Calls(list):
-    """Transform names in order; ``shapes`` holds the grid shape of each."""
+    """Transform names in order; ``shapes`` holds the shape of each output
+    grid (a stack's batch axis first)."""
 
     def __init__(self):
         super().__init__()
@@ -21,7 +22,7 @@ class _Calls(list):
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Names of the grid transforms ``translates.spectral`` takes, in order,
-    with their grid shapes in ``fft_calls.shapes``.
+    with their output shapes in ``fft_calls.shapes``.
 
     Only the spectral module's view of ``np.fft`` is replaced, so transforms
     taken elsewhere are not counted.
@@ -30,9 +31,10 @@ def fft_calls(monkeypatch):
 
     def counting(name):
         def transform(*args, **kwargs):
+            out = getattr(np.fft, name)(*args, **kwargs)
             calls.append(name)
-            calls.shapes.append(tuple(kwargs.get("s") or np.shape(args[0])))
-            return getattr(np.fft, name)(*args, **kwargs)
+            calls.shapes.append(out.shape)
+            return out
 
         return transform
 

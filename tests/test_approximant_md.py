@@ -120,7 +120,7 @@ def test_coefficient_guard_bounds_the_box_not_the_radius():
     with pytest.raises(ValueError, match="coefficient guard"):
         spectral_image(ClassElement(LAM2D, g), LAM2D, m, K_out=K_out)
     with pytest.raises(ValueError, match="coefficient guard"):
-        ImagePlan(LAM2D, LAM2D, m, K_out).coefficients(g)
+        ImagePlan(LAM2D, LAM2D, m, K_out).coefficients([g])
 
 
 def test_spectral_image_md_kernel_oracle():

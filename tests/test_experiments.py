@@ -57,7 +57,7 @@ from translates.sequences import (
     box_inv_tail,
     truncated,
 )
-from translates.spectral import SpectralFunction, _smooth_length, lp_norm_bound, random_real_spectral
+from translates.spectral import SpectralFunction, _lp_norm_bounds, _smooth_length, random_real_spectral
 
 DATA = Path(__file__).parent / "data"
 
@@ -599,10 +599,54 @@ def test_general_p_row_checks_each_measured_source_against_its_bound(monkeypatch
     # a bound that does not bound stops the sweep instead of dropping a source
     from translates import experiments
 
-    monkeypatch.setattr(experiments, "lp_norm_bound", lambda f, p: 0.5 * lp_norm_bound(f, p))
+    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p: [0.5 * b for b in _lp_norm_bounds(v, p)])
     text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4")
     with pytest.raises(RuntimeError, match="above its bound"):
         run_sweep(SweepConfig.from_raw(parse_config(text)))
+
+
+@pytest.mark.parametrize("p, dim", [(2.0, 1), (3.0, 1), (2.0, 2), (3.0, 2)])
+@pytest.mark.parametrize("g_count", [0, 1, 20])
+def test_random_sources_equal_one_draw_and_norm_each(p, dim, g_count):
+    # the sources are drawn one by one from the row's stream and normalised
+    # together, in chunks at p != 2 (at m = 256, d = 1 and at m = 4, d = 2 the
+    # last chunk is partial): each equals random_real_spectral's draw
+    # normalised alone, bit for bit
+    text = BASIC.replace("r = 2.0", f"r = 2.0\ndim = {dim}").replace("g_count = 5", f"g_count = {g_count}")
+    cfg = replace(SweepConfig.from_raw(parse_config(text)), p=p)
+    for m in (4, 256) if dim == 1 else (2, 4):
+        rng = np.random.default_rng([cfg.seed, m])
+        # random_real_spectral's oversample is the config's, 8
+        want = [random_real_spectral(dim, 2 * m, rng, normalize_p=p) for _ in range(g_count)]
+        got = _random_sources(cfg, m)
+        assert len(got) == g_count
+        assert all(np.array_equal(g.values.view(np.int64), w.values.view(np.int64)) for g, w in zip(got, want))
+
+
+def test_stacked_bounds_need_no_more_memory_than_one_source():
+    # a p = 3 row bounds its sources in chunks whose grid has no more points
+    # than the row's full quadrature grid (K = 4096: three L4 grids of 16875
+    # points in 65610), on the kept grid arrays, so the row's error stage with
+    # 20 sources peaks where the one with 1 source does: at its measured
+    # source's full grid
+    import tracemalloc
+
+    text = BASIC.replace("r = 2.0", "r = 1.0").replace("p = 2.0", "p = 3.0").replace("g_count = 5", "g_count = 20")
+    cfg = SweepConfig.from_raw(parse_config(text))
+    m, K = 16, 4096
+    sources = _random_sources(cfg, m)
+
+    def peak(n):
+        plan = ImagePlan(cfg.lam, cfg.beta, m, K)
+        plan.index  # the plan's box is built before the stage
+        tracemalloc.start()
+        try:
+            _plan_errors(cfg, plan, sources[:n], [])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20) <= 1.25 * peak(1)
 
 
 def test_general_p_row_errors_in_d2_equal_one_call_per_source():
@@ -705,15 +749,12 @@ def test_sweep_walks_the_alias_blocks_once(monkeypatch, p):
         assert [K for mm, K in pairs if mm == m] == ([quad_K, whole] if p == 2.0 else [whole])
 
 
-def test_sweeps_in_threads_read_only_their_own_folds():
-    # every sweep replaces the kept folds whole, and a row reads them once, so
-    # two configs with the same radii (k_out = 200), each swept in two threads
-    # (more threads than cores, switched often), give their serial rows
+def _sweeps_in_threads(cfgs) -> None:
+    """Sweep each config 50 times in its own thread (more threads than cores,
+    switched often) and check every pass against its serial rows."""
     import sys
     import threading
 
-    text = BASIC.replace("g_count = 5", "g_count = 1\nk_out = 200")
-    cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 3.0)] * 2
     want = [rows_to_csv_text(run_sweep(cfg)) for cfg in cfgs]
     got = [[] for _ in cfgs]
 
@@ -733,6 +774,26 @@ def test_sweeps_in_threads_read_only_their_own_folds():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[w] * 50 for w in want]
+
+
+def test_sweeps_in_threads_read_only_their_own_folds():
+    # every sweep replaces the kept folds whole, and a row reads them once, so
+    # two configs with the same radii (k_out = 200), each swept in two threads,
+    # give their serial rows
+    text = BASIC.replace("g_count = 5", "g_count = 1\nk_out = 200")
+    cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 3.0)]
+    _sweeps_in_threads(cfgs * 2)
+
+
+def test_p3_sweeps_in_threads_keep_their_own_grids():
+    # each thread keeps its own lp_norm grid arrays, so p = 3 sweeps of equal
+    # grid sizes, each config in two threads, give their serial rows (with one
+    # kept grid per process the errors of one thread were read from another's
+    # grid, and a row stopped with an error above its bound)
+    text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4 8")
+    text = text.replace("g_count = 5", "g_count = 2\nk_out = 200")
+    cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 2.0)]
+    _sweeps_in_threads(cfgs * 2)
 
 
 def _probes_by_row(monkeypatch, cfg) -> dict:
@@ -831,12 +892,13 @@ def test_general_p_row_ranks_its_probes_at_the_quadrature_radius(monkeypatch):
 
 def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     # every source is exactly Hermitian, and so is its error under a symmetric
-    # pair: its normalisation, its bound and its quadrature sample with
-    # irfftn.  The bounds take the L4 norm on the oversample-2 grid of the
-    # radius K = 4096; only the source with the largest bound is measured on
-    # the full grid, as the probes beat the other bounds here.  The
-    # single-frequency probes are complex and keep ifftn, each on its residue
-    # class's grid of at least 2048 points, not on the full one
+    # pair: the normalisations take one stacked irfftn on the sources' grid,
+    # the bounds one stacked irfftn on the oversample-2 grid of the radius
+    # K = 4096 (three of those fit in the points of the full grid), and the
+    # source with the largest bound one irfftn on the full grid, as the probes
+    # beat the other bounds here.  The single-frequency probes are complex and
+    # keep ifftn, each on its residue class's grid of at least 2048 points,
+    # not on the full one
     text = (
         BASIC.replace("r = 2.0", "r = 1.0")
         .replace("p = 2.0", "p = 3.0")
@@ -846,14 +908,15 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     cfg = SweepConfig.from_raw(parse_config(text))
     assert cfg.probe_count == 8
     run_sweep(cfg)
-    assert fft_calls == ["irfftn"] * 3 + ["irfftn"] * 3 + ["irfftn"] + ["ifftn"] * 8
-    m, K = 4, 4096
+    assert fft_calls == ["irfftn"] * 3 + ["ifftn"] * 8
+    m, K, bw = 4, 4096, 8
+    source_grid = _smooth_length(8 * (2 * bw + 1))  # 144
     bound_grid = _smooth_length(2 * (2 * K + 1))  # 16875
     full = _smooth_length(8 * (2 * K + 1))  # 65610
-    assert fft_calls.shapes[3:7] == [(bound_grid,)] * 3 + [(full,)]
+    assert fft_calls.shapes[:3] == [(3, source_grid), (3, bound_grid), (1, full)]
     T = (K + m) // (2 * m + 1)  # the widest class box of a band frequency
     class_grid = _smooth_length(max(8 * (2 * T + 1), 2048))  # 7290
-    assert all(shape[0] <= class_grid < full for shape in fft_calls.shapes[7:])
+    assert all(shape[0] == 1 and shape[1] <= class_grid < full for shape in fft_calls.shapes[3:])
 
 
 def test_row_dominance_invariant():

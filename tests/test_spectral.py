@@ -11,6 +11,8 @@ from translates.spectral import (
     GridSamples,
     SpectralError,
     SpectralFunction,
+    _lp_norm_bounds,
+    _lp_norms,
     _smooth_length,
     analyze,
     convolve,
@@ -129,7 +131,50 @@ def test_lp_norm_bound_bounds_the_quadrature(dim, bw, kind, p, oversample, seed)
         f = SpectralFunction(dim, bw, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     else:
         f = SpectralFunction.single(tuple(rng.integers(-bw, bw + 1, dim)), complex(*rng.standard_normal(2)))
-    assert lp_norm(f, p, oversample=oversample) <= lp_norm_bound(f, p) * (1.0 + 1e-9)
+    bound = lp_norm_bound(f, p)
+    # through a stack too, after a Hermitian row that may take the other transform
+    assert _lp_norm_bounds(np.stack([random_real_spectral(dim, f.radius, rng).values, f.values]), p)[1] == bound
+    assert lp_norm(f, p, oversample=oversample) <= bound * (1.0 + 1e-9)
+
+
+# rows of a sweep_general_p bound chunk: oversample-2 grids of the radius
+# K = 4096 in the points of the row's full grid at oversample 8
+_CHUNK = _smooth_length(8 * 8193) // _smooth_length(2 * 8193)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@given(
+    dim=st.sampled_from([1, 2]),
+    bw=st.integers(0, 12),
+    kinds=st.lists(st.sampled_from(["real", "complex", "narrow", "zero"]), min_size=_CHUNK + 1, max_size=_CHUNK + 1),
+    height=st.sampled_from([1, _CHUNK, _CHUNK + 1]),
+    p=st.one_of(st.sampled_from([1.5, 3.0, 4.0]), st.floats(1.0, 4.0, exclude_min=True)),
+    oversample=st.sampled_from([2, 3, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_stacked_norms_equal_each_row_alone(dim, bw, kinds, height, p, oversample, seed):
+    # real and complex rows, and rows of a smaller bandwidth, share a stack;
+    # each reads what lp_norm and lp_norm_bound give it alone, bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (2 * bw + 1,) * dim
+    rows = []
+    for kind in kinds[:height]:
+        if kind == "real":
+            rows.append(random_real_spectral(dim, bw, rng).values)
+        elif kind == "complex":
+            rows.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        elif kind == "narrow":  # a smaller bandwidth: its own grid
+            rows.append(random_real_spectral(dim, max(bw - 1, 0), rng).padded(bw).values)
+        else:
+            rows.append(np.zeros(shape, dtype=complex))
+    stack = np.stack(rows)
+    fs = [SpectralFunction(dim, bw, v) for v in rows]
+    assert _bits(_lp_norms(stack, p, oversample)) == _bits([lp_norm(f, p, oversample=oversample) for f in fs])
+    assert _bits(_lp_norm_bounds(stack, p)) == _bits([lp_norm_bound(f, p) for f in fs])
 
 
 def test_lp_norm_bound_values():
@@ -158,7 +203,12 @@ def test_smooth_length_is_smallest_5_smooth():
 
 def _grid_norm(f, p, N):
     """Oracle: the trapezoidal rule on the complex ``synthesize`` samples of the N-grid."""
-    return float(np.mean(np.abs(synthesize(f, N).values) ** p) ** (1.0 / p))
+    return float(np.mean(_powers(np.abs(synthesize(f, N).values), p)) ** (1.0 / p))
+
+
+def _powers(a, p):
+    """a^p as lp_norm takes it: two squares at p = 4, np.power otherwise."""
+    return np.square(np.square(a)) if p == 4.0 else a**p
 
 
 def _nominal_grid_norm(f, p, oversample=8):
@@ -204,7 +254,7 @@ def _lp_norm_fresh_arrays(f, p, oversample=8):
         spectral.fold_into(g, spec)
         axes = tuple(range(g.dimension))
         vals = np.fft.irfftn(spec[..., : N // 2 + 1], s=spec.shape, axes=axes) * N**g.dimension
-        return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+        return float(np.mean(_powers(np.abs(vals), p)) ** (1.0 / p))
     return _grid_norm(g, p, N)
 
 
@@ -233,7 +283,7 @@ def test_lp_norm_keeps_no_grid_above_the_cap(monkeypatch):
     surface = random_real_spectral(2, 3, rng)  # 60^2 grid points
     for f in (small, wide, small, surface, small, small, wide):
         assert lp_norm(f, 3.0) == _lp_norm_fresh_arrays(f, 3.0)
-        assert (spectral._grid is not None) == (f is small)
+        assert (getattr(spectral._kept, "grid", None) is not None) == (f is small)
 
 
 @pytest.mark.parametrize("oversample", [8, 3])
