@@ -14,6 +14,7 @@ Shared flags: --config PATH, --seed N (overrides the config seed),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def _cmd_verify(args) -> int:
 
 
 def _selftest_checks():
-    from ._alias import alias_fold, alias_folds
+    from ._alias import alias_fold, alias_folds, band_arrays
     from .approximant import (
         ClassElement, ImagePlan, _error_coefficients, approximation_error, assemble_Qm,
         class_inner_product, kernel_section, spectral_image,
@@ -180,14 +181,20 @@ def _selftest_checks():
         return True
 
     def check_alias_fold():
-        # a two-pair walk against each pair's own walk (bit for bit) and the box (1e-12)
-        lam, beta, pairs = Korobov(1.0), Korobov(2.0), [(2, 500), (5, 333)]
-        for (m, K), (fold, tail) in zip(pairs, alias_folds(lam, beta, pairs)):
+        # a three-pair walk against each pair's own walk (bit for bit) and the box (1e-12): (5, 333)
+        # sums its 30 rows, (2, 500) and (4, 2^16) take their rows past the head from the series,
+        # and (4, 2^16) is within 4e-15 of the fsum of its terms
+        lam, beta, pairs = Korobov(2.0), Korobov(1.0), [(2, 500), (5, 333), (4, 2**16)]
+        folds = alias_folds(lam, beta, pairs)
+        for (m, K), (fold, tail) in zip(pairs, folds):
             one, box = alias_fold(lam, beta, m, K), ImagePlan(lam, beta, m, K)
             sums = np.bincount(box.index[box.outer], np.abs(box.gamma[box.outer]) ** 2)
             if not (np.array_equal(fold, one[0]) and tail == one[1] and np.allclose(fold, sums, 1e-12, 0)):
                 return False
-        return True
+        k = 9 * np.arange(1, -(-(2**16 - 4) // 9) + 1)[:, None] + np.arange(-4, 5)  # the last row is partial
+        sq = np.abs(beta.inv_values(k)) ** 2 * (k <= 2**16)  # beta is symmetric: k < 0 gives the same terms
+        want = np.abs(band_arrays(lam, beta, 4)[2]) ** 2 * [math.fsum([*sq[:, c], *sq[:, 8 - c]]) for c in range(9)]
+        return bool(np.all(np.abs(folds[2][0] - want) <= 4e-15 * want))
 
     def check_translate_fit():
         lam = Korobov(1.0)

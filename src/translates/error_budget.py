@@ -24,13 +24,12 @@ matching the univariate convention.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from ._alias import alias_blocks, band_arrays, index_box, k_prime_array
+from ._alias import _EPS, _HEAD, _SUM_ULPS, _profile_sq_series, alias_blocks, band_arrays, index_box, k_prime_array
 from .sequences import (
     CoefficientSequence,
     Exponential,
@@ -97,51 +96,8 @@ def gamma_k(lam: CoefficientSequence, beta: CoefficientSequence, m: int, k):
 # |k'| <= m, n = 2m + 1; the p = 2 budgets need sum_{t != 0} G_t^2 with
 # G_t = max_{k'} a_{k'} |beta^{-1}(n t + k')| and a = |alpha| on the band.
 
-_EPS = sys.float_info.epsilon
 _BLOCK_REL = 1e-10  # stop enumerating once the bracket width is this small
-_SUM_ULPS = 16  # rounding of a computed term a |beta^{-1}|, squared, and of fsum
 _MONOTONE_WINDOW = 32  # trailing values a side must not increase over to telescope
-
-
-def _profile_sq_series(rule: TailRule, n: int, offsets: np.ndarray, T: int):
-    """Bracket (lo, hi) of sum_{j > T} U(n j + b)^2 for each offset b.
-
-    U is the rule's reciprocal profile beyond its radius, x^{-rate} / scale
-    (power) or e^{-rate x} / scale (exponential).  A power series is the
-    Hurwitz zeta value n^{-q} zeta(q, x), q = 2 rate, x = T + 1 + b / n,
-    summed by Euler-Maclaurin with three Bernoulli terms; x^{-q} is
-    completely monotone, so the remainder is at most the first omitted
-    term (DLMF 2.10(i), 25.11(iii)).  An exponential series is geometric.
-    Both ends are rounded outward; divergent and constant tails give
-    (0, inf), and ``finite`` gives (0, 0).
-    """
-    x0 = n * (T + 1) + np.asarray(offsets, dtype=float)  # first frequency of each series
-    if rule.kind == "finite":
-        return np.zeros_like(x0), np.zeros_like(x0)
-    if rule.kind == "power" and rule.rate > 0.5:
-        q = 2.0 * rule.rate
-        x = x0 / n
-        rising = np.cumprod(q + np.arange(7.0))  # (q)_1 .. (q)_7
-        series = (
-            x / (q - 1.0)
-            + 0.5
-            + rising[0] / (12.0 * x)
-            - rising[2] / (720.0 * x**3)
-            + rising[4] / (30240.0 * x**5)
-        )
-        omitted = rising[6] / (1209600.0 * x**7)
-        log_term = q * np.log(x0)
-        head = x0**-q / rule.scale**2
-        # the omitted term outgrows the sum when x is small (J_max < 32)
-        lo, hi = np.maximum(head * (series - omitted), 0.0), head * (series + omitted)
-    elif rule.kind == "exponential" and rule.rate > 0:
-        q = 2.0 * rule.rate
-        log_term = q * x0
-        lo = hi = np.exp(-log_term) / -math.expm1(-q * n) / rule.scale**2
-    else:
-        return np.zeros_like(x0), np.full_like(x0, math.inf)
-    rel = (_SUM_ULPS + np.abs(log_term)) * _EPS
-    return lo * (1.0 - rel), hi * (1.0 + rel)
 
 
 def _block_sum_bracket(alpha: np.ndarray, beta: CoefficientSequence, m: int, J_max: int):
@@ -149,10 +105,11 @@ def _block_sum_bracket(alpha: np.ndarray, beta: CoefficientSequence, m: int, J_m
 
     ``alpha`` holds |alpha_{k'}| on the band and ``beta`` is univariate.
     Blocks |t| <= T are summed exactly from ``alias_blocks``.  T starts at
-    the first block past the rule's radius (at least 32, at most J_max) and
-    doubles, summing only the new blocks, until width <= 1e-10 S or T = J_max.
-    Beyond T a side's block j holds U(n j + b), U the rule profile, at the
-    offsets b = k' (positive side) or -k' (negative), weighted w_b = alpha_{k'}^2.
+    the first block past the rule's radius (at least ``_HEAD``, at most J_max)
+    and doubles, summing only the new blocks, until width <= 1e-10 S or
+    T = J_max.  Beyond T a side's block j holds U(n j + b), U the rule profile,
+    at the offsets b = k' (positive side) or -k' (negative), weighted
+    w_b = alpha_{k'}^2, and ``_profile_sq_series`` brackets sum U(n j + b)^2.
     Per side lo = max_b w_b sum U(n j + b)^2 where the rule is exact, else 0.
     hi = w_b* sum U(n j + b*)^2 for the largest term b* of block T + 1 when
     b* leads every later block: the rule is exact and exponential (the term
@@ -164,7 +121,7 @@ def _block_sum_bracket(alpha: np.ndarray, beta: CoefficientSequence, m: int, J_m
     n = 2 * m + 1
     a_sq = alpha**2
     first = (rule.radius + m) // n + 1  # first block with every |k| > radius
-    T = min(max(32, first), J_max)
+    T = min(max(_HEAD, first), J_max)
     parts = []
     done = 0
     while True:

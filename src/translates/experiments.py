@@ -103,14 +103,14 @@ def _seq_param(seq) -> Optional[float]:
     return None
 
 
-def _random_sources(cfg: SweepConfig, m: int) -> list:
+def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
     """The row's ``g_count`` random sources, scaled to unit L_p norm.
 
     Each is drawn by ``random_real_spectral`` from the row's stream, one after
     another, and scaled by its norm.  At p = 2 that is its coefficient l2
     norm (``lp_norm`` takes no grid), taken as each is drawn.  Otherwise the
     sources are drawn and normalised in chunks whose grid has no more points
-    than the row's full quadrature grid (``_stack_rows``), each chunk's
+    than the row's full quadrature grid at quad_K (``_stack_rows``), each chunk's
     grids as one stack (``_lp_norms``).  Each norm is the one ``lp_norm``
     gives that source alone, bit for bit, and only one chunk of unscaled
     sources is held at a time.
@@ -130,7 +130,6 @@ def _random_sources(cfg: SweepConfig, m: int) -> list:
 
     if cfg.p == 2.0:
         return _in_chunks(normalised, range(cfg.g_count), 1)
-    quad_K = _radii(cfg.lam, cfg.beta, m, cfg.p, bw, cfg.K_out)[1]
     return _in_chunks(normalised, range(cfg.g_count), _stack_rows(cfg, quad_K, bw, cfg.oversample))
 
 
@@ -194,13 +193,11 @@ def run_sweep(cfg: SweepConfig) -> list:
         K_out, quad_K = radii[m, bw] = _radii(lam, beta, m, p, bw, cfg.K_out)
         pairs |= {(m, whole_blocks(m, K_out)), (m, quad_K)} if p == 2.0 else {(m, whole_blocks(m, quad_K))}
     if d == 1:  # each profile's fold, and at p = 2 each row plan's, from one walk
-        t0 = time.perf_counter()
         _keep_folds(lam, beta, sorted(pairs))
-        log.debug("one alias walk for %d folds took %.3f s", len(pairs), time.perf_counter() - t0)
     rows = []
     for m in cfg.m_list:
         t0 = time.perf_counter()
-        sources = fixed if fixed is not None else _random_sources(cfg, m)
+        sources = fixed if fixed is not None else _random_sources(cfg, m, radii[m, _drawn_bandwidth(cfg, m)][1])
         bw = max((g.bandwidth for g in sources), default=m)
         K_out, quad_K = radii.get((m, bw)) or _radii(lam, beta, m, p, bw, cfg.K_out)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):

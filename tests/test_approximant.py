@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from translates import _alias, approximant
@@ -348,42 +348,88 @@ class _Undeclared(CoefficientSequence):
         return TailRule("power", rate=1.5, scale=0.5)
 
 
+def _fsum_fold(lam, beta, m, K):
+    """Oracle: per residue k', the ``math.fsum`` of |gamma_k|^2 over the off-band
+    positions k of its class in the box |k|_inf <= K.  In d = 1 the terms are
+    |alpha_{k'}|^2 times the fsum of the |beta^{-1}(k)|^2 of both sides, by
+    rows of the block grid; in d >= 2 they are taken over the box."""
+    d, n = lam.dimension, 2 * m + 1
+    _, _, alpha = band_arrays(lam, beta, m)
+    if d == 1:
+        k = (n * np.arange(1, -(-(K - m) // n) + 1))[:, None] + np.arange(-m, m + 1)[None, :]
+        pos, neg = (np.abs(np.asarray(beta.inv_values(s * k))) ** 2 * (k <= K) for s in (1, -1))
+        sums = [math.fsum(np.concatenate([pos[:, c], neg[:, n - 1 - c]])) for c in range(n)]
+        return np.abs(alpha) ** 2 * np.array(sums)
+    ks = index_box(K, d)
+    ks = ks[np.max(np.abs(ks), axis=1) > m]
+    kp = k_prime_array(ks, m)
+    terms = np.abs(np.asarray(lam.inv_values(kp)) / beta.inv_values(kp) * beta.inv_values(ks)) ** 2
+    index = np.ravel_multi_index(tuple((kp + m).T), (n,) * d)
+    order = np.argsort(index, kind="stable")
+    groups = np.split(terms[order], np.cumsum(np.bincount(index, minlength=n**d))[:-1])
+    return np.array([math.fsum(g) for g in groups]).reshape((n,) * d)
+
+
+def _assert_near_fsum(fold, lam, beta, m, K, rel=4e-15):
+    want = _fsum_fold(lam, beta, m, K)
+    assert np.all(np.abs(fold - want) <= rel * want), float(np.max(np.abs(fold - want) / want))
+
+
 @pytest.mark.parametrize(
     "lam, beta, m, K_out",
     [
         (Korobov(1.0), Korobov(1.0), 4, 4),  # T = 1
-        (Korobov(1.0), Korobov(1.0), 4, 2**19),  # 17 blocks, the last one partial
+        (Korobov(1.0), Korobov(1.0), 4, 2**19),  # 58255 rows, the last one partial
         (Korobov(2.0), Korobov(1.0), 7, 100_003),  # lam != beta
         (Korobov(1.0), Exponential(0.01), 300, 3 * 10**5),  # wide band, few rows a block
         (_ASYM, _ASYM, 3, 70_000),  # asymmetric complex table: both sides evaluated
         (Korobov(1.0), _ASYM, 2, 12_345),
         (Korobov(1.0), _Undeclared(), 3, 20_000),  # symmetry not declared: both sides
+        (Korobov(1.0), Korobov(1.0), 4, 290),  # 33 rows, the last one partial: the head and one more
+        (Korobov(2.0), Korobov(1.0), 7, 497),  # lam != beta, 33 whole rows
+        (Korobov(1.0), _Undeclared(), 300, 3 * 10**5),  # wide band, a rule that is not exact
+        (_ASYM, _ASYM, 3, 230),
+        (Korobov(1.0), _ASYM, 2, 167),
     ],
 )
 def test_streamed_profile_equals_one_array_sum(lam, beta, m, K_out):
+    # a fold that the walk sums to K_out (at most 33 rows, or a rule that is
+    # not exact) is one reduction over all its rows, bit for bit; past the
+    # head the rows come from the rule's series, and the fold is the fsum of
+    # the same terms to a few ulps
     prof = build_alias_profile(lam, beta, m, K_out=K_out)
-    want = _profile_one_array(lam, beta, m, K_out)
-    assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+    if K_out <= (2 * m + 1) * 33 + m or not beta.tail_rule().exact:
+        want = _profile_one_array(lam, beta, m, K_out)
+        assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+    else:
+        _assert_near_fsum(prof.sq_profile, lam, beta, m, prof.K_out)
 
 
 def test_streamed_profile_with_one_row_blocks(monkeypatch):
     # blocks smaller than a row: every row is its own block and the carry
-    # row does all the adding
+    # row does all the adding, in the head and in a walk to K alike
     from test_error_budget import _brute_block_sum
 
     monkeypatch.setattr(_alias, "_BLOCK", 5)
     for beta in (Korobov(1.5), _ASYM):
-        prof = build_alias_profile(Korobov(1.0), beta, 3, K_out=2_000)
-        want = _profile_one_array(Korobov(1.0), beta, 3, 2_000)
+        prof = build_alias_profile(Korobov(1.0), beta, 3, K_out=230)  # 33 rows: inside the head
+        want = _profile_one_array(Korobov(1.0), beta, 3, 230)
         assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
+        prof = build_alias_profile(Korobov(1.0), beta, 3, K_out=2_000)
+        _assert_near_fsum(prof.sq_profile, Korobov(1.0), beta, 3, prof.K_out)
         # the p = 2 budget walks the same blocks
         rep = epsilon_p2(Korobov(1.0), beta, 3)
         gamma, tail = rep.components["gamma_sum_term"], rep.tail_bound
         lo, hi = _brute_block_sum(Korobov(1.0), beta, 3)
         assert gamma**2 <= hi and lo <= (gamma + tail) ** 2
+    prof = build_alias_profile(Korobov(1.0), _Undeclared(), 3, K_out=2_000)  # not exact: walked to K
+    want = _profile_one_array(Korobov(1.0), _Undeclared(), 3, 2_000)
+    assert prof.sq_profile.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_symmetric_profile_evaluates_one_side(monkeypatch):
+    # the walk evaluates the head's 32 rows of the positive side only; the
+    # rows past it come from the series
     counted = []
     inv_values = Korobov.inv_values
 
@@ -395,9 +441,44 @@ def test_symmetric_profile_evaluates_one_side(monkeypatch):
     m, K_out = 5, 10_000
     build_alias_profile(Korobov(1.0), Korobov(1.0), m, K_out=K_out)
     n = 2 * m + 1
-    T = -(-(K_out - m) // n)
     alias = np.concatenate([k for k in counted if k.size != n])  # the band arrays have 2m+1 entries
-    assert alias.size == T * n and np.all(alias > m)
+    assert alias.size == _alias._HEAD * n and np.all(alias > m)
+    assert np.array_equal(alias, np.arange(m + 1, n * _alias._HEAD + m + 1))
+
+
+@st.composite
+def _exact_fold_cases(draw):
+    """(lam, beta, m, K): a beta whose rule is exact and summable, and K inside
+    the head, on whole blocks past it, or with a partial last row past it."""
+    kind = draw(st.sampled_from(["korobov", "lam != beta", "exponential", "lopsided", "d = 2"]))
+    r = draw(st.floats(0.5, 3.0, exclude_min=True))
+    beta = {
+        "korobov": Korobov(r),
+        "lam != beta": Korobov(r),
+        "exponential": Exponential(draw(st.floats(0.005, 1.0))),
+        "lopsided": _LOPSIDED,
+        "d = 2": ProductSequence((Korobov(r), _LOPSIDED)),
+    }[kind]
+    lam = {"korobov": beta, "d = 2": Korobov(1.0, 2)}.get(kind, Korobov(draw(st.sampled_from([0.75, 1.0, 2.0]))))
+    m = draw(st.integers(1, 2 if kind == "d = 2" else 64))
+    n = 2 * m + 1
+    h = max(_alias._HEAD, (beta.axis_factors()[-1].tail_rule().radius + m) // n + 1)
+    where = draw(st.sampled_from(["inside the head", "whole blocks", "partial row"]))
+    top = h + 12 if kind == "d = 2" else max(h + 2, 2**16 // n)
+    T = draw(st.integers(1, h + 1) if where == "inside the head" else st.integers(h + 2, top))
+    cut = 0 if where == "whole blocks" else draw(st.integers(0 if where == "inside the head" else 1, n - 1))
+    return lam, beta, m, n * T + m - cut
+
+
+@given(case=_exact_fold_cases())
+@example(case=(Korobov(1.5), Korobov(1.5), 1, 2**21))  # the walk to K reads 6e-12 off
+@settings(max_examples=60, deadline=None)
+def test_fold_past_the_head_is_the_fsum_of_its_terms(case):
+    # every fold of a pair with an exact, summable rule, from the walk of its
+    # head and the series past it, against the fsum of the enumerated terms
+    lam, beta, m, K = case
+    fold, _ = _alias.alias_fold(lam, beta, m, K)
+    _assert_near_fsum(fold, lam, beta, m, K)
 
 
 def test_element_error_keeps_one_plan_per_bandwidth():

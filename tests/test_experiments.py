@@ -16,6 +16,7 @@ from translates._alias import (
 from translates.approximant import (
     ClassElement,
     ImagePlan,
+    _radii,
     _single_frequency_error,
     approximation_error,
     quadrature_radius,
@@ -43,6 +44,7 @@ from translates.experiments import (
     run_probe,
     _load_source,
     _plan_errors,
+    _drawn_bandwidth,
     _random_sources,
 )
 from translates.error_budget import epsilon_p2_md, predicted_rate
@@ -60,6 +62,11 @@ from translates.sequences import (
 from translates.spectral import SpectralFunction, _lp_norm_bounds, _smooth_length, random_real_spectral
 
 DATA = Path(__file__).parent / "data"
+
+
+def _row_sources(cfg, m):
+    """The row's random sources, chunked at the row's quadrature radius as ``run_sweep`` draws them."""
+    return _random_sources(cfg, m, _radii(cfg.lam, cfg.beta, m, cfg.p, _drawn_bandwidth(cfg, m), cfg.K_out)[1])
 
 BASIC = """
 [lambda]
@@ -443,7 +450,7 @@ def test_non_product_pair_takes_the_fallbacks():
     one_row = parse_config(BASIC.replace("m_list = 2 4 8", "m_list = 2"))
     cfg = replace(SweepConfig.from_raw(one_row), lam=seq, beta=seq)
     [row] = run_sweep(cfg)
-    sources = _random_sources(cfg, m)
+    sources = _row_sources(cfg, m)
     K = max(4 * m, 32, max(g.bandwidth for g in sources) + 1)
     elems = [ClassElement(seq, g) for g in sources]
     assert row.error_parseval == max(
@@ -517,7 +524,7 @@ def _sweep_errors_one_call_each(cfg):
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     out = []
     for m in cfg.m_list:
-        sources = [_load_source(cfg)] if cfg.g_file else _random_sources(cfg, m)
+        sources = [_load_source(cfg)] if cfg.g_file else _row_sources(cfg, m)
         bw = max((g.bandwidth for g in sources), default=m)
         if d > 1:
             K_out = K = max(4 * m, 32, bw + 1)
@@ -618,7 +625,7 @@ def test_random_sources_equal_one_draw_and_norm_each(p, dim, g_count):
         rng = np.random.default_rng([cfg.seed, m])
         # random_real_spectral's oversample is the config's, 8
         want = [random_real_spectral(dim, 2 * m, rng, normalize_p=p) for _ in range(g_count)]
-        got = _random_sources(cfg, m)
+        got = _row_sources(cfg, m)
         assert len(got) == g_count
         assert all(np.array_equal(g.values.view(np.int64), w.values.view(np.int64)) for g, w in zip(got, want))
 
@@ -634,7 +641,7 @@ def test_stacked_bounds_need_no_more_memory_than_one_source():
     text = BASIC.replace("r = 2.0", "r = 1.0").replace("p = 2.0", "p = 3.0").replace("g_count = 5", "g_count = 20")
     cfg = SweepConfig.from_raw(parse_config(text))
     m, K = 16, 4096
-    sources = _random_sources(cfg, m)
+    sources = _row_sources(cfg, m)
 
     def peak(n):
         plan = ImagePlan(cfg.lam, cfg.beta, m, K)
@@ -656,7 +663,7 @@ def test_general_p_row_errors_in_d2_equal_one_call_per_source():
     text = BASIC.replace("r = 2.0", "r = 2.0\ndim = 2").replace("g_count = 5", "g_count = 3")
     cfg = replace(SweepConfig.from_raw(parse_config(text)), p=3.0, probe_count=8)
     for m in (2, 4):
-        sources = _random_sources(cfg, m)
+        sources = _row_sources(cfg, m)
         bw = max(g.bandwidth for g in sources)
         K = max(4 * m, 32, bw + 1)
         sq = md_single_frequency_errors_sq(cfg.lam, cfg.beta, m)
@@ -693,7 +700,7 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
         sizes.clear()
         built.clear()
         [row] = run_sweep(cfg)
-        bw = max(g.bandwidth for g in _random_sources(cfg, m))
+        bw = max(g.bandwidth for g in _row_sources(cfg, m))
         K_out = max(default_K_out(cfg.lam, cfg.beta, m), bw + 1)
         assert quadrature_radius(K_out, 2.0, m, bw) == K_quad and bw == 2 * m
         assert built and max(built) <= bw
@@ -703,7 +710,7 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
     cfg = SweepConfig.from_raw(parse_config(text))
     built.clear()
     run_sweep(cfg)
-    bw = max(g.bandwidth for g in _random_sources(cfg, 4))
+    bw = max(g.bandwidth for g in _row_sources(cfg, 4))
     assert built == [quadrature_radius(max(default_K_out(cfg.lam, cfg.beta, 4), bw + 1), 3.0, 4, bw)]
 
 
@@ -818,7 +825,7 @@ def _probes_by_row(monkeypatch, cfg) -> dict:
     run_sweep(cfg)
     if cfg.p != 2.0:  # sources only: those the bound could not rule out, at least one a row
         for m in cfg.m_list:
-            sources = _random_sources(cfg, m)
+            sources = _row_sources(cfg, m)
             assert elems[m] and all(any(np.array_equal(e.g.values, g.values) for g in sources) for e in elems[m])
         return singles
     assert not singles
@@ -879,7 +886,7 @@ def test_general_p_row_ranks_its_probes_at_the_quadrature_radius(monkeypatch):
         probes = _probes_by_row(monkeypatch, cfg)
         assert sorted(probes) == sorted(built) == list(cfg.m_list)
         for m in cfg.m_list:
-            bw = max(g.bandwidth for g in _random_sources(cfg, m))
+            bw = max(g.bandwidth for g in _row_sources(cfg, m))
             K_out = max(default_K_out(cfg.lam, cfg.beta, m), bw + 1)
             quad_K = quadrature_radius(K_out, 3.0, m, bw)
             assert quad_K <= built[m] <= quad_K + 2 * m
