@@ -90,7 +90,7 @@ class AliasProfile:
     summable tail rule not what they cost.  ``element_error`` takes them as
     the fold of a box-free image plan, the exact p = 2 error of
     ``approximation_error`` at K_out in O(bandwidth^d) per source after the
-    one-off pass over the alias blocks.
+    one-off pass over the alias blocks, with the source-box terms of ``box``.
     """
 
     lam: CoefficientSequence
@@ -103,10 +103,16 @@ class AliasProfile:
     def element_error(self, g) -> float:
         """p = 2 error of the source g, its image cut at K_out
         (``ImagePlan.error_sq``); a source wider than K_out adds its target
-        beyond K_out."""
+        beyond K_out.  Its source-box term is the one a plan sharing ``box``
+        kept, if that plan took the same source's error just before."""
         if g.dimension != self.lam.dimension:  # a d = 1 source would broadcast against the fold
             raise SequenceError("source and profile dimensions differ")
         return math.sqrt(max(self._plan.error_sq(g), 0.0))
+
+    @property
+    def box(self):
+        """The ``approximant.SourceBox`` of ``element_error``, for a plan to share."""
+        return self._plan.box
 
     @functools.cached_property
     def _plan(self):

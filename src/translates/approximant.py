@@ -255,13 +255,15 @@ class ImagePlan:
     one plan to the public image and error functions through ``plan=``.
     """
 
-    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int):
+    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int, box=None):
         if beta.dimension != lam.dimension:
             raise SequenceError("sequence dimensions differ")
         if K_out < m:
             raise ValueError("K_out must be >= m")
+        if box is not None and (box.lam, box.beta, box.m) != (lam, beta, m):
+            raise ValueError("the source box was built for another (lam, beta, m)")
         self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, lam.dimension
-        self._source = None  # the plan on a source's own box, for error_sq
+        self.box = box or SourceBox(lam, beta, m)
 
     def __getattr__(self, name: str):
         if name not in ("index", "outer", "gamma", "tail_scale"):  # built together, on first use
@@ -316,28 +318,49 @@ class ImagePlan:
                                   - 2 Re[gamma_k ghat(k') conj(lam_k^{-1} ghat(k))] )
                   + sum_{|k|_inf > K_out} |lam_k^{-1} ghat(k)|^2,
 
-        with gamma_k ghat(k') the image on the source's own box of radius r,
-        whose plan and lam^{-1} off its band are kept for the last r: O(r^d)
-        per source after the fold.  The last sum is nonzero only for a source
+        with gamma_k ghat(k') the image on the source's own box of radius r:
+        O(r^d) per source after the fold, from the plan's ``box``, which plans
+        at other K_out may share.  The last sum is nonzero only for a source
         wider than K_out.
         """
-        m, r = self.m, min(g.bandwidth, self.K_out)
-        total = float(np.sum(np.abs(box_values(g, m)) ** 2 * self.fold))
-        if r > m:
-            if self._source is None or self._source[0].K_out != r:
-                plan = ImagePlan(self.lam, self.beta, m, r)
-                ks = index_box(r, self.dimension)[plan.outer]
-                self._source = (plan, np.asarray(self.lam.inv_values(ks)))
-            plan, inv_lam = self._source
-            image = spectral_image(ClassElement(self.lam, g), self.beta, m, plan=plan)
-            bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
-            cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
-            total += float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
+        r = min(g.bandwidth, self.K_out)
+        total = float(np.sum(np.abs(box_values(g, self.m)) ** 2 * self.fold))
+        if r > self.m:
+            total += self.box.term(g, r)
         if g.bandwidth > self.K_out:
             beyond = ClassElement(self.lam, g).target_spectral().values  # a fresh array, changed in place
             beyond[centre(g.radius, self.K_out, self.dimension)] = 0
             total += float(np.sum(np.abs(beyond) ** 2))
         return total
+
+
+class SourceBox:
+    """The second sum of ``ImagePlan.error_sq`` for one (lam, beta, m): it keeps
+    the plan on a source's own box for the last radius r, and the last source's
+    term with r and a copy of its coefficients, read again only for that same
+    source, unchanged, at that r.  So plans that share a box pay once for a
+    source whose errors they take one after the other.
+    """
+
+    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int):
+        self.lam, self.beta, self.m = lam, beta, m
+        self._source = self._last = None  # (plan, lam^{-1}) and (g, r, values, term)
+
+    def term(self, g: SpectralFunction, r: int) -> float:  # m < r <= bandwidth of g
+        last = self._last
+        if last and last[0] is g and last[1] == r and np.array_equal(last[2], g.values):
+            return last[3]
+        if self._source is None or self._source[0].K_out != r:
+            plan = ImagePlan(self.lam, self.beta, self.m, r)  # not this box: a cycle outlives the row
+            ks = index_box(r, self.lam.dimension)[plan.outer]
+            self._source = (plan, np.asarray(self.lam.inv_values(ks)))
+        plan, inv_lam = self._source
+        image = spectral_image(ClassElement(self.lam, g), self.beta, self.m, plan=plan)
+        bterm = inv_lam * box_values(g, r).ravel()[plan.outer]
+        cross = image.function.values.ravel()[plan.outer] * np.conj(bterm)
+        term = float(np.sum(np.abs(bterm) ** 2) - 2.0 * np.sum(cross.real))
+        self._last = (g, r, g.values.copy(), term)
+        return term
 
 
 def quadrature_radius(K_out: int, p: float, m: int, bw: int) -> int:
@@ -461,8 +484,13 @@ _CLASS_GRID = 2048  # least points per axis of a class grid, unless the full gri
 
 
 def _single_frequency_error(lam, beta, m, k0, p, K, oversample=8) -> float:
-    """L_p error, truncated at |k|_inf <= K, of the single frequency e^{i k0.x}
-    (k0 in the band), with its norm taken on its residue class.
+    """``_single_frequency_errors`` of the one frequency k0."""
+    return _single_frequency_errors(lam, beta, m, [k0], p, K, oversample)[0]
+
+
+def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
+    """L_p error, truncated at |k|_inf <= K, of each single frequency e^{i k0.x}
+    of a list (k0 in the band), with its norm taken on its residue class.
 
     The error lives on the class k0 + (2m+1)Z^d: e(x) = e^{i k0.x} h((2m+1) x)
     with h_t = alpha_{k0} beta^{-1}_{k0 + (2m+1) t} for t != 0 inside the box,
@@ -472,22 +500,30 @@ def _single_frequency_error(lam, beta, m, k0, p, K, oversample=8) -> float:
     sample h at all of its N points, and with only oversample (2T+1) of them
     p = 1.5 read 1e-5 low at k0 = 1, m = 256.  The value is that of
     ``approximation_error(..., K_out=K)`` for the element of exponent p, up to
-    the quadrature error of the two grids.
+    the quadrature error of the two grids.  The h take one beta ``inv_values``
+    call on the widest class box, and those of one bandwidth ``_lp_norms`` stacks
+    whose complex grids fit in the bytes of ``lp_norm``'s real one at radius K
+    (2/5 of its points), each value bit for bit that of its frequency alone.
     """
     d, n = lam.dimension, 2 * m + 1
-    k0 = np.array(k0, dtype=np.int64).reshape(1, d)
-    T = int(np.max((K + np.abs(k0)) // n))  # the widest axis of the class box
+    k0s = np.array(k0s, dtype=np.int64).reshape(-1, d)
+    T = int(np.max((K + np.abs(k0s)) // n, initial=0))  # the widest axis of every class box
     ts = index_box(T, d).reshape(-1, d)
-    ks = k0 + n * ts  # t = 0, k0 itself, is the centre
-    keep = (np.max(np.abs(ks), axis=1) <= K) & np.any(ts != 0, axis=1)
-    if d == 1:  # the index form of univariate sequences
-        k0, ks = k0[:, 0], ks[:, 0]
-    inv_beta = np.asarray(beta.inv_values(ks))
-    alpha = np.asarray(lam.inv_values(k0)) / inv_beta[ts.shape[0] // 2]
-    vals = np.where(keep, alpha * inv_beta, 0).reshape((2 * T + 1,) * d)
-    h = SpectralFunction(d, T, vals, copy=False)
+    ks = k0s[:, None, :] + n * ts  # t = 0, k0 itself, is the centre
+    keep = (np.max(np.abs(ks), axis=2) <= K) & np.any(ts != 0, axis=1)
+    inv_beta = np.asarray(beta.inv_values(ks.reshape(-1) if d == 1 else ks.reshape(-1, d))).reshape(keep.shape)
+    alpha = np.asarray(lam.inv_values(k0s[:, 0] if d == 1 else k0s)) / inv_beta[:, ts.shape[0] // 2]
+    vals = np.where(keep, alpha[:, None] * inv_beta, 0).astype(complex).reshape((len(k0s),) + (2 * T + 1,) * d)
+    widths = np.array([spectral._bandwidth(v) for v in vals])
     grid = min(_CLASS_GRID, oversample * (2 * K + 1))
-    return lp_norm(h, p, oversample=max(oversample, -(-grid // (2 * h.bandwidth + 1))))
+    full = spectral._smooth_length(oversample * (2 * K + 1)) ** d
+    errs = np.zeros(len(k0s))
+    for b in set(widths.tolist()):
+        over, same = max(oversample, -(-grid // (2 * b + 1))), np.flatnonzero(widths == b)
+        chunk = max(1, 2 * full // (5 * spectral._smooth_length(over * (2 * b + 1)) ** d))
+        for c in range(0, len(same), chunk):
+            errs[same[c : c + chunk]] = spectral._lp_norms(vals[same[c : c + chunk]], p, over)
+    return errs.tolist()
 
 
 # ---------------------------------------------------------------------------

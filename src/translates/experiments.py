@@ -26,7 +26,7 @@ from .approximant import (
     ImagePlan,
     _error_stack,
     _radii,
-    _single_frequency_error,
+    _single_frequency_errors,
     approximation_error,
     image_tail_bound,
 )
@@ -126,7 +126,9 @@ def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
             norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample)
         if 0.0 in norms:
             raise SpectralError("degenerate random draw")
-        return [g * (1.0 / norm) for g, norm in zip(sources, norms)]
+        for g, norm in zip(sources, norms):  # fresh draws: scaled in place, as g * (1 / norm) would
+            g.values *= 1.0 / norm
+        return sources
 
     if cfg.p == 2.0:
         return _in_chunks(normalised, range(cfg.g_count), 1)
@@ -170,11 +172,12 @@ def run_sweep(cfg: SweepConfig) -> list:
     sums (the squared p = 2 error of each single frequency on the band),
     probes (the ``probe_count`` largest sums, ties in C order), errors
     (``_plan_errors``: the sources on one image plan, the probes on the same
-    plan at p = 2 and each on its residue class's grid otherwise; at p != 2
+    plan at p = 2 and on their residue classes' grids otherwise; at p != 2
     only the sources whose ``lp_norm_bound`` reaches the row's max are
     measured, which leaves the max unchanged), budget.
     Only the alias sums depend on d: d = 1 builds the alias profile, whose
-    ``element_error`` gives the sources' p = 2 errors.  At p = 2 it runs to
+    ``element_error`` gives the sources' p = 2 errors, each right after the
+    plan's, which shares the profile's ``box`` (one source-box term a source).  At p = 2 it runs to
     K_out; at other p it serves only the probe ranking and stops at the whole
     blocks covering the row's quadrature radius, where the probes' errors are
     cut (a ranking that differs from the K_out one, which only a lopsided beta
@@ -213,12 +216,13 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
             probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
-        plan = ImagePlan(lam, beta, m, quad_K)
-        err_q = _plan_errors(cfg, plan, sources, probes)
-        err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: quad_K is K_out there
-        if p == 2.0 and d == 1:
-            profile._plan._source = plan._source  # one plan on the sources' own box a row
-            err_p = [profile.element_error(g) for g in sources]
+        plan = ImagePlan(lam, beta, m, quad_K, None if profile is None else profile.box)
+        if p == 2.0 and d == 1:  # a source's two errors in turn share its source-box term
+            both = [(_plan_errors(cfg, plan, [g], [])[0], profile.element_error(g)) for g in sources]
+            err_q, err_p = [q for q, _ in both] + _plan_errors(cfg, plan, [], probes), [e for _, e in both]
+        else:
+            err_q = _plan_errors(cfg, plan, sources, probes)
+            err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: quad_K is K_out there
         if p == 2.0 and sq is not None:
             err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's error at K_out
         rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
@@ -238,12 +242,12 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     row's largest array, freed when the next row's plan replaces it, before
     that one builds its box.  At p = 2 every source is measured and the probes take
     the plan's fold too.  At other p each probe's error lives on its residue
-    class and takes its norm on the class grid (``_single_frequency_error``),
+    class and takes its norm on the class grid (``_single_frequency_errors``),
     not on the plan's box; and since the row keeps only the max, a source is
     measured only if ``lp_norm_bound`` of its error coefficients cannot rule
     it out.  The bounds take the sources as stacks: chunks of ``_stack_rows``
     sources, whose error coefficients (``_error_stack``) share one L4 grid
-    (``_lp_norm_bounds``), each bound that of the source alone, bit for bit.
+    (``_lp_norm_bounds``; none above p = 4), each bound that of the source alone, bit for bit.
     The source with the largest bound always is measured, then the probes,
     then the rest in descending bound order while their bound reaches the
     running max; the first one below it ends the row, as all later ones are
@@ -272,7 +276,7 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
         return value
 
     errs = [measured(i) for i in order[:1]]
-    errs += [_single_frequency_error(lam, beta, m, k0, p, K, cfg.oversample) for k0 in probes]
+    errs += _single_frequency_errors(lam, beta, m, probes, p, K, cfg.oversample)
     for i in order[1:]:
         if bounds[i] * (1.0 + _BOUND_SLACK) < max(errs):
             break

@@ -407,7 +407,7 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
 
 def lp_norm_bound(f: SpectralFunction, p: float) -> float:
     """An upper bound on ``lp_norm(f, p, oversample)`` for every oversample
-    >= 2, from norms exact on that grid (inf for p > 4).
+    >= 2, from norms exact on that grid.
 
     For 1 < p <= 4 it is l2^theta L4^(1 - theta) with theta = min(1, 4/p - 1):
     Lyapunov's inequality (log-convexity of the norms in 1/p; for p <= 2 the
@@ -417,8 +417,9 @@ def lp_norm_bound(f: SpectralFunction, p: float) -> float:
     the fourth power of ``lp_norm(f, 4.0, oversample=2)``, exact as that
     grid is.  So the bound holds in any d, for real or complex f, up to
     rounding; at p = 4 it is the L4 norm itself, and for p <= 2 the l2
-    norm, which costs no grid.  It is the one-row case of
-    ``_lp_norm_bounds``.
+    norm, which costs no grid.  For p > 4 it is the l_{p/(p-1)} norm of the
+    coefficients (Hausdorff-Young: Riesz-Thorin between sup <= l1 and discrete
+    Parseval), no grid either.  It is the one-row case of ``_lp_norm_bounds``.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm_bound supports 1 < p < inf only")
@@ -429,7 +430,8 @@ def _lp_norm_bounds(values: np.ndarray, p: float) -> list:
     """``lp_norm_bound`` of each row of a stack laid out as for ``_lp_norms``,
     as floats: the L4 norms of the rows share their grids."""
     if p > 4.0:
-        return [math.inf] * len(values)
+        q = p / (p - 1.0)
+        return [float(np.sum(np.abs(row) ** q)) ** (1.0 / q) for row in values]
     theta = min(1.0, 4.0 / p - 1.0)
     bounds = [l2**theta for l2 in _lp_norms(values, 2.0)]
     if theta < 1.0:
@@ -557,13 +559,16 @@ def random_real_spectral(
 
     Coefficients are iid complex Gaussians on a half-space, mirrored to
     satisfy coeff(-k) = conj(coeff(k)).  With ``normalize_p`` the result
-    is scaled to unit L_p norm.
+    is scaled to unit L_p norm.  Drawn re, then im, the coefficients are
+    0.5 (re + re(-k)) + 0.5 i (im - im(-k)), each part written in place.
     """
     n = 2 * bandwidth + 1
-    shape = (n,) * dimension
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    flipped = np.conj(vals[(slice(None, None, -1),) * dimension])
-    vals = 0.5 * (vals + flipped)
+    shape, flip = (n,) * dimension, (slice(None, None, -1),) * dimension
+    re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    vals = np.empty(shape, dtype=complex)
+    np.add(re, re[flip], out=vals.real)
+    np.subtract(im, im[flip], out=vals.imag)
+    vals *= 0.5
     f = SpectralFunction(dimension, bandwidth, vals, copy=False)
     if normalize_p is not None:
         nrm = lp_norm(f, normalize_p, oversample=oversample)

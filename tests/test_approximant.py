@@ -491,9 +491,40 @@ def test_element_error_keeps_one_plan_per_bandwidth():
         err = prof.element_error(g)
         # a new profile builds the plan for this source alone
         assert err == build_alias_profile(lam, lam, m, K_out=5_000).element_error(g)
-        plans.append(prof._plan._source[0])
+        plans.append(prof.box._source[0])
     assert plans[0] is plans[1] and plans[2] is plans[3]
     assert [p.K_out for p in plans] == [20, 20, 9, 9, 20]
+
+
+def test_source_box_term_is_kept_for_the_same_unchanged_source_only(monkeypatch):
+    # a row's plan and its profile's plan share one SourceBox: a source's
+    # second error reads the term its first one took (one image on its box),
+    # while another source, or the same one changed in place, takes its own;
+    # every value is the one a fresh plan and profile give, bit for bit
+    lam, beta, m, K = Korobov(1.0), Korobov(1.0), 4, 1024
+    prof = build_alias_profile(lam, beta, m, K_out=4096)
+    plan = ImagePlan(lam, beta, m, K, prof.box)
+    images = []
+    monkeypatch.setattr(approximant, "spectral_image", lambda *a, **k: images.append(1) or spectral_image(*a, **k))
+
+    def both(g):
+        return approximation_error(ClassElement(lam, g), beta, m, plan=plan), prof.element_error(g)
+
+    def fresh(g):
+        g = SpectralFunction(1, g.radius, g.values)
+        quad = approximation_error(ClassElement(lam, g), beta, m, K_out=K)
+        return quad, build_alias_profile(lam, beta, m, K_out=4096).element_error(g)
+
+    rng = np.random.default_rng(26)
+    g, h = random_real_spectral(1, 12, rng), random_real_spectral(1, 12, rng)
+    for source in (g, h, SpectralFunction(1, 12, h.values), g):
+        want, calls = fresh(source), len(images)
+        assert both(source) == want and len(images) == calls + 1
+    g.values[3] *= 2.0  # the kept term is g's, but g changed
+    want, calls = fresh(g), len(images)
+    assert both(g) == want and len(images) == calls + 1
+    with pytest.raises(ValueError, match="source box"):
+        ImagePlan(lam, Korobov(2.0), m, K, prof.box)
 
 
 def test_class_element_norm_and_target():
@@ -883,6 +914,22 @@ def test_class_grid_error_matches_the_full_box(pair, m, kind, radius, p, data):
     full = approximation_error(elem, beta, m, K_out=K, oversample=oversample)
     rel = 1e-6 if p == 1.5 else 1e-12 if radius == "clamp" else 1e-10
     assert approximant._single_frequency_error(lam, beta, m, k0, p, K) == pytest.approx(full, rel=rel)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_probes_equal_each_probe_alone(d, p):
+    # the probes share one beta inv_values call on the widest class box; those
+    # of one class-box radius T share a stack, chunked (at d = 1, K = 4101,
+    # three class grids fit in the row's full real grid), and those of the
+    # other T take their own: each reads what it reads alone, bit for bit
+    lam = beta = Korobov(2.0, dimension=d)
+    m, K = (4, 9 * 455 + 6) if d == 1 else (2, 5 * 6 + 3)  # T = 455 or 456; 6 or 7
+    probes = [tuple(int(c) for c in k) for k in index_box(m, d).reshape(-1, d)]
+    alone = [approximant._single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
+    stacked = approximant._single_frequency_errors(lam, beta, m, probes, p, K)
+    assert np.array(stacked).view(np.int64).tolist() == np.array(alone).view(np.int64).tolist()
+    assert approximant._single_frequency_errors(lam, beta, m, [], p, K) == []
 
 
 def test_plan_rejects_other_parameters():

@@ -18,6 +18,7 @@ from translates.approximant import (
     ImagePlan,
     _radii,
     _single_frequency_error,
+    _single_frequency_errors,
     approximation_error,
     quadrature_radius,
     spectral_image,
@@ -567,7 +568,7 @@ def _case(lam, p, dim, m_list, sweep="", note=""):
         _case("r = 1.0", 3.0, 1, "4", "seed = 224", "a source is the row max"),
         _case("r = 1.0", 3.0, 1, "2", "seed = 0\ng_count = 20", "the bounds leave three sources"),
         _case("r = 2.0", 1.5, 1, "4 16", "", "the bound is l2 alone"),
-        _case("r = 2.0", 5.0, 1, "4 16", "", "no bound"),
+        _case("r = 2.0", 5.0, 1, "4 16", "", "the HY bound"),
         _case("r = 2.0", 3.0, 1, "4 16", "g_count = 0", "no source"),
         _case("r = 2.0", 2.0, 1, "4 16", "g_count = 0", "no source"),
         _case("r = 2.0", 3.0, 1, "4 16", "g_file", "g_file"),
@@ -600,6 +601,66 @@ def test_sweep_plan_equals_one_call_per_source(tmp_path, lam, p, dim, m_list, sw
         assert max(quad[:n]) > max(quad[n:])
     if sweep.startswith("g_count = 0"):
         assert all(n == 0 for _, _, n in want)
+
+
+@pytest.mark.parametrize("family", ["korobov\nr = 1.0", "exponential\ns = 0.5"])
+def test_p2_row_columns_equal_fresh_one_off_errors(monkeypatch, family):
+    # each source's two p = 2 errors share its source-box term (one image on
+    # its own box a source), and each equals the one a fresh one-off call
+    # gives: approximation_error at the row's quad_K, element_error of a
+    # fresh profile at its K_out, bit for bit
+    from translates import _alias, approximant, experiments
+
+    calls = []
+
+    def recording(kind, fn):
+        def call(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            calls.append((kind, args, kwargs, value))
+            return value
+
+        return call
+
+    monkeypatch.setattr(experiments, "approximation_error", recording("quad", approximation_error))
+    monkeypatch.setattr(_alias.AliasProfile, "element_error", recording("par", _alias.AliasProfile.element_error))
+    monkeypatch.setattr(approximant, "spectral_image", recording("image", approximant.spectral_image))
+    cfg = SweepConfig.from_raw(parse_config(BASIC.replace("korobov\nr = 2.0", family)))
+    rows = run_sweep(cfg)
+    monkeypatch.undo()
+    # a row, in the order the calls return: each source's image on its own
+    # box inside its first error, its two errors, then the one probe's error
+    assert [kind for kind, *_ in calls] == (["image", "quad", "par"] * cfg.g_count + ["quad"]) * len(rows)
+    for kind, args, kwargs, value in calls:
+        if kind == "quad":
+            elem, beta, m = args
+            fresh = approximation_error(elem, beta, m, K_out=kwargs["plan"].K_out)
+        elif kind == "par":
+            profile, g = args
+            fresh = build_alias_profile(profile.lam, profile.beta, profile.m, K_out=profile.K_out).element_error(g)
+        else:
+            continue
+        assert value == fresh
+
+
+def test_p6_sweep_equals_an_all_measured_one(monkeypatch):
+    # the Hausdorff-Young bound rules sources out at p > 4, where no bound did
+    # before, and the rows stay those of a sweep that measures every source
+    from translates import experiments
+
+    measured = []
+
+    def recording(*args, **kwargs):
+        measured.append(1)
+        return approximation_error(*args, **kwargs)
+
+    text = BASIC.replace("p = 2.0", "p = 6.0").replace("m_list = 2 4 8", "m_list = 4 8 16").replace("g_count = 5", "g_count = 6")
+    cfg = SweepConfig.from_raw(parse_config(text))
+    monkeypatch.setattr(experiments, "approximation_error", recording)
+    rows = run_sweep(cfg)
+    pruned = len(measured)
+    assert pruned < 3 * cfg.g_count
+    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p: [math.inf] * len(v))
+    assert run_sweep(cfg) == rows and len(measured) == pruned + 3 * cfg.g_count
 
 
 def test_general_p_row_checks_each_measured_source_against_its_bound(monkeypatch):
@@ -719,9 +780,9 @@ def test_p2_sweep_row_builds_one_plan_on_the_sources_box(monkeypatch):
     # one image plan on the sources' own box of radius bw = 2m a row
     built, init = [], ImagePlan.__init__
 
-    def recording(self, lam, beta, m, K_out):
+    def recording(self, lam, beta, m, K_out, *box):
         built.append((m, K_out))
-        init(self, lam, beta, m, K_out)
+        init(self, lam, beta, m, K_out, *box)
 
     monkeypatch.setattr(ImagePlan, "__init__", recording)
     for family in ("korobov\nr = 1.0", "korobov\nr = 2.0", "exponential\ns = 0.5"):
@@ -806,7 +867,7 @@ def test_p3_sweeps_in_threads_keep_their_own_grids():
 def _probes_by_row(monkeypatch, cfg) -> dict:
     """The single-frequency probes of each row of run_sweep, as index tuples
     in the order their quadratures run: after the sources on the row's plan
-    at p = 2, each on its class grid (``_single_frequency_error``) otherwise."""
+    at p = 2, each on its class grid (``_single_frequency_errors``) otherwise."""
     from translates import experiments
 
     elems: dict = {}
@@ -816,12 +877,12 @@ def _probes_by_row(monkeypatch, cfg) -> dict:
         elems.setdefault(m, []).append(elem)
         return approximation_error(elem, beta, m, **kwargs)
 
-    def on_class(lam, beta, m, k0, *args):
-        singles.setdefault(m, []).append(tuple(np.atleast_1d(k0)))
-        return _single_frequency_error(lam, beta, m, k0, *args)
+    def on_class(lam, beta, m, k0s, *args):
+        singles.setdefault(m, []).extend(tuple(np.atleast_1d(k0)) for k0 in k0s)
+        return _single_frequency_errors(lam, beta, m, k0s, *args)
 
     monkeypatch.setattr(experiments, "approximation_error", recording)
-    monkeypatch.setattr(experiments, "_single_frequency_error", on_class)
+    monkeypatch.setattr(experiments, "_single_frequency_errors", on_class)
     run_sweep(cfg)
     if cfg.p != 2.0:  # sources only: those the bound could not rule out, at least one a row
         for m in cfg.m_list:
@@ -904,8 +965,9 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     # K = 4096 (three of those fit in the points of the full grid), and the
     # source with the largest bound one irfftn on the full grid, as the probes
     # beat the other bounds here.  The single-frequency probes are complex and
-    # keep ifftn, each on its residue class's grid of at least 2048 points,
-    # not on the full one
+    # keep ifftn, on their residue classes' grids of at least 2048 points, not
+    # on the full one: all 8 share T and take stacks of 3, 3 and 2, as three
+    # complex class grids fit in the bytes of the full real grid
     text = (
         BASIC.replace("r = 2.0", "r = 1.0")
         .replace("p = 2.0", "p = 3.0")
@@ -915,7 +977,7 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     cfg = SweepConfig.from_raw(parse_config(text))
     assert cfg.probe_count == 8
     run_sweep(cfg)
-    assert fft_calls == ["irfftn"] * 3 + ["ifftn"] * 8
+    assert fft_calls == ["irfftn"] * 3 + ["ifftn"] * 3
     m, K, bw = 4, 4096, 8
     source_grid = _smooth_length(8 * (2 * bw + 1))  # 144
     bound_grid = _smooth_length(2 * (2 * K + 1))  # 16875
@@ -923,7 +985,8 @@ def test_p3_sweep_sources_take_the_real_transform(fft_calls):
     assert fft_calls.shapes[:3] == [(3, source_grid), (3, bound_grid), (1, full)]
     T = (K + m) // (2 * m + 1)  # the widest class box of a band frequency
     class_grid = _smooth_length(max(8 * (2 * T + 1), 2048))  # 7290
-    assert all(shape[0] == 1 and shape[1] <= class_grid < full for shape in fft_calls.shapes[3:])
+    assert fft_calls.shapes[3:] == [(3, class_grid), (3, class_grid), (2, class_grid)]
+    assert 3 * 40 * class_grid <= 16 * full < 4 * 40 * class_grid  # bytes a point: 40 complex, 16 real
 
 
 def test_row_dominance_invariant():

@@ -115,7 +115,7 @@ def test_lp_norm_examples():
     dim=st.sampled_from([1, 2]),
     bw=st.integers(0, 12),
     kind=st.sampled_from(["real", "complex", "single"]),
-    p=st.one_of(st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.floats(1.0, 4.0, exclude_min=True)),
+    p=st.one_of(st.sampled_from([1.5, 2.0, 3.0, 4.0, 4.5, 6.0, 8.0]), st.floats(1.0, 12.0, exclude_min=True)),
     oversample=st.sampled_from([2, 3, 8]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -151,7 +151,7 @@ def _bits(values):
     bw=st.integers(0, 12),
     kinds=st.lists(st.sampled_from(["real", "complex", "narrow", "zero"]), min_size=_CHUNK + 1, max_size=_CHUNK + 1),
     height=st.sampled_from([1, _CHUNK, _CHUNK + 1]),
-    p=st.one_of(st.sampled_from([1.5, 3.0, 4.0]), st.floats(1.0, 4.0, exclude_min=True)),
+    p=st.one_of(st.sampled_from([1.5, 3.0, 4.0, 6.0]), st.floats(1.0, 4.0, exclude_min=True)),
     oversample=st.sampled_from([2, 3, 8]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -183,7 +183,9 @@ def test_lp_norm_bound_values():
     assert lp_norm_bound(f, 4.0) == lp_norm(f, 4.0, oversample=2)
     assert lp_norm_bound(f, 4.0) == pytest.approx(lp_norm(f, 4.0, oversample=64), rel=1e-12)
     assert lp_norm_bound(f, 3.0) == pytest.approx(f.l2() ** (1 / 3) * lp_norm(f, 4.0) ** (2 / 3), rel=1e-12)
-    assert lp_norm_bound(f, 5.0) == math.inf
+    # above p = 4 the Hausdorff-Young bound: the l_{5/4} norm of the coefficients
+    assert lp_norm_bound(f, 5.0) == float(np.sum(np.abs(f.values) ** 1.25)) ** 0.8
+    assert lp_norm_bound(SpectralFunction.single(3, 2.0 - 1.0j), 6.0) == pytest.approx(abs(2.0 - 1.0j), rel=1e-15)
     with pytest.raises(SpectralError):
         lp_norm_bound(f, 1.0)
 
@@ -321,6 +323,21 @@ def test_random_real_spectral_is_exactly_hermitian(d, bw):
     for normalize_p in (None, 3.0):
         v = random_real_spectral(d, bw, rng, normalize_p=normalize_p).values
         assert np.array_equal(v, np.conj(v[(slice(None, None, -1),) * d]))
+
+
+@pytest.mark.parametrize("d, bws", [(1, range(0, 65, 8)), (2, (0, 1, 7, 16)), (3, (0, 2, 5))])
+def test_random_real_spectral_is_the_hermitian_part_of_one_draw(d, bws):
+    # re, then im, from the stream; the coefficients are 0.5 (z + conj z(-k))
+    # of z = re + i im, bit for bit, and the stream ends where it did
+    flip = (slice(None, None, -1),) * d
+    for bw, seed in itertools.product(bws, range(3)):
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        shape = (2 * bw + 1,) * d
+        z = want_rng.standard_normal(shape) + 1j * want_rng.standard_normal(shape)
+        want = 0.5 * (z + np.conj(z[flip]))
+        got = random_real_spectral(d, bw, rng).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_lp_norm_rejects_endpoints():
