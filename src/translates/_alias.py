@@ -5,7 +5,8 @@ onto its representative k' in [-m, m] with k = k' (mod 2m+1).  Both the
 operator's spectral image and the theoretical error budgets are sums
 over these residue classes and share the residue map and band arrays
 built here.  ``alias_folds`` folds one walk over m < k <= K onto every (m, K)
-asked for, the profile's and the image plans' fold.  Where the tail rule is
+asked for, the profile's and the image plans' fold; a sweep holds the
+``fold_map`` of its one walk for as long as it runs.  Where the tail rule is
 exact and summable the walk stops after the first rows of the block grid and
 the tail rule's series (Hurwitz zeta, or geometric) gives the rest up to K, so
 the radius K sets the truncation, not the cost.  ``alias_blocks`` walks
@@ -87,8 +88,8 @@ class AliasProfile:
     |gamma_{k' + (2m+1)t}|^2, truncated at |k|_inf <= K_out; ``tail_sq``
     bounds the discarded part of each class.  ``alias_fold`` describes how
     the sums are formed; K_out sets where they stop, and under an exact,
-    summable tail rule not what they cost.  ``element_error`` takes them as
-    the fold of a box-free image plan, the exact p = 2 error of
+    summable tail rule not what they cost.  ``element_error`` hands them to
+    its image plan as its fold, when it builds it: the exact p = 2 error of
     ``approximation_error`` at K_out in O(bandwidth^d) per source after the
     one-off pass over the alias blocks, with the source-box terms of ``box``.
     """
@@ -119,9 +120,7 @@ class AliasProfile:
         """The image plan at K_out, with ``sq_profile`` as its fold."""
         from .approximant import ImagePlan  # the operator module builds on this one
 
-        plan = ImagePlan(self.lam, self.beta, self.m, self.K_out)
-        plan.fold = self.sq_profile
-        return plan
+        return ImagePlan(self.lam, self.beta, self.m, self.K_out, fold=self.sq_profile)
 
 
 def alias_fold(lam: CoefficientSequence, beta: CoefficientSequence, m: int, K: int) -> tuple:
@@ -140,12 +139,9 @@ def alias_fold(lam: CoefficientSequence, beta: CoefficientSequence, m: int, K: i
     column sums max(D_j + E_j) and those tails.  Where beta_j's tail rule is
     exact and summable and T > h + 1, the rows past the first h (``_walk_cuts``)
     come from the rule's series, so E_j costs O(h (2m+1)) whatever K is.  It
-    is ``alias_folds`` of the one pair, or the same bits that a sweep's walk
-    kept (``_keep_folds``).
+    is ``alias_folds`` of the one pair: its own walk.
     """
-    kept_lam, kept_beta, kept = _kept  # read once: a sweep in another thread may replace it
-    hit = kept.get((m, K)) if kept_lam is lam and kept_beta is beta else None
-    return hit or alias_folds(lam, beta, [(m, K)])[0]
+    return alias_folds(lam, beta, [(m, K)])[0]
 
 
 def alias_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> list:
@@ -199,7 +195,7 @@ def alias_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> l
     out = [(math.prod(A) * product_increment(D, E), math.prod(a) * product_increment(c, t))
            for A, D, E, a, c, t in (zip(*part) for part in parts)]
     for fold, _ in out:
-        fold.flags.writeable = False  # a fold that a sweep keeps is shared by all who ask for it
+        fold.setflags(write=False)  # a sweep's rows share its folds between their profiles and plans
     return out
 
 
@@ -288,16 +284,12 @@ def _profile_sq_series(rule: TailRule, n: int, offsets, T: int, W=None):
     return lo * (1.0 - rel), hi * (1.0 + rel)
 
 
-_kept = (None, None, {})  # (lam, beta, {(m, K): (fold, tail_sq)}) of the last sweep config's walk
-
-
-def _keep_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> None:
-    """Keep the ``alias_folds`` of ``pairs`` for ``alias_fold``, and log at
-    DEBUG level how many took rows from the series and how many indices the
-    walk evaluated."""
-    global _kept
+def fold_map(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> dict:
+    """{(m, K): ``alias_fold``} of the pairs, from one ``alias_folds`` walk: what
+    a sweep hands its rows.  Logs at DEBUG level how many took rows from the
+    series and how many indices the walk evaluated."""
     t0 = time.perf_counter()
-    _kept = (lam, beta, dict(zip(pairs, alias_folds(lam, beta, pairs))))
+    folds = dict(zip(pairs, alias_folds(lam, beta, pairs)))
     if log.isEnabledFor(logging.DEBUG):
         seconds, series, indices = time.perf_counter() - t0, set(), 0
         for axb in beta.axis_factors():
@@ -306,6 +298,7 @@ def _keep_folds(lam: CoefficientSequence, beta: CoefficientSequence, pairs) -> N
             indices += (max(cuts) - min(m for m, _ in pairs)) * (1 if axb.symmetric else 2)
         log.debug("one alias walk for %d folds (%d past the head from the series) evaluated %d indices in %.3f s",
                   len(pairs), len(series), indices, seconds)
+    return folds
 
 
 def whole_blocks(m: int, K: int) -> int:
@@ -318,13 +311,17 @@ def build_alias_profile(
     beta: CoefficientSequence,
     m: int,
     K_out: int | None = None,
+    *,
+    folds: dict | None = None,
 ) -> AliasProfile:
     """The alias profile of a product pair (lam, beta) at m: the ``alias_fold``
-    (a sweep's kept one, if its walk covered it) of the ``whole_blocks`` over
-    K_out, its own ``K_out``.  Without ``K_out`` it takes ``default_K_out``.
+    of the ``whole_blocks`` over K_out, its own ``K_out``.  Without ``K_out``
+    it takes ``default_K_out``.  ``folds`` is a sweep's ``fold_map`` of this
+    pair: a fold found there is the one the call would walk itself, bit for
+    bit, and a radius not found there is walked as without it.
     """
     K = whole_blocks(m, default_K_out(lam, beta, m) if K_out is None else K_out)
-    return AliasProfile(lam, beta, m, K, *alias_fold(lam, beta, m, K))
+    return AliasProfile(lam, beta, m, K, *((folds or {}).get((m, K)) or alias_fold(lam, beta, m, K)))
 
 
 _BLOCK = 1 << 15  # alias indices per streamed block: 256 KiB of float64

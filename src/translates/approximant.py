@@ -247,15 +247,17 @@ class ImagePlan:
     gamma_k = alpha_{k'} beta_k^{-1}; on it gamma_k = lambda_k^{-1}, so the
     target is reproduced there.  ``index`` maps each box position (C order)
     to the flat band position of k' and ``outer`` marks |k|_inf > m; the
-    first image builds them with ``gamma`` and ``tail_scale``, and each
-    image then costs one gather and one product.  ``fold`` sums |gamma_k|^2
-    over the off-band positions of each residue class (``_alias.alias_fold``
-    for a product pair, a pass over the box otherwise), after which a p = 2
-    error costs O(bandwidth^d) per source (``error_sq``).  A sweep row passes
-    one plan to the public image and error functions through ``plan=``.
+    first read of any of them builds all four with ``gamma`` and
+    ``tail_scale`` (``_arrays``), and each image then costs one gather and one
+    product.  ``fold`` sums |gamma_k|^2 over the off-band positions of each
+    residue class (``_alias.alias_fold`` for a product pair, a pass over the
+    box otherwise), after which a p = 2 error costs O(bandwidth^d) per source
+    (``error_sq``).  A given ``fold`` (from a sweep's walk or an alias
+    profile) is that sum, the bits the plan would compute itself.  A sweep
+    row passes one plan to the public image and error functions through ``plan=``.
     """
 
-    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int, box=None):
+    def __init__(self, lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_out: int, box=None, fold=None):
         if beta.dimension != lam.dimension:
             raise SequenceError("sequence dimensions differ")
         if K_out < m:
@@ -264,25 +266,25 @@ class ImagePlan:
             raise ValueError("the source box was built for another (lam, beta, m)")
         self.lam, self.beta, self.m, self.K_out, self.dimension = lam, beta, m, K_out, lam.dimension
         self.box = box or SourceBox(lam, beta, m)
+        if fold is not None:  # the fold's value, which the property would compute
+            self.fold = fold
 
-    def __getattr__(self, name: str):
-        if name not in ("index", "outer", "gamma", "tail_scale"):  # built together, on first use
-            raise AttributeError(name)
-        self._build_box()
-        return getattr(self, name)
-
-    def _build_box(self) -> None:
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        """(index, outer, gamma, tail_scale), built together on first use."""
         d, m, K = self.dimension, self.m, self.K_out
         if d > 1 and (2 * K + 1) ** d > NODE_GUARD:
             raise ValueError("K_out box exceeds the coefficient guard")
         inv_lam, _, alpha = band_arrays(self.lam, self.beta, m)
         ks = index_box(K, d)
         kp = (k_prime_array(ks, m) + m).reshape(-1, d)
-        self.index = np.ravel_multi_index(tuple(kp.T), alpha.shape).astype(np.int32)
-        self.outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
-        self.gamma = alpha.ravel()[self.index] * np.asarray(self.beta.inv_values(ks))
-        self.gamma[~self.outer] = inv_lam.ravel()  # the band, in C order
-        self.tail_scale = image_tail_bound(alpha, self.beta, K, 1.0)
+        index = np.ravel_multi_index(tuple(kp.T), alpha.shape).astype(np.int32)
+        outer = np.max(np.abs(ks.reshape(-1, d)), axis=1) > m
+        gamma = alpha.ravel()[index] * np.asarray(self.beta.inv_values(ks))
+        gamma[~outer] = inv_lam.ravel()  # the band, in C order
+        return index, outer, gamma, image_tail_bound(alpha, self.beta, K, 1.0)
+
+    index, outer, gamma, tail_scale = (property(lambda self, i=i: self._arrays[i]) for i in range(4))
 
     def coefficients(self, sources: list) -> np.ndarray:
         """Image coefficients of each source of a list, stacked: shape
@@ -503,7 +505,8 @@ def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
     the quadrature error of the two grids.  The h take one beta ``inv_values``
     call on the widest class box, and those of one bandwidth ``_lp_norms`` stacks
     whose complex grids fit in the bytes of ``lp_norm``'s real one at radius K
-    (2/5 of its points), each value bit for bit that of its frequency alone.
+    (2/5 of its points), each value bit for bit that of its frequency alone;
+    the stacks share their grid arrays until the call returns.
     """
     d, n = lam.dimension, 2 * m + 1
     k0s = np.array(k0s, dtype=np.int64).reshape(-1, d)
@@ -517,12 +520,12 @@ def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
     widths = np.array([spectral._bandwidth(v) for v in vals])
     grid = min(_CLASS_GRID, oversample * (2 * K + 1))
     full = spectral._smooth_length(oversample * (2 * K + 1)) ** d
-    errs = np.zeros(len(k0s))
+    errs, grids = np.zeros(len(k0s)), {}  # the stacks' shared grid arrays, for this loop
     for b in set(widths.tolist()):
         over, same = max(oversample, -(-grid // (2 * b + 1))), np.flatnonzero(widths == b)
         chunk = max(1, 2 * full // (5 * spectral._smooth_length(over * (2 * b + 1)) ** d))
         for c in range(0, len(same), chunk):
-            errs[same[c : c + chunk]] = spectral._lp_norms(vals[same[c : c + chunk]], p, over)
+            errs[same[c : c + chunk]] = spectral._lp_norms(vals[same[c : c + chunk]], p, over, grids)
     return errs.tolist()
 
 

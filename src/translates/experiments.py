@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._alias import _keep_folds, band_arrays, build_alias_profile, md_single_frequency_errors_sq, whole_blocks
+from ._alias import band_arrays, build_alias_profile, fold_map, md_single_frequency_errors_sq, whole_blocks
 from .approximant import (
     ClassElement,
     ImagePlan,
@@ -111,23 +111,23 @@ def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
     norm (``lp_norm`` takes no grid), taken as each is drawn.  Otherwise the
     sources are drawn and normalised in chunks whose grid has no more points
     than the row's full quadrature grid at quad_K (``_stack_rows``), each chunk's
-    grids as one stack (``_lp_norms``).  Each norm is the one ``lp_norm``
+    grids as one stack (``_lp_norms``) on the chunks' shared arrays.  Each norm is the one ``lp_norm``
     gives that source alone, bit for bit, and only one chunk of unscaled
     sources is held at a time.
     """
     rng = np.random.default_rng([cfg.seed, m])
     bw = _drawn_bandwidth(cfg, m)
 
-    def normalised(chunk):
+    def normalised(chunk, grids):
         sources = [random_real_spectral(cfg.dimension, bw, rng) for _ in chunk]
         if cfg.p == 2.0:
             norms = [lp_norm(g, 2.0) for g in sources]
         else:
-            norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample)
+            norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample, grids)
         if 0.0 in norms:
             raise SpectralError("degenerate random draw")
         for g, norm in zip(sources, norms):  # fresh draws: scaled in place, as g * (1 / norm) would
-            g.values *= 1.0 / norm
+            np.multiply(g.values, 1.0 / norm, out=g.values)
         return sources
 
     if cfg.p == 2.0:
@@ -139,16 +139,19 @@ def _stack_rows(cfg: SweepConfig, K: int, radius: int, oversample: int) -> int:
     """How many coefficient boxes of the given radius a stacked L_p grid at
     ``oversample`` takes at once: as many as fit, at least one, in the points
     of the full quadrature grid of a row at radius K (``lp_norm``'s grid at
-    ``cfg.oversample``).  The stacks share the kept grid arrays, so a row's
-    stacks need no more grid memory than its measured sources do."""
+    ``cfg.oversample``).  The stacks of one loop share their grid arrays
+    (``_in_chunks``), so a row's stacks need no more grid memory than its
+    measured sources do."""
     full = _smooth_length(cfg.oversample * (2 * K + 1)) ** cfg.dimension
     return max(1, full // _smooth_length(oversample * (2 * radius + 1)) ** cfg.dimension)
 
 
 def _in_chunks(stacked, items: list, rows: int) -> list:
-    """``stacked`` applied to consecutive chunks of at most ``rows`` items,
-    its results concatenated."""
-    return [value for i in range(0, len(items), rows) for value in stacked(items[i : i + rows])]
+    """``stacked`` applied to consecutive chunks of at most ``rows`` items and
+    the loop's grid arrays (the ``grids`` of ``spectral._lp_norms``), its
+    results concatenated; the arrays are freed when the loop ends."""
+    grids = {}
+    return [value for i in range(0, len(items), rows) for value in stacked(items[i : i + rows], grids)]
 
 
 def _drawn_bandwidth(cfg: SweepConfig, m: int) -> int:
@@ -184,8 +187,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     could give, ranks the probes by the sums the row measures); a d >= 2 product pair
     takes ``md_single_frequency_errors_sq``, other pairs probe the edge
     frequency (m, 0, ..., 0), and at d >= 2 the sources' p = 2 errors are
-    their quadrature errors on the plan.  At d = 1 every row's folds come from one
-    ``alias_folds`` walk before the first row, which the rows' ``seconds`` leave out.
+    their quadrature errors on the plan.  At d = 1 every row's folds (its profile's, and at p = 2
+    its plan's) come from one walk before the first row, which the rows' ``seconds`` leave out:
+    its ``fold_map``, which the sweep holds until it returns.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
@@ -195,8 +199,7 @@ def run_sweep(cfg: SweepConfig) -> list:
         bw = fixed[0].bandwidth if fixed else _drawn_bandwidth(cfg, m)
         K_out, quad_K = radii[m, bw] = _radii(lam, beta, m, p, bw, cfg.K_out)
         pairs |= {(m, whole_blocks(m, K_out)), (m, quad_K)} if p == 2.0 else {(m, whole_blocks(m, quad_K))}
-    if d == 1:  # each profile's fold, and at p = 2 each row plan's, from one walk
-        _keep_folds(lam, beta, sorted(pairs))
+    folds = fold_map(lam, beta, sorted(pairs)) if d == 1 else {}  # each profile's fold, and at p = 2 each plan's
     rows = []
     for m in cfg.m_list:
         t0 = time.perf_counter()
@@ -207,7 +210,7 @@ def run_sweep(cfg: SweepConfig) -> list:
             _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p)
         profile = sq = None
         if d == 1:
-            profile = build_alias_profile(lam, beta, m, K_out=K_out if p == 2.0 else quad_K)
+            profile = build_alias_profile(lam, beta, m, K_out=K_out if p == 2.0 else quad_K, folds=folds)
             sq = profile.sq_profile
         elif lam.axis_factors() and beta.axis_factors():
             sq = md_single_frequency_errors_sq(lam, beta, m)
@@ -216,7 +219,8 @@ def run_sweep(cfg: SweepConfig) -> list:
         else:
             order = np.argsort(-sq, axis=None, kind="stable")[: cfg.probe_count]
             probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in order]
-        plan = ImagePlan(lam, beta, m, quad_K, None if profile is None else profile.box)
+        box = None if profile is None else profile.box
+        plan = ImagePlan(lam, beta, m, quad_K, box, folds.get((m, quad_K), [None])[0])
         if p == 2.0 and d == 1:  # a source's two errors in turn share its source-box term
             both = [(_plan_errors(cfg, plan, [g], [])[0], profile.element_error(g)) for g in sources]
             err_q, err_p = [q for q, _ in both] + _plan_errors(cfg, plan, [], probes), [e for _, e in both]
@@ -247,7 +251,8 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     measured only if ``lp_norm_bound`` of its error coefficients cannot rule
     it out.  The bounds take the sources as stacks: chunks of ``_stack_rows``
     sources, whose error coefficients (``_error_stack``) share one L4 grid
-    (``_lp_norm_bounds``; none above p = 4), each bound that of the source alone, bit for bit.
+    (``_lp_norm_bounds``; none above p = 4), each bound that of the source alone, bit for bit;
+    the chunks share their grid arrays (``_in_chunks``), freed before any source is measured.
     The source with the largest bound always is measured, then the probes,
     then the rest in descending bound order while their bound reaches the
     running max; the first one below it ends the row, as all later ones are
@@ -264,7 +269,7 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
         return [error(g) for g in sources] + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
     R = max([K] + [g.radius for g in sources])
     bounds = _in_chunks(
-        lambda c: _lp_norm_bounds(_error_stack(lam, plan, c, plan.coefficients(c)), p),
+        lambda c, grids: _lp_norm_bounds(_error_stack(lam, plan, c, plan.coefficients(c)), p, grids=grids),
         sources, _stack_rows(cfg, K, R, 2),
     )
     order = sorted(range(len(sources)), key=lambda i: -bounds[i])  # ties in source order

@@ -175,9 +175,6 @@ def default_probe_generator(
     return SpectralFunction(d, truncation, vals.astype(complex), copy=False)
 
 
-_kept = None  # (n, psihat bytes, system) of the last equispaced restart
-
-
 def _phases(nodes: np.ndarray, K: int) -> np.ndarray:
     """``E[l, k] = e^{-i k a_l}`` for k = 0..K, one row per node.
 
@@ -219,21 +216,6 @@ def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
     except np.linalg.LinAlgError:
         ill = True
     return V, G, ill
-
-
-def _equispaced_system(psihat: np.ndarray, base: np.ndarray) -> tuple:
-    """The restart-0 ``_system`` (half-spectrum phase table, Gram matrix,
-    verdict) at the equispaced ``base``, kept for the last ``(psihat, n)``:
-    every trial of a probe row shares it, and only its right-hand side,
-    solve and residual are per trial.  The kept tuple is replaced whole and
-    never mutated, so a concurrent call at worst rebuilds it; it is never
-    handed another key's system.
-    """
-    global _kept
-    kept, key = _kept, psihat.tobytes()
-    if kept is None or kept[0] != base.size or kept[1] != key:
-        kept = _kept = (base.size, key, _system(psihat, base))
-    return kept[2]
 
 
 def _restart_nodes(n: int, restarts: int, seed):
@@ -290,6 +272,7 @@ def best_translate_fit(
     restarts: int = 8,
     seed: int = 0,
     full_output: bool = False,
+    systems: Optional[dict] = None,
 ):
     """Least-squares fit of n translates of psi to f with searched nodes.
 
@@ -301,9 +284,10 @@ def best_translate_fit(
     returned residual (L2, minimum across restarts) upper-bounds the
     true best distance.  As the weights are real, the system is solved on
     the k >= 0 half of the spectrum, with the phases from a two-level
-    table (see ``_system``), and the equispaced system is kept across
-    calls with the same psi and n, so restart 0 costs only the
-    right-hand side, the solve and the residual.
+    table (see ``_system``).  ``systems``, a dict a probe row holds across
+    its trials, keeps the restart-0 system of each (n, psi) that the call
+    would otherwise build itself: a later call with the same n and psi pays
+    restart 0 only its right-hand side, solve and residual, for the same bits.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -316,9 +300,11 @@ def best_translate_fit(
     half = _half_spectrum(f.trimmed().padded(K).values, psihat)
     best = math.inf
     regularized = False
+    systems, key = {} if systems is None else systems, (n, psihat.tobytes())
     for r, nodes in enumerate(_restart_nodes(n, restarts, seed)):
-        system = _equispaced_system(psihat, nodes) if r == 0 else _system(psihat, nodes)
-        residual, _, ridged = _solve(system, half)
+        if r == 0 and key not in systems:
+            systems[key] = _system(psihat, nodes)
+        residual, _, ridged = _solve(systems[key] if r == 0 else _system(psihat, nodes), half)
         best = min(best, residual)
         regularized = regularized or ridged
     if full_output:
@@ -356,11 +342,11 @@ def probe_Mn(
     reported for context when a growth law is supplied.
     """
     members = sample_F_ns(design, lam, trials, seed)
-    fits = []
+    fits, systems = [], {}  # the trials' equispaced system, for this row
     regularized = False
     for t, f in enumerate(members):
         value, flagged = best_translate_fit(
-            f, psi, design.n, restarts=restarts, seed=(seed, t), full_output=True
+            f, psi, design.n, restarts=restarts, seed=(seed, t), full_output=True, systems=systems
         )
         fits.append(value)
         regularized = regularized or flagged

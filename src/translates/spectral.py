@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -392,11 +391,8 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     An f with exactly Hermitian coefficients (no tolerance) is sampled with
     the real half-spectrum transform ``irfftn``, about twice as cheap, which
     agrees with the complex samples of ``synthesize`` to rounding; any other
-    f with ``ifftn``.  At p = 4 |f| is squared twice.  Each thread keeps the
-    grid arrays of its last grid shape and reuses them while the shape
-    repeats, so those calls allocate no grid; only grids of at most
-    ``_KEEP_GRID`` points are kept (10.5 MB at the cap), and a larger one is
-    allocated for its call and freed after it.
+    f with ``ifftn``.  At p = 4 |f| is squared twice.  Its grid arrays are
+    its own, freed when it returns.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm supports 1 < p < inf only")
@@ -426,21 +422,22 @@ def lp_norm_bound(f: SpectralFunction, p: float) -> float:
     return _lp_norm_bounds(f.values[None], p)[0]
 
 
-def _lp_norm_bounds(values: np.ndarray, p: float) -> list:
+def _lp_norm_bounds(values: np.ndarray, p: float, grids: Optional[dict] = None) -> list:
     """``lp_norm_bound`` of each row of a stack laid out as for ``_lp_norms``,
-    as floats: the L4 norms of the rows share their grids."""
+    as floats: the L4 norms of the rows share their grids, on the loop's
+    ``grids`` if given."""
     if p > 4.0:
         q = p / (p - 1.0)
         return [float(np.sum(np.abs(row) ** q)) ** (1.0 / q) for row in values]
     theta = min(1.0, 4.0 / p - 1.0)
     bounds = [l2**theta for l2 in _lp_norms(values, 2.0)]
     if theta < 1.0:
-        l4 = _lp_norms(values, 4.0, oversample=2)
+        l4 = _lp_norms(values, 4.0, oversample=2, grids=grids)
         bounds = [b * n ** (1.0 - theta) for b, n in zip(bounds, l4)]
     return bounds
 
 
-def _lp_norms(values: np.ndarray, p: float, oversample: int = 8) -> list:
+def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional[dict] = None) -> list:
     """``lp_norm`` of each row of a stack of coefficient boxes, as floats.
 
     ``values`` has the batch axis first, then d axes of 2r+1: the box
@@ -450,23 +447,27 @@ def _lp_norms(values: np.ndarray, p: float, oversample: int = 8) -> list:
     (``_grid_means``), and each root is taken on a Python float, as a root
     of the array of means can differ in the last bit.  So every row reads
     what ``lp_norm`` gives it alone, bit for bit.  The grid holds all rows
-    of a bandwidth at once: the caller sizes the stack.
+    of a bandwidth at once: the caller sizes the stack.  ``grids`` holds
+    the grid arrays of a loop over stacks for as long as that loop runs, so
+    that its stacks of one grid shape take the same arrays; without it the
+    call allocates its own, which give the same bits.
     """
     if p == 2.0:
         return [float(np.linalg.norm(row.ravel())) for row in values]
     d, R = values.ndim - 1, (values.shape[-1] - 1) // 2
+    grids = {} if grids is None else grids
     widths = [_bandwidth(row) for row in values]
     norms = [0.0] * len(widths)
     for b in sorted(set(widths)):
         rows = [i for i, w in enumerate(widths) if w == b]
         box = (rows if len(rows) < len(widths) else slice(None),) + (slice(R - b, R + b + 1),) * d
-        means = _grid_means(values[box], p, _smooth_length(oversample * (2 * b + 1)))
+        means = _grid_means(values[box], p, _smooth_length(oversample * (2 * b + 1)), grids)
         for i, mean in zip(rows, means):
             norms[i] = float(mean) ** (1.0 / p)
     return norms
 
 
-def _grid_means(values: np.ndarray, p: float, N: int) -> np.ndarray:
+def _grid_means(values: np.ndarray, p: float, N: int, grids: dict) -> np.ndarray:
     """The mean of |f|^p on the grid of N points per axis for each row of a
     stack of boxes of radius r, 2r + 1 < N, so that no frequency wraps.
 
@@ -474,9 +475,10 @@ def _grid_means(values: np.ndarray, p: float, N: int) -> np.ndarray:
     rows take one ``irfftn`` on the half spectrum, the others one ``ifftn``.
     A spectrum is filled by slices: per axis the frequencies 0..r go to the
     first r + 1 grid points and -r..-1 to the last r (the half spectrum has
-    no negative frequencies on the last axis).  The arrays are the thread's
-    kept grid (``_grid_buffers``); a real grid holds only the half spectrum
-    and |f|^p, 40% of a complex one.
+    no negative frequencies on the last axis).  The arrays (the spectrum,
+    the complex samples, none for a real grid, and |f|^p) are those ``grids``
+    holds for the grid's shapes, or new ones that replace the ones it holds;
+    a real grid holds only the half spectrum and |f|^p, 40% of a complex one.
     """
     d, r = values.ndim - 1, (values.shape[-1] - 1) // 2
     axes = tuple(range(1, d + 1))
@@ -494,7 +496,11 @@ def _grid_means(values: np.ndarray, p: float, N: int) -> np.ndarray:
         half = bool(real[rows[0]])
         shape = (rows.size,) + (N,) * d
         spec_shape = shape[:-1] + (N // 2 + 1,) if half else shape
-        spec, samples, out = _grid_buffers(spec_shape, (0,) if half else shape, shape)
+        key = (spec_shape, (0,) if half else shape, shape)
+        if key not in grids:
+            grids.clear()  # the last grid's arrays are freed before these are allocated
+            grids[key] = tuple(np.empty(s, t) for s, t in zip(key, (complex, complex, float)))
+        spec, samples, out = grids[key]
         spec.fill(0)
         pieces = [((slice(r, 2 * r + 1), slice(0, r + 1)), (slice(0, r), slice(N - r, N)))] * d
         if half:
@@ -515,24 +521,6 @@ def _grid_means(values: np.ndarray, p: float, N: int) -> np.ndarray:
             np.power(out, p, out=out)
         means[rows] = np.mean(out.reshape(rows.size, -1), axis=1)
     return means
-
-
-_kept = threading.local()  # .grid: this thread's kept lp_norm arrays
-_KEEP_GRID = 1 << 18  # grid points up to which lp_norm keeps its arrays
-
-
-def _grid_buffers(*shapes) -> tuple:
-    """Arrays of the given shapes for a grid: the spectrum and the samples,
-    complex (a real grid needs no complex samples: shape (0,)), and
-    |samples|^p.  The thread's kept ones if of these shapes, or new ones."""
-    grid = getattr(_kept, "grid", None)
-    if grid is not None and tuple(a.shape for a in grid) == shapes:
-        return grid
-    grid = _kept.grid = None  # free the old grid before allocating the new one
-    grid = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, (complex, complex, float)))
-    if math.prod(shapes[-1]) <= _KEEP_GRID:
-        _kept.grid = grid
-    return grid
 
 
 def partial_sum(g: SpectralFunction, r: int, s: int) -> SpectralFunction:

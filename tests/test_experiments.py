@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 from dataclasses import replace
@@ -519,9 +520,6 @@ def _sweep_errors_one_call_each(cfg):
     """Per row of run_sweep: the quadrature errors of every source and probe
     and the oracle errors, each from one public per-source call with no
     shared plan and no bound, and the number of sources."""
-    from translates import _alias
-
-    _alias._kept = (None, None, {})  # drop the sweep's kept folds: each call walks its own
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     out = []
     for m in cfg.m_list:
@@ -659,7 +657,7 @@ def test_p6_sweep_equals_an_all_measured_one(monkeypatch):
     rows = run_sweep(cfg)
     pruned = len(measured)
     assert pruned < 3 * cfg.g_count
-    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p: [math.inf] * len(v))
+    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p, **kw: [math.inf] * len(v))
     assert run_sweep(cfg) == rows and len(measured) == pruned + 3 * cfg.g_count
 
 
@@ -667,7 +665,7 @@ def test_general_p_row_checks_each_measured_source_against_its_bound(monkeypatch
     # a bound that does not bound stops the sweep instead of dropping a source
     from translates import experiments
 
-    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p: [0.5 * b for b in _lp_norm_bounds(v, p)])
+    monkeypatch.setattr(experiments, "_lp_norm_bounds", lambda v, p, **kw: [0.5 * b for b in _lp_norm_bounds(v, p, **kw)])
     text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4")
     with pytest.raises(RuntimeError, match="above its bound"):
         run_sweep(SweepConfig.from_raw(parse_config(text)))
@@ -742,7 +740,7 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
     # the source's own box, so no box is wider than 2 bw + 1 per axis; a
     # p = 3 row builds its one quadrature box
     sizes, coefficients = [], ImagePlan.coefficients
-    built, build_box = [], ImagePlan._build_box
+    built, build_box = [], ImagePlan.__dict__["_arrays"].func
 
     def spying(self, g):
         out = coefficients(self, g)
@@ -751,10 +749,12 @@ def test_p2_sweep_row_takes_no_pass_over_the_quadrature_box(monkeypatch):
 
     def building(self):
         built.append(self.K_out)
-        build_box(self)
+        return build_box(self)
 
+    arrays = functools.cached_property(building)
+    arrays.__set_name__(ImagePlan, "_arrays")
     monkeypatch.setattr(ImagePlan, "coefficients", spying)
-    monkeypatch.setattr(ImagePlan, "_build_box", building)
+    monkeypatch.setattr(ImagePlan, "_arrays", arrays)
     for r, dim, m, K_quad in ((1.0, 1, 4, 131072), (2.0, 2, 2, 32)):
         text = BASIC.replace("r = 2.0", f"r = {r}\ndim = {dim}").replace("m_list = 2 4 8", f"m_list = {m}")
         cfg = SweepConfig.from_raw(parse_config(text))
@@ -780,9 +780,9 @@ def test_p2_sweep_row_builds_one_plan_on_the_sources_box(monkeypatch):
     # one image plan on the sources' own box of radius bw = 2m a row
     built, init = [], ImagePlan.__init__
 
-    def recording(self, lam, beta, m, K_out, *box):
+    def recording(self, lam, beta, m, K_out, *args, **kwargs):
         built.append((m, K_out))
-        init(self, lam, beta, m, K_out, *box)
+        init(self, lam, beta, m, K_out, *args, **kwargs)
 
     monkeypatch.setattr(ImagePlan, "__init__", recording)
     for family in ("korobov\nr = 1.0", "korobov\nr = 2.0", "exponential\ns = 0.5"):
@@ -817,6 +817,46 @@ def test_sweep_walks_the_alias_blocks_once(monkeypatch, p):
         assert [K for mm, K in pairs if mm == m] == ([quad_K, whole] if p == 2.0 else [whole])
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_sweep_folds_die_with_the_sweep(monkeypatch, p):
+    # the folds of a sweep's walk live in that sweep: once run_sweep returns,
+    # nothing holds them (no module keeps them for the next sweep)
+    import weakref
+
+    from translates import _alias
+
+    refs, folds = [], _alias.alias_folds
+
+    def walking(lam, beta, pairs):
+        out = folds(lam, beta, pairs)
+        refs.extend(weakref.ref(fold) for fold, _ in out)
+        return out
+
+    monkeypatch.setattr(_alias, "alias_folds", walking)
+    text = BASIC.replace("r = 2.0", "r = 1.0").replace("p = 2.0", f"p = {p}")
+    rows = run_sweep(SweepConfig.from_raw(parse_config(text)))
+    assert len(rows) == 3 and len(refs) == (6 if p == 2.0 else 3)
+    assert all(ref() is None for ref in refs)
+
+
+def test_profile_takes_the_same_bits_with_or_without_the_sweeps_folds():
+    # a fold found in the sweep's map is the one the profile takes, and it is
+    # the fold the profile walks without the map; a radius the map lacks is
+    # walked as without it
+    from translates._alias import fold_map, whole_blocks
+
+    lam, beta = Korobov(1.0), Korobov(2.0)
+    folds = fold_map(lam, beta, [(4, whole_blocks(4, 5000)), (8, 333)])
+    g = random_real_spectral(1, 8, np.random.default_rng(27))
+    for m, K_out, found in ((4, 5000, True), (4, 700, False), (8, 333, False)):
+        kept = build_alias_profile(lam, beta, m, K_out=K_out, folds=folds)
+        own = build_alias_profile(lam, beta, m, K_out=K_out)
+        assert (kept.sq_profile is folds.get((m, kept.K_out), [None])[0]) == found
+        assert np.array_equal(kept.sq_profile.view(np.int64), own.sq_profile.view(np.int64))
+        assert (kept.K_out, kept.tail_sq) == (own.K_out, own.tail_sq)
+        assert kept.element_error(g) == own.element_error(g)
+
+
 def _sweeps_in_threads(cfgs) -> None:
     """Sweep each config 50 times in its own thread (more threads than cores,
     switched often) and check every pass against its serial rows."""
@@ -845,19 +885,20 @@ def _sweeps_in_threads(cfgs) -> None:
 
 
 def test_sweeps_in_threads_read_only_their_own_folds():
-    # every sweep replaces the kept folds whole, and a row reads them once, so
-    # two configs with the same radii (k_out = 200), each swept in two threads,
-    # give their serial rows
+    # every sweep holds the folds of its own walk and hands them to its rows,
+    # so two configs with the same radii (k_out = 200), each swept in two
+    # threads, give their serial rows
     text = BASIC.replace("g_count = 5", "g_count = 1\nk_out = 200")
     cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 3.0)]
     _sweeps_in_threads(cfgs * 2)
 
 
 def test_p3_sweeps_in_threads_keep_their_own_grids():
-    # each thread keeps its own lp_norm grid arrays, so p = 3 sweeps of equal
-    # grid sizes, each config in two threads, give their serial rows (with one
-    # kept grid per process the errors of one thread were read from another's
-    # grid, and a row stopped with an error above its bound)
+    # the stacks of a loop share the grid arrays that loop holds, so p = 3
+    # sweeps of equal grid sizes, each config in two threads, give their
+    # serial rows (with one kept grid per process the errors of one thread
+    # were read from another's grid, and a row stopped with an error above
+    # its bound)
     text = BASIC.replace("p = 2.0", "p = 3.0").replace("m_list = 2 4 8", "m_list = 4 8")
     text = text.replace("g_count = 5", "g_count = 2\nk_out = 200")
     cfgs = [SweepConfig.from_raw(parse_config(text.replace("r = 2.0", f"r = {r}"))) for r in (1.0, 2.0)]
@@ -929,8 +970,8 @@ def test_general_p_row_ranks_its_probes_at_the_quadrature_radius(monkeypatch):
 
     built = {}
 
-    def building(lam, beta, m, K_out=None):
-        profile = build_alias_profile(lam, beta, m, K_out=K_out)
+    def building(lam, beta, m, K_out=None, **kwargs):
+        profile = build_alias_profile(lam, beta, m, K_out=K_out, **kwargs)
         built[m] = profile.K_out
         return profile
 

@@ -266,44 +266,66 @@ def test_half_spectrum_system_matches_the_dense_full_spectrum():
     assert not ill  # the jittered nodes took the exp comparison
 
 
-def test_kept_equispaced_system_changes_no_bit(monkeypatch):
+def test_kept_equispaced_system_changes_no_bit():
+    # one dict of systems shared by interleaved (psi, n) calls, as a probe row
+    # shares it across its trials, against calls that build their own
     lam = Korobov(1.0)
     psi_a = default_probe_generator(lam, 128)
     psi_b = default_probe_generator(Korobov(2.0), 128)
     assert psi_a.bandwidth == psi_b.bandwidth
     calls = [(psi_a, 10), (psi_b, 10), (psi_a, 20), (psi_a, 10)]
 
-    def fit(psi, n):
+    def fit(psi, n, systems=None):
         # restarts = 1 returns restart 0's residual, which a wrong kept system would move
         f = sample_F_ns(design_for_n(n, 1, lam), lam, 1, seed=n)[0]
-        return [best_translate_fit(f, psi, n, restarts=r, seed=(n, 1), full_output=True)
+        return [best_translate_fit(f, psi, n, restarts=r, seed=(n, 1), full_output=True, systems=systems)
                 for r in (1, 3)]
 
-    monkeypatch.setattr(lower_bound, "_kept", None)
-    interleaved = [fit(psi, n) for psi, n in calls]
-    assert lower_bound._kept[0] == 10
-    fresh = []
-    for psi, n in calls:
-        monkeypatch.setattr(lower_bound, "_kept", None)
-        fresh.append(fit(psi, n))
+    systems = {}
+    interleaved = [fit(psi, n, systems) for psi, n in calls]
+    assert sorted(n for n, _ in systems) == [10, 10, 20]  # one system per (n, psi), each kept
+    fresh = [fit(psi, n) for psi, n in calls]
     bits = lambda runs: [(np.float64(v).view(np.uint64), flag) for run in runs for v, flag in run]
     assert bits(interleaved) == bits(fresh)
 
 
-def test_kept_system_flags_every_rank_deficient_trial(monkeypatch):
+def test_kept_system_flags_every_rank_deficient_trial():
     # 8 translates of a bandwidth-2 generator span at most 5 dimensions, so
     # every restart 0 is ill-conditioned, also when its system is the kept one
     lam = Korobov(1.0)
     psi = default_probe_generator(lam, 2)
-    monkeypatch.setattr(lower_bound, "_kept", None)
+    systems = {}
     for t, f in enumerate(sample_F_ns(design_for_n(10, 1, lam), lam, 4, seed=4)):
         for restarts in (1, 3):
             value, flagged = best_translate_fit(f, psi, 8, restarts=restarts, seed=(3, t),
-                                                full_output=True)
+                                                full_output=True, systems=systems)
             assert flagged and math.isfinite(value)
+    assert len(systems) == 1
     des = design_for_n(10, 1, lam)
     res = probe_Mn(des, lam, psi, trials=3, restarts=1, seed=3)
     assert res.flag == "heuristic,regularized"
+
+
+def test_probe_row_holds_its_system_for_its_trials_only(monkeypatch):
+    # a probe row builds its equispaced system once, for its first trial, and
+    # hands it to the rest; the next row builds its own, and none outlives its row
+    import weakref
+
+    lam = Korobov(1.0)
+    psi = default_probe_generator(lam, 64)
+    built, system = [], lower_bound._system
+
+    def building(psihat, nodes):
+        out = system(psihat, nodes)
+        built.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(lower_bound, "_system", building)
+    results = [probe_Mn(design_for_n(n, 1, lam), lam, psi, trials=3, restarts=2, seed=1) for n in (10, 10)]
+    assert len(built) == 2 * (1 + 3)  # per row: one kept equispaced system, one jittered a trial
+    assert all(ref() is None for ref in built)
+    monkeypatch.undo()
+    assert results[0] == results[1] == probe_Mn(design_for_n(10, 1, lam), lam, psi, trials=3, restarts=2, seed=1)
 
 
 def test_probe_statistic_and_envelopes():

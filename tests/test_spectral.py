@@ -277,15 +277,31 @@ def test_lp_norm_reused_grid_equals_fresh_arrays(p):
         assert lp_norm(f, p, oversample=3) == _lp_norm_fresh_arrays(f, p, oversample=3)
 
 
-def test_lp_norm_keeps_no_grid_above_the_cap(monkeypatch):
-    monkeypatch.setattr(spectral, "_KEEP_GRID", 2_000)
+def test_stacks_of_one_loop_share_arrays_that_give_the_fresh_bits():
+    # stacks of alternating grid shapes, real and complex rows, on one loop's
+    # grids against each row alone on arrays allocated for it: the loop holds
+    # one grid at a time, and a lone lp_norm holds none once it returns
+    import tracemalloc
+
     rng = np.random.default_rng(33)
-    small = random_real_spectral(1, 40, rng)  # 648 grid points
-    wide = random_real_spectral(1, 200, rng)  # 3240 grid points
-    surface = random_real_spectral(2, 3, rng)  # 60^2 grid points
-    for f in (small, wide, small, surface, small, small, wide):
-        assert lp_norm(f, 3.0) == _lp_norm_fresh_arrays(f, 3.0)
-        assert (getattr(spectral._kept, "grid", None) is not None) == (f is small)
+    small = [random_real_spectral(1, 40, rng).values for _ in range(3)]
+    wide = [random_real_spectral(1, 200, rng).values for _ in range(2)]
+    stacks = [small, small[:2], wide, [small[0], small[1] + 1j * small[2]], small, wide[:1]]
+    grids = {}
+    for p in (1.5, 3.0, 4.0):
+        for stack in stacks:
+            want = [_lp_norm_fresh_arrays(SpectralFunction(1, (len(v) - 1) // 2, v), p) for v in stack]
+            assert spectral._lp_norms(np.stack(stack), p, grids=grids) == want
+            assert len(grids) == 1
+    f = random_real_spectral(1, 3001, rng)  # a grid shape no other test takes
+    N = _smooth_length(8 * 6003)
+    tracemalloc.start()
+    try:
+        lp_norm(f, 3.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 16 * N and held < 4096  # a half spectrum and |f|^p of N points, then none
 
 
 @pytest.mark.parametrize("oversample", [8, 3])
