@@ -152,6 +152,13 @@ def _require(cfg: RawConfig, section: str, rules) -> None:
             raise cfg.error(section, key, f"must be {need}, got {value!r}")
 
 
+def _seed(seed: int, override: Optional[int]) -> int:
+    """The CLI's ``--seed`` where given, else the config's ``seed``."""
+    if override is not None and override < 0:
+        raise ConfigError(f"--seed must be >= 0, got {override}")
+    return seed if override is None else override
+
+
 def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
     """Construct the sequence described by a config section."""
     if not cfg.has(section):
@@ -254,6 +261,7 @@ class SweepConfig:
             ("g_count", g_count, g_count >= 0, ">= 0"),
             ("g_bandwidth_factor", bw_factor, 0.0 < bw_factor < float("inf"), "finite and > 0"),
             ("oversample", oversample, oversample >= 2, ">= 2"),
+            ("seed", seed, seed >= 0, ">= 0"),
         ))
         config = cls(
             lam=lam,
@@ -263,7 +271,7 @@ class SweepConfig:
             g_count=g_count,
             g_bandwidth_factor=bw_factor,
             g_file=cfg.get(sec, "g_file", default=None),
-            seed=seed_override if seed_override is not None else seed,
+            seed=_seed(seed, seed_override),
             oversample=oversample,
             timing=cfg.get(sec, "timing", default=True, cast=_bool),
             probe_count=probe_count,
@@ -310,12 +318,17 @@ class ProbeConfig:
         c3 = cfg.get(sec, "c3", default=1.0, cast=float)
         psi_truncation = cfg.get(sec, "psi_truncation", default=512, cast=int)
         growth = cfg.get(sec, "growth", default="power")
+        growth_a = cfg.get(sec, "growth_a", default=1.0, cast=float)
+        growth_b = cfg.get(sec, "growth_b", default=0.0, cast=float)
         _require(cfg, sec, (
             ("trials", trials, trials >= 1, ">= 1"),
             ("restarts", restarts, restarts >= 1, ">= 1"),
             ("c3", c3, 0.0 < c3 < float("inf"), "finite and > 0"),
             ("psi_truncation", psi_truncation, psi_truncation >= 0, ">= 0"),
             ("growth", growth, growth in ("power", "log_power"), "power or log_power"),
+            ("growth_a", growth_a, 0.0 <= growth_a < float("inf"), "finite and >= 0"),
+            ("growth_b", growth_b, 0.0 <= growth_b < float("inf"), "finite and >= 0"),
+            ("seed", seed, seed >= 0, ">= 0"),
         ))
         config = cls(
             lam=lam,
@@ -325,9 +338,9 @@ class ProbeConfig:
             c3=c3,
             psi_truncation=psi_truncation,
             growth_rule=growth,
-            growth_a=cfg.get(sec, "growth_a", default=1.0, cast=float),
-            growth_b=cfg.get(sec, "growth_b", default=0.0, cast=float),
-            seed=seed_override if seed_override is not None else seed,
+            growth_a=growth_a,
+            growth_b=growth_b,
+            seed=_seed(seed, seed_override),
             out=out_override or out,
         )
         cfg.reject_unread(sec)

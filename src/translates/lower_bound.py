@@ -175,8 +175,9 @@ def default_probe_generator(
     return SpectralFunction(d, truncation, vals.astype(complex), copy=False)
 
 
-def _phases(nodes: np.ndarray, K: int) -> np.ndarray:
-    """``E[l, k] = e^{-i k a_l}`` for k = 0..K, one row per node.
+def _phases(nodes: np.ndarray, K: int, table: np.ndarray) -> np.ndarray:
+    """``E[l, k] = e^{-i k a_l}`` for k = 0..K, one row per node, written
+    into the ``(n, J, B)`` ``table`` of ``_work``.
 
     Two-level table: with ``B = isqrt(K + 1)`` and ``k = jB + r``, the
     phase is ``hi[j] * lo[r]``, where ``lo = e^{-i r a}`` (r < B) and
@@ -184,14 +185,26 @@ def _phases(nodes: np.ndarray, K: int) -> np.ndarray:
     instead of ``K + 1``.  Each product is off the direct ``exp`` by a few
     ulp of ``k a``, the rounding the direct argument carries too.
     """
-    B = math.isqrt(K + 1)
-    J = -(-(K + 1) // B)
+    J, B = table.shape[1:]
     lo = np.exp(-1j * np.outer(nodes, np.arange(B)))
     hi = np.exp(-1j * np.outer(nodes, B * np.arange(J)))
-    return (hi[:, :, None] * lo[:, None, :]).reshape(nodes.size, J * B)[:, : K + 1]
+    np.multiply(hi[:, :, None], lo[:, None, :], out=table)
+    return table.reshape(nodes.size, J * B)[:, : K + 1]
 
 
-def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
+def _work(psihat: np.ndarray, n: int) -> tuple:
+    """``(repeat(sqrt(W), 2), table, M)`` for ``_system`` at n nodes, the
+    ``(n, J, B)`` phase table (``B = isqrt(K + 1)``, ``J = ceil((K + 1) / B)``)
+    and the ``(n, 2(K + 1))`` ``M`` unfilled."""
+    K = (psihat.size - 1) // 2
+    W = np.abs(psihat) ** 2
+    W = W[K:] + np.concatenate([[0.0], W[:K][::-1]])
+    B = math.isqrt(K + 1)
+    table = np.empty((n, -(-(K + 1) // B), B), complex)
+    return np.repeat(np.sqrt(W), 2), table, np.empty((n, 2 * K + 2))
+
+
+def _system(psihat: np.ndarray, nodes: np.ndarray, work: Optional[tuple] = None) -> tuple:
     """``(V, G, ill)`` for the translates of psihat at ``nodes``.
 
     The translate at a_l has coefficients ``psihat_k e^{-i k a_l}``, and
@@ -203,13 +216,13 @@ def _system(psihat: np.ndarray, nodes: np.ndarray) -> tuple:
     the Gram matrix of the full-spectrum ``[Re A; Im A]``, and ``ill``
     the ``cond(G) > 1e14`` verdict, taken from the extreme eigenvalues of
     the symmetric G (ill where the smallest is not positive), not an SVD.
+    Given ``work`` (``_work`` of the same psihat and n), the table and ``M``
+    go into its arrays, for the same bits: ``V`` lives until the next write.
     """
     K = (psihat.size - 1) // 2
-    V = _phases(nodes, K).view(float)
-    W = np.abs(psihat) ** 2
-    W = W[K:] + np.concatenate([[0.0], W[:K][::-1]])
-    M = V * np.repeat(np.sqrt(W), 2)
-    G = M @ M.T
+    root, table, M = _work(psihat, nodes.size) if work is None else work
+    V = _phases(nodes, K, table).view(float)
+    G = np.multiply(V, root, out=M) @ M.T
     try:
         lo, hi = np.linalg.eigvalsh(G)[[0, -1]]  # G is symmetric PSD: cond(G) = hi / lo
         ill = not (lo > 0 and hi / lo <= 1e14)
@@ -285,9 +298,12 @@ def best_translate_fit(
     true best distance.  As the weights are real, the system is solved on
     the k >= 0 half of the spectrum, with the phases from a two-level
     table (see ``_system``).  ``systems``, a dict a probe row holds across
-    its trials, keeps the restart-0 system of each (n, psi) that the call
-    would otherwise build itself: a later call with the same n and psi pays
-    restart 0 only its right-hand side, solve and residual, for the same bits.
+    its trials, keeps the restart-0 system and work arrays of each (n, psi)
+    that the call would otherwise build itself: a later call with the same n
+    and psi pays restart 0 only its right-hand side, solve and residual, and
+    every jittered restart writes its system into the kept arrays, for the
+    same bits.  A jittered system is valid only until the next restart, and
+    a dict belongs to one row in one thread.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -303,8 +319,9 @@ def best_translate_fit(
     systems, key = {} if systems is None else systems, (n, psihat.tobytes())
     for r, nodes in enumerate(_restart_nodes(n, restarts, seed)):
         if r == 0 and key not in systems:
-            systems[key] = _system(psihat, nodes)
-        residual, _, ridged = _solve(systems[key] if r == 0 else _system(psihat, nodes), half)
+            systems[key] = _system(psihat, nodes), _work(psihat, n)
+        kept, work = systems[key]
+        residual, _, ridged = _solve(kept if r == 0 else _system(psihat, nodes, work), half)
         best = min(best, residual)
         regularized = regularized or ridged
     if full_output:
@@ -342,7 +359,7 @@ def probe_Mn(
     reported for context when a growth law is supplied.
     """
     members = sample_F_ns(design, lam, trials, seed)
-    fits, systems = [], {}  # the trials' equispaced system, for this row
+    fits, systems = [], {}  # the trials' equispaced system and work arrays, for this row
     regularized = False
     for t, f in enumerate(members):
         value, flagged = best_translate_fit(

@@ -126,11 +126,12 @@ def test_config_validation_rules():
             SweepConfig.from_raw(
                 parse_config(BASIC.replace("timing = off", f"timing = off\nprobe_count = {count}"))
             )
-    # bad source and grid values fail at their line: BASIC less its g_count line ends at 10
+    # bad source, grid and seed values fail at their line: BASIC less its g_count
+    # and seed lines ends at 9
     for key, value in (("g_count", "-2"), ("oversample", "1"), ("g_bandwidth_factor", "inf"),
-                       ("g_bandwidth_factor", "nan"), ("g_bandwidth_factor", "-1")):
-        text = BASIC.replace("g_count = 5\n", "") + f"{key} = {value}\n"
-        with pytest.raises(ConfigError, match=rf":11: key '{key}' in \[sweep\]: must be"):
+                       ("g_bandwidth_factor", "nan"), ("g_bandwidth_factor", "-1"), ("seed", "-1")):
+        text = BASIC.replace("g_count = 5\n", "").replace("seed = 12345\n", "") + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf":10: key '{key}' in \[sweep\]: must be"):
             SweepConfig.from_raw(parse_config(text))
     with pytest.raises(ConfigError, match=r":12: key 'k_ot' in \[sweep\]: unknown key"):
         SweepConfig.from_raw(parse_config(BASIC.replace("timing = off", "timing = off\nk_ot = 5")))
@@ -188,12 +189,29 @@ def test_probe_config_rejects_bad_values_at_their_line():
     head = "[lambda]\nfamily = korobov\nr = 1.0\n[probe]\nn_list = 10\n"
     for key, value in (("trials", "0"), ("restarts", "0"), ("psi_truncation", "-1"),
                        ("c3", "0"), ("c3", "-1"), ("c3", "nan"), ("c3", "inf"),
-                       ("growth", "cubic"), ("growth", "table")):
+                       ("growth", "cubic"), ("growth", "table"), ("growth_a", "nan"),
+                       ("growth_a", "-1"), ("growth_a", "inf"), ("growth_b", "nan"),
+                       ("growth_b", "-0.5"), ("growth_b", "inf"), ("seed", "-1")):
         with pytest.raises(ConfigError, match=rf":6: key '{key}' in \[probe\]: must be"):
             ProbeConfig.from_raw(parse_config(head + f"{key} = {value}\n"))
-    edge = "trials = 1\nrestarts = 1\npsi_truncation = 0\ngrowth = log_power\n"
+    edge = "trials = 1\nrestarts = 1\npsi_truncation = 0\ngrowth = log_power\ngrowth_a = 0\ngrowth_b = 0\nseed = 0\n"
     pc = ProbeConfig.from_raw(parse_config(head + edge))
     assert (pc.trials, pc.restarts, pc.psi_truncation, pc.growth_rule) == (1, 1, 0, "log_power")
+    assert (pc.growth_a, pc.growth_b, pc.seed) == (0.0, 0.0, 0)
+
+
+def test_seed_override_must_be_non_negative(tmp_path, capsys):
+    # a negative --seed is a config error that names the flag, in both sections
+    # and through the CLI, not numpy's bare "expected non-negative integer"
+    probe = "[lambda]\nfamily = korobov\nr = 1.0\n[probe]\nn_list = 10\n"
+    for kind, text, command in ((SweepConfig, BASIC, "sweep"), (ProbeConfig, probe, "probe-lower")):
+        with pytest.raises(ConfigError, match="--seed must be >= 0, got -3"):
+            kind.from_raw(parse_config(text), seed_override=-3)
+        assert kind.from_raw(parse_config(text), seed_override=0).seed == 0
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(text)
+        assert cli.main([command, "--config", str(path), "--seed", "-3"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_probe_config_rejects_a_multivariate_lambda_at_its_line(tmp_path, capsys, monkeypatch):
@@ -287,8 +305,8 @@ EPSILON_GOLDEN = [
     (DATA / f"golden_epsilon_{n}.cfg", DATA / f"golden_epsilon_{n}.csv")
     for n in ("mask", "exponent_mask", "d2_truncated", "constant", "korobov_slow")
 ]
-# the probe golden was recorded before the fit kept its equispaced system;
-# two budgets replace it once
+# the probe golden was recorded before a probe row kept its equispaced system and
+# its restarts' work arrays; each row keeps its own, for every trial after the first
 PROBE_GOLDEN = [
     (DATA / "golden_probe.cfg", DATA / "golden_probe.csv"),
     (CONFIGS / "probe_lower.cfg", DATA / "shipped_probe_lower.csv"),

@@ -247,7 +247,7 @@ def test_half_spectrum_system_matches_the_dense_full_spectrum():
         A = psihat[:, None] * phases
         A2 = np.concatenate([A.real, A.imag])
         # the table is off exp by the rounding of k a itself
-        E = lower_bound._phases(nodes, K)
+        E = lower_bound._phases(nodes, K, lower_bound._work(psihat, nodes.size)[1])
         assert np.max(np.abs(E - phases[K:].T)) <= 4 * (K + 1) * two_pi * np.finfo(float).eps
         system = lower_bound._system(psihat, nodes)
         V, G, ill = system
@@ -307,25 +307,101 @@ def test_kept_system_flags_every_rank_deficient_trial():
 
 
 def test_probe_row_holds_its_system_for_its_trials_only(monkeypatch):
-    # a probe row builds its equispaced system once, for its first trial, and
-    # hands it to the rest; the next row builds its own, and none outlives its row
+    # a probe row builds its equispaced system and its jitter work arrays once,
+    # for its first trial, and hands them to the rest; the next row builds its
+    # own, and none outlives its row
     import weakref
 
     lam = Korobov(1.0)
     psi = default_probe_generator(lam, 64)
-    built, system = [], lower_bound._system
+    built, tables, system = [], [], lower_bound._system
 
-    def building(psihat, nodes):
-        out = system(psihat, nodes)
+    def building(psihat, nodes, *work):
+        out = system(psihat, nodes, *work)
         built.append(weakref.ref(out[1]))
+        tables.extend((id(w[1]), weakref.ref(w[1])) for w in work)
         return out
 
     monkeypatch.setattr(lower_bound, "_system", building)
     results = [probe_Mn(design_for_n(n, 1, lam), lam, psi, trials=3, restarts=2, seed=1) for n in (10, 10)]
     assert len(built) == 2 * (1 + 3)  # per row: one kept equispaced system, one jittered a trial
-    assert all(ref() is None for ref in built)
+    # each row's jittered systems go into the one phase table the row holds
+    assert len(tables) == 2 * 3 and all(len({i for i, _ in tables[r:r + 3]}) == 1 for r in (0, 3))
+    assert all(ref() is None for ref in built + [ref for _, ref in tables])
     monkeypatch.undo()
     assert results[0] == results[1] == probe_Mn(design_for_n(10, 1, lam), lam, psi, trials=3, restarts=2, seed=1)
+
+
+def test_jittered_restarts_on_held_arrays_give_the_fresh_bits():
+    # every jittered restart written into one set of work arrays solves to the
+    # bits of a system built fresh, also where 8 translates of a bandwidth-2
+    # generator are rank deficient and take the ridge
+    lam = Korobov(1.0)
+    bits = lambda out: (np.float64(out[0]).view(np.uint64), out[2])
+    for bandwidth, n in ((128, 10), (512, 40), (2, 8)):
+        psi = default_probe_generator(lam, bandwidth)
+        family = sample_F_ns(design_for_n(max(n, 10), 1, lam), lam, 3, seed=n)
+        K = max(psi.bandwidth, family[0].bandwidth)
+        psihat = psi.padded(K).values
+        work = lower_bound._work(psihat, n)
+        ridged = set()
+        for t, f in enumerate(family):
+            half = lower_bound._half_spectrum(f.padded(K).values, psihat)
+            for r, nodes in enumerate(lower_bound._restart_nodes(n, 5, (n, t))):
+                held = lower_bound._solve(lower_bound._system(psihat, nodes, work), half)
+                fresh = lower_bound._solve(lower_bound._system(psihat, nodes), half)
+                assert bits(held) == bits(fresh), (bandwidth, n, t, r)
+                ridged.add(fresh[2])
+        assert ridged == ({True} if bandwidth == 2 else {False})
+
+
+def test_warm_probe_row_takes_few_page_faults():
+    # the row's jittered restarts write into the arrays it holds, so a warm
+    # n = 40 row maps no phase table or scaled copy per restart (about 18,500
+    # minor faults when each restart allocated its own, about 130 with held arrays)
+    resource = pytest.importorskip("resource")
+    lam = Korobov(1.0)
+    psi = default_probe_generator(lam, 512)
+    design = design_for_n(40, 1, lam)
+    probe_Mn(design, lam, psi, trials=20, restarts=8, seed=2026)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    probe_Mn(design, lam, psi, trials=20, restarts=8, seed=2026)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def test_probe_rows_in_threads_keep_their_own_arrays():
+    # each row writes its restarts into the work arrays it holds, so rows of one
+    # (n, psi) and different families, each run in two threads, give their
+    # serial rows (arrays shared between rows would mix one row's restarts
+    # into another's residuals)
+    import sys
+    import threading
+
+    lam = Korobov(1.0)
+    psi = default_probe_generator(lam, 128)
+    design = design_for_n(20, 1, lam)
+    row = lambda seed: probe_Mn(design, lam, psi, trials=3, restarts=4, seed=seed)
+    seeds = (1, 2, 1, 2)
+    want = [row(seed) for seed in seeds]
+    got = [[] for _ in seeds]
+
+    def probing(i):
+        for _ in range(20):
+            got[i].append(row(seeds[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=probing, args=(i,)) for i in range(len(seeds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert want[0] != want[1]
+    assert got == [[w] * 20 for w in want]
 
 
 def test_probe_statistic_and_envelopes():
