@@ -444,7 +444,7 @@ def approximation_error(
     Korobov(2), beta = Korobov(3), m = 2, K_out = 8 and the frequency 0 that
     is 18 points (N = 90), and the value reads 5.6e-5 off a resolved one at
     p = 3 and 9.1e-4 off at p = 1.5; a sweep takes such errors on their
-    class grid instead (``_single_frequency_error``).  Without ``K_out`` or
+    class grid instead (``_single_frequency_errors``).  Without ``K_out`` or
     ``plan`` the radius is a sweep row's (``_radii``): its K_out at p = 2 and
     its quad_K otherwise.  ``plan`` is as for ``spectral_image``.
     """
@@ -483,11 +483,6 @@ def _error_stack(lam, plan, sources, image) -> np.ndarray:
 
 
 _CLASS_GRID = 2048  # least points per axis of a class grid, unless the full grid has fewer
-
-
-def _single_frequency_error(lam, beta, m, k0, p, K, oversample=8) -> float:
-    """``_single_frequency_errors`` of the one frequency k0."""
-    return _single_frequency_errors(lam, beta, m, [k0], p, K, oversample)[0]
 
 
 def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:

@@ -25,8 +25,8 @@ from .config import ConfigError, ProbeConfig, SweepConfig, load_config
 from .sequences import SequenceError
 
 
-def _add_common(sub, config_required=True):
-    sub.add_argument("--config", required=config_required, help="config file path")
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="config file path")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument(

@@ -189,6 +189,9 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
                 "(korobov, exponential, constant, mask_power, exponent_mask)"
             )
     except SequenceError as exc:
+        key = "dim" if exc.key == "dimension" else exc.key
+        if key in cfg.sections[section]:
+            raise cfg.error(section, key, str(exc)) from None
         raise ConfigError(f"{cfg.path}: [{section}]: {exc}") from None
     degree = cfg.get(section, "truncate", default=None, cast=int)
     if degree is not None:

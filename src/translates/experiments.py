@@ -108,7 +108,8 @@ def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
 
     Each is drawn by ``random_real_spectral`` from the row's stream, one after
     another, and scaled by its norm.  At p = 2 that is its coefficient l2
-    norm (``lp_norm`` takes no grid), taken as each is drawn.  Otherwise the
+    norm (``lp_norm`` takes no grid), which ``random_real_spectral`` takes as
+    it draws each, while its values are in cache.  Otherwise the
     sources are drawn and normalised in chunks whose grid has no more points
     than the row's full quadrature grid at quad_K (``_stack_rows``), each chunk's
     grids as one stack (``_lp_norms``) on the chunks' shared arrays.  Each norm is the one ``lp_norm``
@@ -117,21 +118,18 @@ def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
     """
     rng = np.random.default_rng([cfg.seed, m])
     bw = _drawn_bandwidth(cfg, m)
+    if cfg.p == 2.0:
+        return [random_real_spectral(cfg.dimension, bw, rng, normalize_p=2.0) for _ in range(cfg.g_count)]
 
     def normalised(chunk, grids):
         sources = [random_real_spectral(cfg.dimension, bw, rng) for _ in chunk]
-        if cfg.p == 2.0:
-            norms = [lp_norm(g, 2.0) for g in sources]
-        else:
-            norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample, grids)
+        norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample, grids)
         if 0.0 in norms:
             raise SpectralError("degenerate random draw")
         for g, norm in zip(sources, norms):  # fresh draws: scaled in place, as g * (1 / norm) would
             np.multiply(g.values, 1.0 / norm, out=g.values)
         return sources
 
-    if cfg.p == 2.0:
-        return _in_chunks(normalised, range(cfg.g_count), 1)
     return _in_chunks(normalised, range(cfg.g_count), _stack_rows(cfg, quad_K, bw, cfg.oversample))
 
 

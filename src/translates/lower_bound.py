@@ -54,6 +54,8 @@ class GrowthFunction:
             raise ValueError(f"unknown growth rule {self.rule!r}")
         if self.rule == "table" and (not self.table_x or not self.table_y):
             raise ValueError("table growth needs table_x and table_y")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValueError(f"growth a and b must be finite and >= 0, got a={self.a!r}, b={self.b!r}")
 
     def __call__(self, t) -> np.ndarray:
         t = np.maximum(np.asarray(t, dtype=float), 1.0)

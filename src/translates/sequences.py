@@ -53,7 +53,30 @@ __all__ = [
 
 
 class SequenceError(ValueError):
-    """Invalid sequence construction or evaluation."""
+    """Invalid sequence construction or evaluation; ``key`` names the bad parameter, if any."""
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        super().__init__(message)
+        self.key = key
+
+
+_POSITIVE = (lambda x: 0 < x < math.inf, "finite and > 0")
+# what each sequence parameter must be, by name: (test, the rule in words)
+_PARAMETERS = dict(
+    r=_POSITIVE, s=_POSITIVE, bound_c=_POSITIVE,
+    v=(lambda x: math.isfinite(x) and x != 0, "finite and nonzero"),
+    dimension=(lambda x: x >= 1, ">= 1"),
+    c=(math.isfinite, "finite"), rate=(math.isfinite, "finite"), scale=(math.isfinite, "finite"),
+)
+
+
+def _check_parameters(**values) -> None:
+    """Raise a SequenceError, keyed by name, at the first value that breaks
+    its parameter's rule in ``_PARAMETERS``."""
+    for name, value in values.items():
+        ok, need = _PARAMETERS[name]
+        if not ok(value):
+            raise SequenceError(f"{name} must be {need}, got {value!r}", name)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +131,7 @@ class TailRule:
     def __post_init__(self):
         if self.kind not in ("power", "exponential", "finite", "constant"):
             raise SequenceError(f"unknown tail kind {self.kind!r}")
+        _check_parameters(rate=self.rate, scale=self.scale)
         if self.kind in ("power", "exponential") and self.scale <= 0:
             raise SequenceError("tail scale must be positive")
 
@@ -188,12 +212,11 @@ class MaskSpec:
 
     def __post_init__(self):
         if self.profile not in ("one", "log_damped", "table"):
-            raise SequenceError(f"unknown mask profile {self.profile!r}")
-        if self.bound_c <= 0:
-            raise SequenceError("bound_c must be positive")
+            raise SequenceError(f"unknown mask profile {self.profile!r}", "profile")
+        _check_parameters(c=self.c, bound_c=self.bound_c)
         # sup |sin t|/(1+|t|) ~ 0.4247, so positivity needs c < 2.35
         if self.profile == "log_damped" and not 0 < self.c < 2.35:
-            raise SequenceError("log_damped amplitude must lie in (0, 2.35)")
+            raise SequenceError("log_damped amplitude must lie in (0, 2.35)", "c")
         if self.profile == "table":
             if not self.table_x or not self.table_y:
                 raise SequenceError("table profile needs table_x and table_y")
@@ -213,11 +236,7 @@ class MaskSpec:
     @property
     def left_limit(self) -> float:
         """Profile value used when the mask argument degenerates (k = 0)."""
-        if self.profile == "one":
-            return 1.0
-        if self.profile == "log_damped":
-            return 1.0
-        return float(self.table_y[0])
+        return float(self.table_y[0]) if self.profile == "table" else 1.0
 
     def is_decreasing(self, lo: float = 0.0, hi: float = 50.0, num: int = 2001) -> bool:
         t = np.linspace(lo, hi, num)
@@ -238,8 +257,7 @@ class MaskSpec:
 
 def mask_sequence_value(spec: MaskSpec, r: float, k: int) -> float:
     """Mask value (1+|k|)^{-r} F(log|k|); at k = 0 the profile's limit."""
-    if r <= 0:
-        raise SequenceError("mask exponent must be positive")
+    _check_parameters(r=r)
     k = int(k)
     if k == 0:
         return spec.left_limit
@@ -348,10 +366,7 @@ class Korobov(CoefficientSequence):
     family: str = field(default="korobov", init=False)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise SequenceError("Korobov exponent r must be positive")
-        if self.dimension < 1:
-            raise SequenceError("dimension must be >= 1")
+        _check_parameters(r=self.r, dimension=self.dimension)
 
     def _axis_values(self, k):
         # theta_0 = 1 ** r = 1 exactly, so k = 0 needs no branch
@@ -384,10 +399,7 @@ class Exponential(CoefficientSequence):
     family: str = field(default="exponential", init=False)
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise SequenceError("Exponential rate s must be positive")
-        if self.dimension < 1:
-            raise SequenceError("dimension must be >= 1")
+        _check_parameters(s=self.s, dimension=self.dimension)
 
     def _axis_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
@@ -419,8 +431,7 @@ class MaskPower(CoefficientSequence):
     dimension: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise SequenceError("mask exponent r must be positive")
+        _check_parameters(r=self.r)
 
     def _mask(self, k):
         a = np.abs(np.asarray(k, dtype=float))
@@ -455,8 +466,7 @@ class ExponentMask(CoefficientSequence):
     dimension: int = field(default=1, init=False)
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise SequenceError("exponent rate s must be positive")
+        _check_parameters(s=self.s)
         if not self.envelope.is_decreasing():
             raise SequenceError("exponent-type envelope must be decreasing on [0, inf)")
 
@@ -487,8 +497,7 @@ class Constant(CoefficientSequence):
     family: str = field(default="constant", init=False)
 
     def __post_init__(self):
-        if self.v == 0:
-            raise SequenceError("constant value must be nonzero")
+        _check_parameters(v=self.v, dimension=self.dimension)
 
     # perfbench/tracing.py patches the class's own inv_values entry
     inv_values = CoefficientSequence.inv_values
@@ -596,16 +605,8 @@ class CustomSequence(CoefficientSequence):
         return np.where(inside, self._dense[idx], tail)
 
     def _axis_inv_values(self, k):
-        k = np.asarray(k, dtype=np.int64)
-        a = np.abs(k).astype(float)
-        inside = np.abs(k) <= self._radius
-        idx = np.clip(k + self._radius, 0, 2 * self._radius)
-        if self.tail.kind == "finite":
-            tail_inv = np.zeros_like(a)
-        else:
-            with np.errstate(over="ignore", divide="ignore"):
-                tail_inv = 1.0 / self._tail_values(np.maximum(a, 1.0))
-        return np.where(inside, 1.0 / self._dense[idx], tail_inv)
+        with np.errstate(over="ignore", divide="ignore"):  # a finite tail's inf gives 0
+            return 1.0 / self._axis_values(k)
 
     def tail_rule(self):
         return self.tail
@@ -737,7 +738,8 @@ class NondecreasingReport:
 
 
 def _scan_constant_1d(seq, radius):
-    """Largest c with theta_k >= c theta_l over |k| > |l| <= radius."""
+    """Largest c with theta_k >= c theta_l over |l| < |k| <= radius, and a
+    pair (k, l) with theta_k / theta_l = c."""
     ks = np.arange(-radius, radius + 1)
     vals = seq.values(ks)
     if np.iscomplexobj(vals):
@@ -745,25 +747,12 @@ def _scan_constant_1d(seq, radius):
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
         bad = int(ks[np.argmin(np.where(np.isfinite(vals), vals, -np.inf))])
         return None, (bad, 0)
-    by_abs_min = np.empty(radius + 1)
-    by_abs_max = np.empty(radius + 1)
-    for a in range(radius + 1):
-        pair = vals[[radius - a, radius + a]]
-        by_abs_min[a] = pair.min()
-        by_abs_max[a] = pair.max()
-    best = math.inf
-    arg = None
-    run_max = by_abs_max[0]
-    run_arg = 0
-    for a in range(1, radius + 1):
-        c = by_abs_min[a] / run_max
-        if c < best:
-            best = c
-            arg = (a if vals[radius + a] <= vals[radius - a] else -a, run_arg)
-        if by_abs_max[a] > run_max:
-            run_max = by_abs_max[a]
-            run_arg = a
-    return best, arg
+    pos, neg = vals[radius:], vals[radius::-1]  # theta_a and theta_-a at a = |k|
+    hi = np.maximum(pos, neg)
+    ratio = np.minimum(pos, neg)[1:] / np.maximum.accumulate(hi)[:-1]
+    a = int(np.argmin(ratio)) + 1  # the first least ratio, and the first |l| at the max below it
+    b = int(np.argmax(hi[:a]))
+    return ratio[a - 1], (a if pos[a] <= neg[a] else -a, b if pos[b] >= neg[b] else -b)
 
 
 def _scan_constant_md(seq, radius):

@@ -562,5 +562,5 @@ def random_real_spectral(
         nrm = lp_norm(f, normalize_p, oversample=oversample)
         if nrm == 0:
             raise SpectralError("degenerate random draw")
-        f = f * (1.0 / nrm)
+        np.multiply(vals, 1.0 / nrm, out=vals)  # a fresh draw: in place, as f * (1 / nrm) would
     return f

@@ -881,7 +881,7 @@ def test_class_grid_error_is_the_full_box_error_at_p4(pair, m, kind, radius, dat
     k0 = _probe(lam, m, data, kind)
     elem = ClassElement(lam, SpectralFunction.single(k0, dimension=lam.dimension), 4.0)
     full = approximation_error(elem, beta, m, K_out=K)
-    assert approximant._single_frequency_error(lam, beta, m, k0, 4.0, K) == pytest.approx(full, rel=1e-12)
+    assert approximant._single_frequency_errors(lam, beta, m, [k0], 4.0, K)[0] == pytest.approx(full, rel=1e-12)
 
 
 @given(
@@ -913,7 +913,7 @@ def test_class_grid_error_matches_the_full_box(pair, m, kind, radius, p, data):
     elem = ClassElement(lam, SpectralFunction.single(k0), p)
     full = approximation_error(elem, beta, m, K_out=K, oversample=oversample)
     rel = 1e-6 if p == 1.5 else 1e-12 if radius == "clamp" else 1e-10
-    assert approximant._single_frequency_error(lam, beta, m, k0, p, K) == pytest.approx(full, rel=rel)
+    assert approximant._single_frequency_errors(lam, beta, m, [k0], p, K)[0] == pytest.approx(full, rel=rel)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
@@ -926,7 +926,7 @@ def test_stacked_probes_equal_each_probe_alone(d, p):
     lam = beta = Korobov(2.0, dimension=d)
     m, K = (4, 9 * 455 + 6) if d == 1 else (2, 5 * 6 + 3)  # T = 455 or 456; 6 or 7
     probes = [tuple(int(c) for c in k) for k in index_box(m, d).reshape(-1, d)]
-    alone = [approximant._single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
+    alone = [approximant._single_frequency_errors(lam, beta, m, [k0], p, K)[0] for k0 in probes]
     stacked = approximant._single_frequency_errors(lam, beta, m, probes, p, K)
     assert np.array(stacked).view(np.int64).tolist() == np.array(alone).view(np.int64).tolist()
     assert approximant._single_frequency_errors(lam, beta, m, [], p, K) == []

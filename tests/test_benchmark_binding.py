@@ -2,10 +2,12 @@
 package by module path.  These tests load it as it is and check that every
 name it binds exists, that a traced pass leaves no wrapper behind, and that
 a smoke pass of each sweep workload reaches every layer the benchmark's own
-tests require of it."""
+tests require of it.  A full pass of each workload at seed 2026 must also
+give the columns the benchmark checks against ``perfbench/reference.json``."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -113,3 +115,18 @@ def test_smoke_pass_reaches_every_pinned_layer(workload):
         workloads.run_pass(cfgs)
     calls = tracer.summary()
     assert [layer for layer in EXPECTED_CALLS[workload] if not calls[f"{layer}.calls"]] == []
+
+
+# the benchmark fails a run whose checked columns leave the recorded reference
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE["workloads"]))
+def test_full_pass_matches_the_recorded_reference(workload):
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    cfgs = workloads.load(workloads.WORKLOADS[workload].specs(2026, False), ROOT)
+    rows, _ = workloads.run_pass(cfgs)
+    for label, want in REFERENCE["workloads"][workload]["2026"].items():
+        got = workloads.columns(rows[label])
+        for key in (k for k in workloads.CHECKED if k in want):
+            assert got[key] == pytest.approx(want[key], rel=REFERENCE["rel_tol"], abs=0), (label, key)

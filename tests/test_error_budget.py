@@ -13,6 +13,7 @@ from translates.error_budget import (
     predicted_rate,
 )
 from translates.sequences import (
+    CoefficientSequence,
     Constant,
     CustomSequence,
     Exponential,
@@ -218,6 +219,39 @@ def test_predicted_rate_series_and_md():
     assert md.applies and md.form == "sup_box"
     assert md.value_at(4) == pytest.approx(1.0 / 25.0)
     assert not predicted_rate(lam2d, lam2d, 3.0).applies
+
+
+@pytest.mark.parametrize("degree", [20, 50])
+def test_general_p_gate_fails_truncated_pairs_without_warnings(degree):
+    # past the truncation the doubling-ratio probes meet 0 / 0 (degree 20) and
+    # inf - inf (degree 50): each fails the gate, with no RuntimeWarning, which
+    # this suite turns into an error
+    seq = truncated(Korobov(1.5), degree)
+    pred = predicted_rate(seq, seq, 3.0)
+    assert not pred.applies and pred.reason == "no general-p gate matched"
+
+
+def test_general_p_gate_takes_the_declared_symmetry():
+    # the doubling-ratio gate needs both sequences ``symmetric``, the answer
+    # ``two_sided`` trusts, so a subclass that does not declare it fails
+    table = {k: 1.0 + k * k for k in range(-8, 9)}
+    seq = CustomSequence(table, TailRule("power", rate=2.0))
+    assert predicted_rate(seq, seq, 3.0).form == "series_l1"
+    lopsided = CustomSequence({**table, 8: 66.0}, TailRule("power", rate=2.0))
+    assert not predicted_rate(lopsided, lopsided, 3.0).applies
+
+    class Undeclared(CoefficientSequence):  # seq's values, its symmetry not declared
+        def _axis_values(self, k):
+            return seq._axis_values(k)
+
+        def _axis_inv_values(self, k):
+            return seq._axis_inv_values(k)
+
+        def tail_rule(self):
+            return seq.tail_rule()
+
+    other = Undeclared()
+    assert not predicted_rate(other, other, 3.0).applies
 
 
 def test_predicted_rate_korobov_general_p():

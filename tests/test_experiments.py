@@ -18,7 +18,6 @@ from translates.approximant import (
     ClassElement,
     ImagePlan,
     _radii,
-    _single_frequency_error,
     _single_frequency_errors,
     approximation_error,
     quadrature_radius,
@@ -198,6 +197,31 @@ def test_probe_config_rejects_bad_values_at_their_line():
     pc = ProbeConfig.from_raw(parse_config(head + edge))
     assert (pc.trials, pc.restarts, pc.psi_truncation, pc.growth_rule) == (1, 1, 0, "log_power")
     assert (pc.growth_a, pc.growth_b, pc.seed) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("korobov", "r", "nan"), ("korobov", "r", "inf"), ("korobov", "dim", "0"),
+    ("exponential", "s", "nan"), ("exponential", "dim", "-1"),
+    ("constant", "v", "nan"), ("constant", "v", "inf"), ("constant", "dim", "0"),
+    ("mask_power", "r", "nan"), ("mask_power", "c", "nan"), ("mask_power", "bound_c", "nan"),
+    ("exponent_mask", "s", "nan"), ("exponent_mask", "bound_c", "inf"),
+])
+def test_sequence_parameters_fail_at_their_line(family, key, value, tmp_path, capsys):
+    # r = nan ended deep in a sweep ("coefficients must be finite"), constant
+    # with dim = 0 in an IndexError, and bound_c = nan in rows with an infinite
+    # budget: each is now a config error at the key's line, in the CLI too
+    rate = {"korobov": ("r", 1.5), "exponential": ("s", 0.5), "constant": ("v", 2.0),
+            "mask_power": ("r", 1.5), "exponent_mask": ("s", 0.5)}[family]
+    params = dict([("family", family), rate, (key, value)])  # a bad rate takes the good one's line
+    text = "[lambda]\n" + "".join(f"{k} = {v}\n" for k, v in params.items()) + "[sweep]" + BASIC.split("[sweep]")[1]
+    line = 2 + list(params).index(key)
+    where = rf":{line}: key '{key}' in \[lambda\]: {'dimension' if key == 'dim' else key} must be"
+    with pytest.raises(ConfigError, match=where):
+        SweepConfig.from_raw(parse_config(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert f"key '{key}' in [lambda]" in capsys.readouterr().err
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):
@@ -565,7 +589,7 @@ def _sweep_errors_one_call_each(cfg):
             elems = [ClassElement(lam, SpectralFunction.single(k0), p) for k0 in probes]
             quad += [approximation_error(e, beta, m, K_out=K) for e in elems]
         else:  # each probe on its class grid, cut at the same K
-            quad += [_single_frequency_error(lam, beta, m, k0, p, K) for k0 in probes]
+            quad += [_single_frequency_errors(lam, beta, m, [k0], p, K)[0] for k0 in probes]
         out.append((quad, par, len(sources)))
     return out
 
@@ -747,7 +771,7 @@ def test_general_p_row_errors_in_d2_equal_one_call_per_source():
         ranked = sorted(range(sq.size), key=lambda i: (-sq.flat[i], i))[:8]
         probes = [tuple(int(c) - m for c in np.unravel_index(i, sq.shape)) for i in ranked]
         want = [approximation_error(ClassElement(cfg.lam, g, 3.0), cfg.beta, m, K_out=K) for g in sources]
-        want += [_single_frequency_error(cfg.lam, cfg.beta, m, k0, 3.0, K) for k0 in probes]
+        want += [_single_frequency_errors(cfg.lam, cfg.beta, m, [k0], 3.0, K)[0] for k0 in probes]
         assert max(_plan_errors(cfg, ImagePlan(cfg.lam, cfg.beta, m, K), sources, probes)) == max(want)
 
 

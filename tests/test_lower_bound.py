@@ -434,3 +434,11 @@ def test_growth_function_properties():
         GrowthFunction("bogus")
     tab = GrowthFunction("table", table_x=(0.0, 1.0, 10.0), table_y=(1.0, 2.0, 30.0))
     assert tab(5.0) > 0
+
+
+def test_growth_parameters_must_be_finite_and_non_negative():
+    # a = -1 made Psi decreasing and b = nan made it NaN, against "nondecreasing"
+    for a, b in ((-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -0.5), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            GrowthFunction("log_power", a=a, b=b)
+    assert GrowthFunction("log_power", a=0.0, b=0.0).is_nondecreasing()

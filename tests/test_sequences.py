@@ -16,6 +16,7 @@ from translates.sequences import (
     ProductSequence,
     SequenceError,
     TailRule,
+    _scan_constant_1d,
     box_inv_tail,
     check_nondecreasing_type,
     eval_lambda,
@@ -121,6 +122,65 @@ def test_nondecreasing_custom_table_constant_half():
                 best = min(best, table[k] / table[l])
     assert best == 0.5
     assert rep.constant == pytest.approx(best)
+
+
+@st.composite
+def _scan_cases(draw):
+    radius = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["table", "ties", "constant", "truncated"]))
+    if kind == "constant":
+        return Constant(draw(st.floats(0.1, 10.0))), radius
+    if kind == "truncated":
+        return truncated(Korobov(draw(st.floats(0.1, 3.0))), radius + draw(st.integers(0, 3))), radius
+    # "ties" draws from four values, so equal ratios and equal maxima recur
+    values = st.floats(0.05, 20.0) if kind == "table" else st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    R = radius + draw(st.integers(0, 3))
+    table = draw(st.lists(values, min_size=2 * R + 1, max_size=2 * R + 1))
+    return CustomSequence(dict(zip(range(-R, R + 1), table)), TailRule("power", rate=1.0)), radius
+
+
+@given(_scan_cases())
+@settings(max_examples=200, deadline=None)
+def test_scan_constant_is_the_brute_force_least_ratio(case):
+    # the constant is the least theta_k / theta_l over |l| < |k| <= radius, bit
+    # for bit, and the witness pair attains it, on either side of 0
+    seq, radius = case
+    ks = range(-radius, radius + 1)
+    theta = dict(zip(ks, seq.values(np.array(ks)).tolist()))
+    brute = min(theta[k] / theta[l] for k in ks for l in ks if abs(l) < abs(k))
+    c, (k, l) = _scan_constant_1d(seq, radius)
+    assert c == brute
+    assert abs(l) < abs(k) <= radius and theta[k] / theta[l] == brute
+    assert check_nondecreasing_type(seq, radius).constant == brute
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: Korobov(math.nan), "r"),
+    (lambda: Korobov(math.inf), "r"),
+    (lambda: Korobov(1.0, dimension=0), "dimension"),
+    (lambda: Exponential(math.nan), "s"),
+    (lambda: Exponential(0.5, dimension=-1), "dimension"),
+    (lambda: MaskPower(math.nan), "r"),
+    (lambda: ExponentMask(math.inf), "s"),
+    (lambda: Constant(math.nan), "v"),
+    (lambda: Constant(-math.inf), "v"),
+    (lambda: Constant(0.0), "v"),
+    (lambda: Constant(1.0, dimension=0), "dimension"),
+    (lambda: MaskSpec(bound_c=math.nan), "bound_c"),
+    (lambda: MaskSpec(bound_c=math.inf), "bound_c"),
+    (lambda: MaskSpec(c=math.nan), "c"),
+    (lambda: MaskSpec("log_damped", c=3.0), "c"),
+    (lambda: MaskSpec("sine"), "profile"),
+    (lambda: TailRule("power", rate=math.nan), "rate"),
+    (lambda: TailRule("constant", scale=math.nan), "scale"),
+    (lambda: TailRule("exponential", rate=1.0, scale=math.inf), "scale"),
+])
+def test_sequence_parameters_fail_at_construction(make, key):
+    # a NaN or infinite parameter, or dimension 0, is an error naming the
+    # parameter, not a sequence that fails later (or never) inside a sweep
+    with pytest.raises(SequenceError, match=rf"^{key} must be|^log_damped amplitude|^unknown mask profile") as err:
+        make()
+    assert err.value.key == key
 
 
 def test_nondecreasing_probe_radius_validation():
