@@ -431,6 +431,7 @@ def approximation_error(
     oversample: int = 8,
     *,
     plan: Optional[ImagePlan] = None,
+    grids: Optional[spectral.GridBuffer] = None,
 ) -> float:
     """L_p norm, p = ``elem.p``, of (target - approximant), the approximant's
     image cut at |k|_inf <= K_out and the target counted at every k.
@@ -446,14 +447,15 @@ def approximation_error(
     p = 3 and 9.1e-4 off at p = 1.5; a sweep takes such errors on their
     class grid instead (``_single_frequency_errors``).  Without ``K_out`` or
     ``plan`` the radius is a sweep row's (``_radii``): its K_out at p = 2 and
-    its quad_K otherwise.  ``plan`` is as for ``spectral_image``.
+    its quad_K otherwise.  ``plan`` is as for ``spectral_image``; the grid
+    is cut from ``grids`` if given (``lp_norm``).
     """
     if plan is None and K_out is None and elem.p != 2.0:
         K_out = _radii(elem.lam, beta, m, elem.p, elem.g.bandwidth)[1]
     plan = _plan_for(elem, beta, m, K_out, plan)
     if elem.p == 2.0:
         return math.sqrt(max(plan.error_sq(elem.g), 0.0))
-    return lp_norm(_error_coefficients(elem, beta, m, plan), elem.p, oversample=oversample)
+    return lp_norm(_error_coefficients(elem, beta, m, plan), elem.p, oversample=oversample, grids=grids)
 
 
 def _error_coefficients(elem, beta, m, plan) -> SpectralFunction:
@@ -485,7 +487,7 @@ def _error_stack(lam, plan, sources, image) -> np.ndarray:
 _CLASS_GRID = 2048  # least points per axis of a class grid, unless the full grid has fewer
 
 
-def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
+def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8, grids=None) -> list:
     """L_p error, truncated at |k|_inf <= K, of each single frequency e^{i k0.x}
     of a list (k0 in the band), with its norm taken on its residue class.
 
@@ -501,7 +503,7 @@ def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
     call on the widest class box, and those of one bandwidth ``_lp_norms`` stacks
     whose complex grids fit in the bytes of ``lp_norm``'s real one at radius K
     (2/5 of its points), each value bit for bit that of its frequency alone;
-    the stacks share their grid arrays until the call returns.
+    the stacks are cut from ``grids``, a sweep's buffer, if given.
     """
     d, n = lam.dimension, 2 * m + 1
     k0s = np.array(k0s, dtype=np.int64).reshape(-1, d)
@@ -515,7 +517,7 @@ def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8) -> list:
     widths = np.array([spectral._bandwidth(v) for v in vals])
     grid = min(_CLASS_GRID, oversample * (2 * K + 1))
     full = spectral._smooth_length(oversample * (2 * K + 1)) ** d
-    errs, grids = np.zeros(len(k0s)), {}  # the stacks' shared grid arrays, for this loop
+    errs = np.zeros(len(k0s))
     for b in set(widths.tolist()):
         over, same = max(oversample, -(-grid // (2 * b + 1))), np.flatnonzero(widths == b)
         chunk = max(1, 2 * full // (5 * spectral._smooth_length(over * (2 * b + 1)) ** d))

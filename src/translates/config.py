@@ -188,18 +188,18 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
                 f"{cfg.path}: unknown family {family!r} in [{section}] "
                 "(korobov, exponential, constant, mask_power, exponent_mask)"
             )
-    except SequenceError as exc:
-        key = "dim" if exc.key == "dimension" else exc.key
+        degree = cfg.get(section, "truncate", default=None, cast=int)
+        if degree is not None:
+            factors = seq.axis_factors()
+            if factors is None:
+                raise ConfigError(f"{cfg.path}: [{section}]: truncate needs a product family")
+            factors = tuple(truncated(f, degree) for f in factors)
+            seq = factors[0] if seq.dimension == 1 else ProductSequence(factors)
+    except SequenceError as exc:  # a truncation's table is the only one a config builds
+        key = {"dimension": "dim", "degree": "truncate", "table": "truncate"}.get(exc.key, exc.key)
         if key in cfg.sections[section]:
             raise cfg.error(section, key, str(exc)) from None
         raise ConfigError(f"{cfg.path}: [{section}]: {exc}") from None
-    degree = cfg.get(section, "truncate", default=None, cast=int)
-    if degree is not None:
-        factors = seq.axis_factors()
-        if factors is None:
-            raise ConfigError(f"{cfg.path}: [{section}]: truncate needs a product family")
-        factors = tuple(truncated(f, degree) for f in factors)
-        seq = factors[0] if seq.dimension == 1 else ProductSequence(factors)
     cfg.reject_unread(section)
     return seq
 

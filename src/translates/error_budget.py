@@ -50,6 +50,7 @@ __all__ = [
     "gamma_k",
     "epsilon_p2",
     "epsilon_general_p",
+    "reciprocal_walk",
     "predicted_rate",
 ]
 
@@ -169,22 +170,51 @@ def _default_J(rule: TailRule) -> int:
     return 10**3 if rule.kind in ("exponential", "finite") else 10**5
 
 
-def _variation(sides, far_tail: float) -> tuple:
-    """(sum of |differences| along the two sides, bound on what lies beyond):
-    a side whose last ``_MONOTONE_WINDOW`` values do not increase telescopes
-    to its last value, any other side is bounded by ``far_tail``.  A second
-    side that ``is`` the first is not reduced again: its share doubles the
-    first's, bit for bit, since x + x is exact."""
+def _variation(ends, steps, far_tail: float) -> tuple:
+    """(sum of |differences| along the two sides, bound on what lies beyond) from
+    each side's last ``_MONOTONE_WINDOW`` values and |differences|: a side whose
+    last values do not increase telescopes to its last value, any other side is
+    bounded by ``far_tail``.  A second side whose steps ``are`` the first's is not
+    reduced again: its share doubles the first's, bit for bit, as x + x is exact."""
 
-    def share(vals):
-        steps = np.diff(vals)
-        tail = float(vals[-1]) if np.all(steps[-(_MONOTONE_WINDOW - 1) :] <= 0) else far_tail
-        return float(np.sum(np.abs(steps, out=steps))), tail
+    def share(end, diffs):
+        tail = float(end[-1]) if np.all(np.diff(end) <= 0) else far_tail
+        return float(np.sum(diffs)), tail
 
-    pos, neg = sides
-    total, tail = share(pos)
-    total2, tail2 = (total, tail) if neg is pos else share(neg)
+    total, tail = share(ends[0], steps[0])
+    total2, tail2 = (total, tail) if steps[1] is steps[0] else share(ends[1], steps[1])
     return total + total2, tail + tail2
+
+
+def _general_p_radius(lam: CoefficientSequence, beta: CoefficientSequence, m: int, K_max: Optional[int]) -> int:
+    """The radius ``epsilon_general_p`` sums to: K_max, else from the tail rules
+    (10^5 unless both are exponential or finite), and at least m + 2 (2m + 1)."""
+    rules = (lam.tail_rule(), beta.tail_rule())
+    if K_max is None and all(rule.kind in ("exponential", "finite") for rule in rules):
+        K_max = max([r.radius_for(1e-30, 1, cap=10**5) if r.kind == "exponential" else r.radius for r in rules] + [m + 10 * (2 * m + 1)])
+    return max(10**5 if K_max is None else K_max, m + 2 * (2 * m + 1))
+
+
+def reciprocal_walk(lam: CoefficientSequence, beta: CoefficientSequence, ms, K_max: Optional[int] = None) -> dict:
+    """{(m, K): (steps, ends, beta's sides)}, what ``epsilon_general_p`` takes for
+    each m of ``ms`` at its ``_general_p_radius`` K from one walk of ``two_sided``
+    over k = min(ms) + 1 .. max K + 1, which a sweep takes before its first row.
+    On k = m + 1 .. K + 1: views of lam's sides' |differences| (one view twice for
+    a symmetric lam), copies of their last ``_MONOTONE_WINDOW`` values, and views
+    of beta's sides (None where every m's gamma is lam's own)."""
+    pairs, start = {(m, _general_p_radius(lam, beta, m, K_max)) for m in ms}, min(ms) + 1
+    ks = np.arange(start, max(K for _, K in pairs) + 2)
+    sides = two_sided(lam, ks)
+    own = beta is lam and all(np.all(np.abs(band_arrays(lam, beta, m)[2]) == 1.0) for m in ms)
+    beta_sides = None if own else sides if beta is lam else two_sided(beta, ks)
+    steps = [np.abs(np.diff(side)) for side in sides[: 1 if sides[1] is sides[0] else 2]]
+    walk = {}
+    for m, K in pairs:
+        lo, hi = m + 1 - start, K + 2 - start
+        cut = [side[lo : hi - 1] for side in steps]
+        ends = [side[max(lo, hi - _MONOTONE_WINDOW) : hi].copy() for side in sides]
+        walk[m, K] = (cut[0], cut[-1]), ends, beta_sides and [side[lo:hi] for side in beta_sides]
+    return walk
 
 
 def epsilon_general_p(
@@ -192,48 +222,43 @@ def epsilon_general_p(
     beta: CoefficientSequence,
     m: int,
     K_max: Optional[int] = None,
+    *,
+    walk: Optional[dict] = None,
 ) -> EpsilonReport:
     """General-p budget: difference tails plus the aliased block edges.
 
     The two bracketed quantities are max-ed: the sum of reciprocal
     differences over both tails, and the sum of gamma differences plus
     the gamma values on the block right-edges m + t(2m+1), t in Z.
-    Negative tails traverse the reflected sequence.  Each distinct array
-    is reduced once: a symmetric sequence's two sides are one array, whose
-    share counts twice; with ``beta is lam`` every |alpha| is 1 and the
-    gamma sides are lam's own.  Along k = m + 1, m + 2, ... (residues
+    Negative tails traverse the reflected sequence.  The reciprocals along
+    k = m + 1 .. K_max + 1 and lam's |differences| are the pair's share of
+    ``walk`` (``reciprocal_walk``, which a sweep builds once for all its
+    rows); a call without one is the walk of its one pair.  Each distinct
+    array is reduced once: a symmetric sequence's two sides are one array,
+    whose share counts twice; with ``beta is lam`` every |alpha| is 1 and
+    the gamma sides are lam's own.  Along k = m + 1, m + 2, ... (residues
     -m, -m + 1, ...) the band factor is |alpha| repeated with period 2m + 1.
     """
     if lam.dimension != 1 or beta.dimension != 1:
         raise SequenceError("epsilon_general_p is univariate")
     inv_lam_band, inv_beta_band, alpha = band_arrays(lam, beta, m)
     alpha_max = float(np.max(np.abs(alpha)))
-    rule_l = lam.tail_rule()
-    rule_b = beta.tail_rule()
-    if K_max is None:
-        kinds = {rule_l.kind, rule_b.kind}
-        if kinds <= {"exponential", "finite"}:
-            K_max = max(
-                 rule_l.radius_for(1e-30, 1, cap=10**5) if rule_l.kind == "exponential" else rule_l.radius,
-                 rule_b.radius_for(1e-30, 1, cap=10**5) if rule_b.kind == "exponential" else rule_b.radius,
-                 m + 10 * (2 * m + 1),
-            )
-        else:
-            K_max = 10**5
-    K_max = max(K_max, m + 2 * (2 * m + 1))
+    rule_l, rule_b = lam.tail_rule(), beta.tail_rule()
+    K_max = _general_p_radius(lam, beta, m, K_max)
+    steps, ends, beta_sides = (reciprocal_walk(lam, beta, [m], K_max) if walk is None else walk)[m, K_max]
     n = 2 * m + 1
 
-    ks = np.arange(m + 1, K_max + 2)
-    delta_lambda, dl_tail = _variation(two_sided(lam, ks), lam.inv_tail(K_max, 1))
+    delta_lambda, dl_tail = _variation(ends, steps, lam.inv_tail(K_max, 1))
     a = np.abs(alpha)
     if beta is lam and np.all(a == 1.0):  # gamma is lam^{-1}, bit for bit
         delta_gamma, dg_tail = delta_lambda, dl_tail
     else:
-        pos, neg = two_sided(beta, ks)  # the residue of -k is -k': neg takes a reversed
-        g_pos = np.resize(a, ks.size)  # ks starts at m + 1, residue -m: a repeats from its start
+        pos, neg = beta_sides  # the residue of -k is -k': neg takes a reversed
+        g_pos = np.resize(a, pos.size)  # k starts at m + 1, residue -m: a repeats from its start
         g_pos *= pos
-        g_neg = np.resize(a[::-1], ks.size) * neg
-        delta_gamma, dg_tail = _variation((g_pos, g_neg), alpha_max * beta.inv_tail(K_max, 1))
+        gammas = (g_pos, np.resize(a[::-1], pos.size) * neg)
+        ends = [g[-_MONOTONE_WINDOW:] for g in gammas]
+        delta_gamma, dg_tail = _variation(ends, [np.abs(np.diff(g)) for g in gammas], alpha_max * beta.inv_tail(K_max, 1))
     if rule_l.kind == "constant" and rule_l.radius <= K_max:
         dl_tail = 0.0  # |lam^{-1}| is 1 / scale past K_max: no variation is left
 
@@ -242,9 +267,7 @@ def epsilon_general_p(
     edges = ts * n + m
     alpha_m = float(np.abs(alpha[2 * m]))  # residue of every edge is m
     gamma_alias = alpha_m * float(np.sum(np.abs(np.asarray(beta.inv_values(edges)))))
-    ga_tail = alpha_m * (
-        _comb_l1_tail(rule_b, n, m, T) + _comb_l1_tail(rule_b, n, -m, T)
-    )
+    ga_tail = alpha_m * (_comb_l1_tail(rule_b, n, m, T) + _comb_l1_tail(rule_b, n, -m, T))
 
     second = delta_gamma + gamma_alias
     value = max(delta_lambda, second)

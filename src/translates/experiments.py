@@ -35,11 +35,12 @@ from .error_budget import (
     epsilon_general_p,
     epsilon_p2,
     predicted_rate,
+    reciprocal_walk,
 )
 from .lower_bound import GrowthFunction, default_probe_generator, design_for_n, probe_Mn
 from .sequences import box_inv_tail
 from .spectral import (
-    SpectralError, SpectralFunction, _lp_norm_bounds, _lp_norms, _smooth_length, lp_norm, random_real_spectral,
+    GridBuffer, SpectralError, SpectralFunction, _lp_norm_bounds, _lp_norms, _smooth_length, lp_norm, random_real_spectral,
 )
 
 __all__ = [
@@ -103,7 +104,7 @@ def _seq_param(seq) -> Optional[float]:
     return None
 
 
-def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
+def _random_sources(cfg: SweepConfig, m: int, quad_K: int, grids: Optional[GridBuffer] = None) -> list:
     """The row's ``g_count`` random sources, scaled to unit L_p norm.
 
     Each is drawn by ``random_real_spectral`` from the row's stream, one after
@@ -112,16 +113,16 @@ def _random_sources(cfg: SweepConfig, m: int, quad_K: int) -> list:
     it draws each, while its values are in cache.  Otherwise the
     sources are drawn and normalised in chunks whose grid has no more points
     than the row's full quadrature grid at quad_K (``_stack_rows``), each chunk's
-    grids as one stack (``_lp_norms``) on the chunks' shared arrays.  Each norm is the one ``lp_norm``
-    gives that source alone, bit for bit, and only one chunk of unscaled
-    sources is held at a time.
+    grids as one stack (``_lp_norms``) cut from ``grids``, the sweep's buffer if
+    given.  Each norm is the one ``lp_norm`` gives that source alone, bit for
+    bit, and only one chunk of unscaled sources is held at a time.
     """
     rng = np.random.default_rng([cfg.seed, m])
     bw = _drawn_bandwidth(cfg, m)
     if cfg.p == 2.0:
         return [random_real_spectral(cfg.dimension, bw, rng, normalize_p=2.0) for _ in range(cfg.g_count)]
 
-    def normalised(chunk, grids):
+    def normalised(chunk):
         sources = [random_real_spectral(cfg.dimension, bw, rng) for _ in chunk]
         norms = _lp_norms(np.stack([g.values for g in sources]), cfg.p, cfg.oversample, grids)
         if 0.0 in norms:
@@ -137,19 +138,16 @@ def _stack_rows(cfg: SweepConfig, K: int, radius: int, oversample: int) -> int:
     """How many coefficient boxes of the given radius a stacked L_p grid at
     ``oversample`` takes at once: as many as fit, at least one, in the points
     of the full quadrature grid of a row at radius K (``lp_norm``'s grid at
-    ``cfg.oversample``).  The stacks of one loop share their grid arrays
-    (``_in_chunks``), so a row's stacks need no more grid memory than its
-    measured sources do."""
+    ``cfg.oversample``).  So a row's stacks need no more of the sweep's grid
+    buffer than its measured sources do."""
     full = _smooth_length(cfg.oversample * (2 * K + 1)) ** cfg.dimension
     return max(1, full // _smooth_length(oversample * (2 * radius + 1)) ** cfg.dimension)
 
 
 def _in_chunks(stacked, items: list, rows: int) -> list:
-    """``stacked`` applied to consecutive chunks of at most ``rows`` items and
-    the loop's grid arrays (the ``grids`` of ``spectral._lp_norms``), its
-    results concatenated; the arrays are freed when the loop ends."""
-    grids = {}
-    return [value for i in range(0, len(items), rows) for value in stacked(items[i : i + rows], grids)]
+    """``stacked`` applied to consecutive chunks of at most ``rows`` items, its
+    results concatenated."""
+    return [value for i in range(0, len(items), rows) for value in stacked(items[i : i + rows])]
 
 
 def _drawn_bandwidth(cfg: SweepConfig, m: int) -> int:
@@ -187,7 +185,9 @@ def run_sweep(cfg: SweepConfig) -> list:
     frequency (m, 0, ..., 0), and at d >= 2 the sources' p = 2 errors are
     their quadrature errors on the plan.  At d = 1 every row's folds (its profile's, and at p = 2
     its plan's) come from one walk before the first row, which the rows' ``seconds`` leave out:
-    its ``fold_map``, which the sweep holds until it returns.
+    its ``fold_map``, which the sweep holds until it returns.  So does a p != 2 sweep's
+    ``reciprocal_walk``, which every row's budget is cut from, and its one ``GridBuffer``,
+    which every L_p grid of its rows is cut from.
     """
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     prediction = predicted_rate(lam, beta, p)
@@ -198,10 +198,10 @@ def run_sweep(cfg: SweepConfig) -> list:
         K_out, quad_K = radii[m, bw] = _radii(lam, beta, m, p, bw, cfg.K_out)
         pairs |= {(m, whole_blocks(m, K_out)), (m, quad_K)} if p == 2.0 else {(m, whole_blocks(m, quad_K))}
     folds = fold_map(lam, beta, sorted(pairs)) if d == 1 else {}  # each profile's fold, and at p = 2 each plan's
-    rows = []
+    walk, grids, rows = None if p == 2.0 else reciprocal_walk(lam, beta, cfg.m_list, cfg.J_max), GridBuffer(), []
     for m in cfg.m_list:
         t0 = time.perf_counter()
-        sources = fixed if fixed is not None else _random_sources(cfg, m, radii[m, _drawn_bandwidth(cfg, m)][1])
+        sources = fixed if fixed is not None else _random_sources(cfg, m, radii[m, _drawn_bandwidth(cfg, m)][1], grids)
         bw = max((g.bandwidth for g in sources), default=m)
         K_out, quad_K = radii.get((m, bw)) or _radii(lam, beta, m, p, bw, cfg.K_out)
         if quad_K < K_out and log.isEnabledFor(logging.DEBUG):
@@ -223,11 +223,11 @@ def run_sweep(cfg: SweepConfig) -> list:
             both = [(_plan_errors(cfg, plan, [g], [])[0], profile.element_error(g)) for g in sources]
             err_q, err_p = [q for q, _ in both] + _plan_errors(cfg, plan, [], probes), [e for _, e in both]
         else:
-            err_q = _plan_errors(cfg, plan, sources, probes)
+            err_q = _plan_errors(cfg, plan, sources, probes, grids)
             err_p = err_q[: len(sources)] if p == 2.0 else []  # d >= 2: quad_K is K_out there
         if p == 2.0 and sq is not None:
             err_p.append(math.sqrt(sq.flat[order[0]]))  # the first probe's error at K_out
-        rows.append(_row(cfg, prediction, m, t0, err_q, err_p))
+        rows.append(_row(cfg, prediction, m, t0, err_q, err_p, walk))
     return rows
 
 
@@ -236,7 +236,7 @@ def run_sweep(cfg: SweepConfig) -> list:
 _BOUND_SLACK = 1e-9
 
 
-def _plan_errors(cfg, plan, sources, probes) -> list:
+def _plan_errors(cfg, plan, sources, probes, grids=None) -> list:
     """Quadrature errors, cut at the plan's |k|_inf <= K, of the single-frequency
     probes and of the sources the row's max needs.
 
@@ -249,8 +249,8 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     measured only if ``lp_norm_bound`` of its error coefficients cannot rule
     it out.  The bounds take the sources as stacks: chunks of ``_stack_rows``
     sources, whose error coefficients (``_error_stack``) share one L4 grid
-    (``_lp_norm_bounds``; none above p = 4), each bound that of the source alone, bit for bit;
-    the chunks share their grid arrays (``_in_chunks``), freed before any source is measured.
+    (``_lp_norm_bounds``; none above p = 4), each bound that of the source alone, bit for bit.
+    Every grid of the row is cut from ``grids``, the sweep's buffer, if given.
     The source with the largest bound always is measured, then the probes,
     then the rest in descending bound order while their bound reaches the
     running max; the first one below it ends the row, as all later ones are
@@ -261,13 +261,13 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     m, K = plan.m, plan.K_out
 
     def error(g):
-        return approximation_error(ClassElement(lam, g, p), beta, m, oversample=cfg.oversample, plan=plan)
+        return approximation_error(ClassElement(lam, g, p), beta, m, oversample=cfg.oversample, plan=plan, grids=grids)
 
     if p == 2.0:
         return [error(g) for g in sources] + [error(SpectralFunction.single(k0, dimension=d)) for k0 in probes]
     R = max([K] + [g.radius for g in sources])
     bounds = _in_chunks(
-        lambda c, grids: _lp_norm_bounds(_error_stack(lam, plan, c, plan.coefficients(c)), p, grids=grids),
+        lambda c: _lp_norm_bounds(_error_stack(lam, plan, c, plan.coefficients(c)), p, grids=grids),
         sources, _stack_rows(cfg, K, R, 2),
     )
     order = sorted(range(len(sources)), key=lambda i: -bounds[i])  # ties in source order
@@ -279,7 +279,7 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
         return value
 
     errs = [measured(i) for i in order[:1]]
-    errs += _single_frequency_errors(lam, beta, m, probes, p, K, cfg.oversample)
+    errs += _single_frequency_errors(lam, beta, m, probes, p, K, cfg.oversample, grids)
     for i in order[1:]:
         if bounds[i] * (1.0 + _BOUND_SLACK) < max(errs):
             break
@@ -287,13 +287,13 @@ def _plan_errors(cfg, plan, sources, probes) -> list:
     return errs
 
 
-def _row(cfg, prediction, m, t0, err_q=(), err_p=()) -> SweepRow:
-    """The row of one m: its budget and prediction next to the given errors."""
+def _row(cfg, prediction, m, t0, err_q=(), err_p=(), walk=None) -> SweepRow:
+    """The row of one m: its budget (at p != 2 cut from ``walk``) and prediction next to the given errors."""
     lam, beta, p, d = cfg.lam, cfg.beta, cfg.p, cfg.dimension
     if p == 2.0:
         eps = epsilon_p2(lam, beta, m, J_max=cfg.J_max)
     else:
-        eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max)
+        eps = epsilon_general_p(lam, beta, m, K_max=cfg.J_max, walk=walk)
     return SweepRow(
         family=lam.family,
         d=d,
@@ -336,9 +336,10 @@ def _log_quadrature_clamp(lam, beta, m, K_out, quad_K, sources, p) -> None:
 
 
 def epsilon_table(cfg: SweepConfig) -> list:
-    """Budget-only rows (error columns left empty)."""
+    """Budget-only rows (error columns left empty), at p != 2 on one walk."""
     prediction = predicted_rate(cfg.lam, cfg.beta, cfg.p)
-    return [_row(cfg, prediction, m, time.perf_counter()) for m in cfg.m_list]
+    walk = None if cfg.p == 2.0 else reciprocal_walk(cfg.lam, cfg.beta, cfg.m_list, cfg.J_max)
+    return [_row(cfg, prediction, m, time.perf_counter(), walk=walk) for m in cfg.m_list]
 
 
 # ---------------------------------------------------------------------------

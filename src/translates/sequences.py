@@ -222,8 +222,8 @@ class MaskSpec:
                 raise SequenceError("table profile needs table_x and table_y")
             if len(self.table_x) != len(self.table_y):
                 raise SequenceError("table_x and table_y lengths differ")
-            if any(y <= 0 for y in self.table_y):
-                raise SequenceError("table profile must be positive")
+            if not (np.all(np.isfinite(self.table_x)) and all(0 < y < math.inf for y in self.table_y)):
+                raise SequenceError("table profile points must be finite and its values positive")
 
     def F(self, t):
         t = np.asarray(t, dtype=float)
@@ -468,7 +468,7 @@ class ExponentMask(CoefficientSequence):
     def __post_init__(self):
         _check_parameters(s=self.s)
         if not self.envelope.is_decreasing():
-            raise SequenceError("exponent-type envelope must be decreasing on [0, inf)")
+            raise SequenceError("exponent-type envelope must be decreasing on [0, inf)", "profile")
 
     def _axis_values(self, k):
         a = np.abs(np.asarray(k, dtype=float))
@@ -576,8 +576,8 @@ class CustomSequence(CoefficientSequence):
         for k in range(-radius, radius + 1):
             if k not in self.table:
                 raise SequenceError(f"custom table missing index {k}")
-            if self.table[k] == 0:
-                raise SequenceError("custom table values must be nonzero")
+            if self.table[k] == 0 or not np.isfinite(self.table[k]):
+                raise SequenceError(f"custom table values must be finite and nonzero, got {self.table[k]!r} at {k}", "table")
         object.__setattr__(self, "tail", replace(self.tail, radius=radius, exact=True))
         entries = [self.table[k] for k in range(-radius, radius + 1)]
         dtype = complex if any(isinstance(v, complex) and v.imag != 0 for v in entries) else float
@@ -695,7 +695,7 @@ def truncated(seq: CoefficientSequence, degree: int) -> CoefficientSequence:
     if seq.dimension != 1:
         raise SequenceError("truncated() takes a univariate sequence; build products per axis")
     if degree < 0:
-        raise SequenceError("truncation degree must be >= 0")
+        raise SequenceError("truncation degree must be >= 0", "degree")
     ks = np.arange(-degree, degree + 1)
     table = {int(k): float(seq.values(k)) for k in ks}
     return CustomSequence(table=table, tail=TailRule("finite", radius=degree))

@@ -373,7 +373,25 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
+class GridBuffer:
+    """One byte buffer that the FFT grids of a call are cut from: it grows, the
+    old one freed first, only when a stack needs more bytes than any before it,
+    so a sweep that holds one faults in its largest stack's grid once."""
+
+    def __init__(self):
+        self.nbytes, self._bytes = 0, None
+
+    def arrays(self, *layout) -> list:
+        """Views of the (shape, dtype) pairs of ``layout``, laid end to end on the buffer."""
+        sizes = [math.prod(shape) * np.dtype(kind).itemsize for shape, kind in layout]
+        if sum(sizes) > self.nbytes:
+            self._bytes = None  # freed before the larger one is allocated
+            self.nbytes, self._bytes = sum(sizes), np.empty(sum(sizes), np.uint8)
+        ends = itertools.accumulate(sizes)
+        return [self._bytes[e - n : e].view(kind).reshape(shape) for (shape, kind), n, e in zip(layout, sizes, ends)]
+
+
+def lp_norm(f: SpectralFunction, p: float, oversample: int = 8, *, grids: Optional[GridBuffer] = None) -> float:
     """Normalized L_p norm for 1 < p < inf.
 
     p = 2 is the exact coefficient l2 norm; other p use the trapezoidal
@@ -391,14 +409,14 @@ def lp_norm(f: SpectralFunction, p: float, oversample: int = 8) -> float:
     An f with exactly Hermitian coefficients (no tolerance) is sampled with
     the real half-spectrum transform ``irfftn``, about twice as cheap, which
     agrees with the complex samples of ``synthesize`` to rounding; any other
-    f with ``ifftn``.  At p = 4 |f| is squared twice.  Its grid arrays are
-    its own, freed when it returns.
+    f with ``ifftn``.  At p = 4 |f| is squared twice.  Its grid is cut from
+    ``grids`` if given (a sweep's ``GridBuffer``), else its own, freed when it returns.
     """
     if not (1.0 < p < math.inf):
         raise SpectralError("lp_norm supports 1 < p < inf only")
     if oversample < 2:
         raise SpectralError("oversample must be >= 2")
-    return _lp_norms(f.values[None], p, oversample)[0]
+    return _lp_norms(f.values[None], p, oversample, grids)[0]
 
 
 def lp_norm_bound(f: SpectralFunction, p: float) -> float:
@@ -422,9 +440,9 @@ def lp_norm_bound(f: SpectralFunction, p: float) -> float:
     return _lp_norm_bounds(f.values[None], p)[0]
 
 
-def _lp_norm_bounds(values: np.ndarray, p: float, grids: Optional[dict] = None) -> list:
+def _lp_norm_bounds(values: np.ndarray, p: float, grids: Optional[GridBuffer] = None) -> list:
     """``lp_norm_bound`` of each row of a stack laid out as for ``_lp_norms``,
-    as floats: the L4 norms of the rows share their grids, on the loop's
+    as floats: the L4 norms of the rows share their grids, cut from
     ``grids`` if given."""
     if p > 4.0:
         q = p / (p - 1.0)
@@ -437,7 +455,7 @@ def _lp_norm_bounds(values: np.ndarray, p: float, grids: Optional[dict] = None) 
     return bounds
 
 
-def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional[dict] = None) -> list:
+def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional[GridBuffer] = None) -> list:
     """``lp_norm`` of each row of a stack of coefficient boxes, as floats.
 
     ``values`` has the batch axis first, then d axes of 2r+1: the box
@@ -447,15 +465,15 @@ def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional
     (``_grid_means``), and each root is taken on a Python float, as a root
     of the array of means can differ in the last bit.  So every row reads
     what ``lp_norm`` gives it alone, bit for bit.  The grid holds all rows
-    of a bandwidth at once: the caller sizes the stack.  ``grids`` holds
-    the grid arrays of a loop over stacks for as long as that loop runs, so
-    that its stacks of one grid shape take the same arrays; without it the
-    call allocates its own, which give the same bits.
+    of a bandwidth at once: the caller sizes the stack.  The grids are cut
+    from ``grids``, the buffer a sweep holds for as long as it runs, so that
+    its stacks map no new pages once the largest has come; without it the
+    call takes a buffer of its own, which gives the same bits.
     """
     if p == 2.0:
         return [float(np.linalg.norm(row.ravel())) for row in values]
     d, R = values.ndim - 1, (values.shape[-1] - 1) // 2
-    grids = {} if grids is None else grids
+    grids = GridBuffer() if grids is None else grids
     widths = [_bandwidth(row) for row in values]
     norms = [0.0] * len(widths)
     for b in sorted(set(widths)):
@@ -467,7 +485,7 @@ def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional
     return norms
 
 
-def _grid_means(values: np.ndarray, p: float, N: int, grids: dict) -> np.ndarray:
+def _grid_means(values: np.ndarray, p: float, N: int, grids: GridBuffer) -> np.ndarray:
     """The mean of |f|^p on the grid of N points per axis for each row of a
     stack of boxes of radius r, 2r + 1 < N, so that no frequency wraps.
 
@@ -476,9 +494,9 @@ def _grid_means(values: np.ndarray, p: float, N: int, grids: dict) -> np.ndarray
     A spectrum is filled by slices: per axis the frequencies 0..r go to the
     first r + 1 grid points and -r..-1 to the last r (the half spectrum has
     no negative frequencies on the last axis).  The arrays (the spectrum,
-    the complex samples, none for a real grid, and |f|^p) are those ``grids``
-    holds for the grid's shapes, or new ones that replace the ones it holds;
-    a real grid holds only the half spectrum and |f|^p, 40% of a complex one.
+    the complex samples, none for a real grid, and |f|^p) are views cut
+    from ``grids``; a real grid takes only the half spectrum and |f|^p, 40%
+    of a complex one's bytes.
     """
     d, r = values.ndim - 1, (values.shape[-1] - 1) // 2
     axes = tuple(range(1, d + 1))
@@ -496,11 +514,7 @@ def _grid_means(values: np.ndarray, p: float, N: int, grids: dict) -> np.ndarray
         half = bool(real[rows[0]])
         shape = (rows.size,) + (N,) * d
         spec_shape = shape[:-1] + (N // 2 + 1,) if half else shape
-        key = (spec_shape, (0,) if half else shape, shape)
-        if key not in grids:
-            grids.clear()  # the last grid's arrays are freed before these are allocated
-            grids[key] = tuple(np.empty(s, t) for s, t in zip(key, (complex, complex, float)))
-        spec, samples, out = grids[key]
+        spec, samples, out = grids.arrays((spec_shape, complex), ((0,) if half else shape, complex), (shape, float))
         spec.fill(0)
         pieces = [((slice(r, 2 * r + 1), slice(0, r + 1)), (slice(0, r), slice(N - r, N)))] * d
         if half:

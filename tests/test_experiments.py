@@ -1,4 +1,5 @@
 import functools
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from translates import cli
+from translates import cli, spectral
 from translates._alias import (
     build_alias_profile,
     default_K_out,
@@ -48,7 +49,7 @@ from translates.experiments import (
     _drawn_bandwidth,
     _random_sources,
 )
-from translates.error_budget import epsilon_p2_md, predicted_rate
+from translates.error_budget import epsilon_general_p, epsilon_p2_md, predicted_rate
 from translates.sequences import (
     CoefficientSequence,
     CustomSequence,
@@ -224,6 +225,24 @@ def test_sequence_parameters_fail_at_their_line(family, key, value, tmp_path, ca
     assert f"key '{key}' in [lambda]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"family": "korobov", "r": "2.0", "truncate": "-1"}, "truncate"),
+    ({"family": "exponential", "s": "1.0", "truncate": "800"}, "truncate"),  # e^800 overflows the table
+    ({"family": "exponent_mask", "s": "0.5", "profile": "log_damped", "c": "0.5"}, "profile"),
+])
+def test_sequence_section_errors_name_their_key(params, key, tmp_path, capsys):
+    # a bad truncation degree printed a bare "truncation degree must be >= 0",
+    # and a rising exponent-type envelope named its section only
+    text = "[lambda]\nfamily = korobov\nr = 1.0\n[beta]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    text += "[sweep]" + BASIC.split("[sweep]")[1]
+    with pytest.raises(ConfigError, match=rf"<text>:{5 + list(params).index(key)}: key '{key}' in \[beta\]: "):
+        SweepConfig.from_raw(parse_config(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    assert f"key '{key}' in [beta]" in capsys.readouterr().err
+
+
 def test_seed_override_must_be_non_negative(tmp_path, capsys):
     # a negative --seed is a config error that names the flag, in both sections
     # and through the CLI, not numpy's bare "expected non-negative integer"
@@ -335,6 +354,104 @@ PROBE_GOLDEN = [
     (DATA / "golden_probe.cfg", DATA / "golden_probe.csv"),
     (CONFIGS / "probe_lower.cfg", DATA / "shipped_probe_lower.csv"),
 ]
+
+
+# a lopsided table (neg is not pos) whose reciprocals rise and fall past |k| = 12,
+# so that a short radius ends inside it and its last window does not telescope
+_LOPSIDED_P3 = CustomSequence(
+    {k: (1.0 + abs(k)) ** (1.5 if k > 0 else 1.2) * (1.0 + 0.5 * (k % 3 == 0)) for k in range(-60, 61)},
+    TailRule("power", rate=1.5, scale=1.0),
+)
+
+
+def _walked_by_hand(lam, beta, m, K):
+    """(delta_lambda, delta_gamma, tail_bound) of the general-p budget at
+    (m, K), each side walked on its own from k = m + 1 to K + 1."""
+    from translates._alias import band_arrays
+    from translates.error_budget import _comb_l1_tail
+    from translates.sequences import two_sided
+
+    def variation(sides, far):
+        total = tail = 0.0
+        for vals in sides:
+            steps = np.diff(vals)
+            total += float(np.sum(np.abs(steps)))
+            tail += float(vals[-1]) if np.all(steps[-31:] <= 0) else far
+        return total, tail
+
+    ks, n = np.arange(m + 1, K + 2), 2 * m + 1
+    a = np.abs(band_arrays(lam, beta, m)[2])
+    pos, neg = two_sided(beta, ks)
+    dl, dl_tail = variation(two_sided(lam, ks), lam.inv_tail(K, 1))
+    gammas = (np.resize(a, ks.size) * pos, np.resize(a[::-1], ks.size) * neg)
+    dg, dg_tail = variation(gammas, float(np.max(a)) * beta.inv_tail(K, 1))
+    if lam.tail_rule().kind == "constant" and lam.tail_rule().radius <= K:
+        dl_tail = 0.0
+    T, rule = max(1, (K - m) // n), beta.tail_rule()
+    ga_tail = float(a[2 * m]) * (_comb_l1_tail(rule, n, m, T) + _comb_l1_tail(rule, n, -m, T))
+    return dl, dg, max(dl_tail, dg_tail + ga_tail)
+
+
+@pytest.mark.parametrize("j_max", [None, 12, 50])
+@pytest.mark.parametrize("source", [
+    "golden_sweep_p3", "golden_sweep_p3_r2", "golden_epsilon_constant", "golden_epsilon_exponent_mask",
+    "golden_epsilon_korobov_slow", "lopsided", "lopsided beta",
+])
+def test_budget_rows_cut_from_one_walk_equal_one_off_budgets(source, j_max):
+    # a p != 2 sweep walks the reciprocals of its m_list once and cuts each row's
+    # budget from that walk: every row is epsilon_general_p of its m alone, bit
+    # for bit, where K_max changes with m (the exponent mask), beta is not lam
+    # (the constant), neg is not pos (the lopsided tables) and j_max is given
+    cfg = SweepConfig.from_raw(load_config(DATA / f"{source if 'lopsided' not in source else 'golden_sweep_p3'}.cfg"))
+    if source == "lopsided":
+        cfg = replace(cfg, lam=_LOPSIDED_P3, beta=_LOPSIDED_P3)
+    elif source == "lopsided beta":
+        cfg = replace(cfg, beta=_LOPSIDED_P3)
+    cfg = replace(cfg, J_max=j_max)
+    for row in epsilon_table(cfg):
+        alone = epsilon_general_p(cfg.lam, cfg.beta, row.m, K_max=j_max)
+        assert repr((row.epsilon, row.epsilon_tail, row.epsilon_variant)) == repr(
+            (alone.value, alone.tail_bound, alone.variant)
+        )
+        # and both are the walk of the row's own k, each side on its own
+        terms = alone.components
+        got = (terms["delta_lambda_term"], terms["delta_gamma_term"], alone.tail_bound)
+        assert repr(got) == repr(_walked_by_hand(cfg.lam, cfg.beta, row.m, alone.truncation_radius))
+    rows = run_sweep(replace(cfg, g_count=1, m_list=cfg.m_list[:3]))
+    assert [(r.epsilon, r.epsilon_tail) for r in rows] == [(r.epsilon, r.epsilon_tail) for r in epsilon_table(cfg)[:3]]
+
+
+def test_a_p3_sweep_cuts_every_grid_from_one_buffer(monkeypatch):
+    # a warm p = 3 sweep makes one grid buffer, and every L_p grid of its rows
+    # (normalisations, bound stacks, class grids, measured sources) is cut from
+    # it: the buffer grows only when a stack needs more than any before, to
+    # that stack's size, so its final size is its largest stack's
+    from translates import experiments
+
+    buffers = []
+
+    class Recording(spectral.GridBuffer):
+        def __init__(self):
+            super().__init__()
+            self.asked, self.sizes = [], []
+            buffers.append(self)
+
+        def arrays(self, *layout):
+            self.asked.append(sum(math.prod(shape) * np.dtype(kind).itemsize for shape, kind in layout))
+            views = super().arrays(*layout)
+            self.sizes.append(self.nbytes)
+            return views
+
+    cfg = SweepConfig.from_raw(load_config(DATA / "golden_sweep_p3.cfg"))
+    rows = run_sweep(cfg)
+    monkeypatch.setattr(experiments, "GridBuffer", Recording)
+    monkeypatch.setattr(spectral, "GridBuffer", Recording)
+    assert run_sweep(cfg) == rows
+    assert len(buffers) == 1
+    grids = buffers[0]
+    assert len(grids.asked) > 3 * len(cfg.m_list)
+    assert grids.sizes == list(itertools.accumulate(grids.asked, max))
+    assert grids.nbytes == max(grids.asked) and len(set(grids.sizes)) < len(grids.sizes) // 4
 
 
 def test_csv_golden_file():

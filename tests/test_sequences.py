@@ -287,6 +287,20 @@ def test_custom_requires_contiguous_table():
         CustomSequence({0: 0.0}, TailRule("power", rate=1.0))
 
 
+def test_custom_and_mask_tables_must_be_finite():
+    # a nan or inf entry was accepted, and a custom table read back nan
+    for bad in (math.nan, math.inf, complex(1.0, math.nan)):
+        with pytest.raises(SequenceError, match="must be finite") as info:
+            CustomSequence({0: 1.0, 1: bad, -1: 0.5}, TailRule("power", rate=1.0))
+        assert info.value.key == "table"
+    for xs, ys in (((0.0, 1.0), (1.0, math.nan)), ((0.0, math.inf), (1.0, 2.0))):
+        with pytest.raises(SequenceError, match="must be finite"):
+            MaskSpec("table", table_x=xs, table_y=ys)
+    # an overflowed value is a non-finite table entry too: a truncation's
+    with pytest.raises(SequenceError, match="must be finite"):
+        truncated(Exponential(1.0), 800)
+
+
 def test_truncated_generator_table():
     t = truncated(Korobov(2.0), 3)
     assert eval_lambda(t, 2) == 4.0

@@ -278,21 +278,28 @@ def test_lp_norm_reused_grid_equals_fresh_arrays(p):
 
 
 def test_stacks_of_one_loop_share_arrays_that_give_the_fresh_bits():
-    # stacks of alternating grid shapes, real and complex rows, on one loop's
-    # grids against each row alone on arrays allocated for it: the loop holds
-    # one grid at a time, and a lone lp_norm holds none once it returns
+    # stacks of alternating grid shapes, real and complex rows, cut from one
+    # buffer against each row alone on arrays allocated for it: the buffer
+    # grows to the largest stack's grid and then holds, and a lone lp_norm
+    # holds none once it returns
     import tracemalloc
 
     rng = np.random.default_rng(33)
     small = [random_real_spectral(1, 40, rng).values for _ in range(3)]
     wide = [random_real_spectral(1, 200, rng).values for _ in range(2)]
     stacks = [small, small[:2], wide, [small[0], small[1] + 1j * small[2]], small, wide[:1]]
-    grids = {}
+    grids, sizes = spectral.GridBuffer(), []
     for p in (1.5, 3.0, 4.0):
         for stack in stacks:
             want = [_lp_norm_fresh_arrays(SpectralFunction(1, (len(v) - 1) // 2, v), p) for v in stack]
             assert spectral._lp_norms(np.stack(stack), p, grids=grids) == want
-            assert len(grids) == 1
+            sizes.append(grids.nbytes)
+
+    def real_grid(rows, bw):  # a half spectrum and |f|^p a row
+        N = _smooth_length(8 * (2 * bw + 1))
+        return rows * (16 * (N // 2 + 1) + 8 * N)
+
+    assert sizes == [real_grid(3, 40)] * 2 + [real_grid(2, 200)] * (len(sizes) - 2)
     f = random_real_spectral(1, 3001, rng)  # a grid shape no other test takes
     N = _smooth_length(8 * 6003)
     tracemalloc.start()
