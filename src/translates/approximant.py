@@ -86,8 +86,8 @@ class ClassElement:
     def dimension(self) -> int:
         return self.g.dimension
 
-    def class_norm(self, oversample: int = 8) -> float:
-        return lp_norm(self.g, self.p, oversample=oversample)
+    def class_norm(self) -> float:
+        return lp_norm(self.g, self.p)
 
     def target_spectral(self) -> SpectralFunction:
         """Coefficients of f on the support box of g."""
@@ -103,11 +103,11 @@ def _inv_box(lam: CoefficientSequence, r: int, d: int) -> np.ndarray:
     return np.asarray(lam.inv_values(index_box(r, d))).reshape((2 * r + 1,) * d)
 
 
-def default_K_gen(beta: CoefficientSequence, m: int, tol: float = 1e-10) -> int:
+def default_K_gen(beta: CoefficientSequence, m: int) -> int:
     """Generator truncation radius for physical-space evaluation.
 
     Univariate power-decay reciprocals use max(50 m, 1000); exponential
-    ones the radius making the l1 tail drop below tol; truncated
+    ones the radius making the l1 tail drop below 1e-10; truncated
     generators the table radius itself.  In d >= 2 dimensions the radius
     is max(50 m, 1000), halved (not below m) until the generator box
     (2K+1)^d fits the node guard.
@@ -122,7 +122,7 @@ def default_K_gen(beta: CoefficientSequence, m: int, tol: float = 1e-10) -> int:
     if rule.kind == "finite":
         return max(rule.radius, m)
     if rule.kind == "exponential":
-        return max(m, rule.radius_for(tol, 1, cap=10**6))
+        return max(m, rule.radius_for(1e-10, 1, cap=10**6))
     return max(50 * m, 1000)
 
 
@@ -428,7 +428,7 @@ def approximation_error(
     beta: CoefficientSequence,
     m: int,
     K_out: Optional[int] = None,
-    oversample: int = 8,
+    oversample: int = spectral.OVERSAMPLE,
     *,
     plan: Optional[ImagePlan] = None,
     grids: Optional[spectral.GridBuffer] = None,
@@ -487,7 +487,7 @@ def _error_stack(lam, plan, sources, image) -> np.ndarray:
 _CLASS_GRID = 2048  # least points per axis of a class grid, unless the full grid has fewer
 
 
-def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=8, grids=None) -> list:
+def _single_frequency_errors(lam, beta, m, k0s, p, K, oversample=spectral.OVERSAMPLE, grids=None) -> list:
     """L_p error, truncated at |k|_inf <= K, of each single frequency e^{i k0.x}
     of a list (k0 in the band), with its norm taken on its residue class.
 

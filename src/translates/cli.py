@@ -8,7 +8,7 @@ Subcommands:
   selftest     run the built-in invariant checks
 
 Shared flags: --config PATH, --seed N (overrides the config seed),
---out PATH (default stdout), --format csv|plot.
+--out PATH (default stdout); sweep and epsilon also take --format csv|plot.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ def _add_common(sub):
     sub.add_argument("--config", required=True, help="config file path")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument(
-        "--format", choices=("csv", "plot"), default="csv", help="output format"
-    )
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("sweep", help="run a convergence sweep"))
-    _add_common(subs.add_parser("epsilon", help="emit the budget table only"))
+    for name, what in (("sweep", "run a convergence sweep"), ("epsilon", "emit the budget table only")):
+        sub = _add_common(subs.add_parser(name, help=what))
+        sub.add_argument("--format", choices=("csv", "plot"), default="csv", help="output format")
     _add_common(subs.add_parser("probe-lower", help="run the lower-bound probe"))
 
     verify = subs.add_parser("verify", help="re-check dominance on an existing CSV")

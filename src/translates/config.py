@@ -37,6 +37,7 @@ from .sequences import (
     SequenceError,
     truncated,
 )
+from .spectral import OVERSAMPLE
 
 __all__ = ["ConfigError", "RawConfig", "parse_config", "load_config", "build_sequence",
            "SweepConfig", "ProbeConfig"]
@@ -259,7 +260,7 @@ class SweepConfig:
         out = cfg.get(sec, "out", default=None)  # read even when overridden: a known key
         g_count = cfg.get(sec, "g_count", default=20, cast=int)
         bw_factor = cfg.get(sec, "g_bandwidth_factor", default=2.0, cast=float)
-        oversample = cfg.get(sec, "oversample", default=8, cast=int)
+        oversample = cfg.get(sec, "oversample", default=OVERSAMPLE, cast=int)
         _require(cfg, sec, (
             ("g_count", g_count, g_count >= 0, ">= 0"),
             ("g_bandwidth_factor", bw_factor, 0.0 < bw_factor < float("inf"), "finite and > 0"),

@@ -36,6 +36,7 @@ from .sequences import (
     ExponentMask,
     Korobov,
     MaskPower,
+    _SHRINK_FACTOR,
     SequenceError,
     TailRule,
     box_inv_tail,
@@ -457,8 +458,8 @@ def _bounded_inv_ratio(beta, lam, radius) -> bool:
     """|beta_k^{-1}| <= c |lam_k^{-1}| witnessed on the probe box |k|_inf <= radius.
 
     The ratio must be finite and must not grow: its max over the outer
-    half of the box stays within 1/0.9 of its max over the inner half,
-    the shrink factor of ``check_nondecreasing_type``.
+    half of the box stays within 1/``_SHRINK_FACTOR`` of its max over the
+    inner half, as a certificate of ``check_nondecreasing_type`` does.
     """
     d = lam.dimension
     ks = index_box(radius, d)
@@ -473,7 +474,7 @@ def _bounded_inv_ratio(beta, lam, radius) -> bool:
     size = np.abs(ks) if d == 1 else np.max(np.abs(ks), axis=1)
     inner = float(np.max(ratio[size <= radius // 2]))
     outer = float(np.max(ratio[size > radius // 2]))
-    return 0.9 * outer <= inner
+    return _SHRINK_FACTOR * outer <= inner
 
 
 def _log_ratio_doubling(lam, beta) -> bool:

@@ -460,7 +460,9 @@ def verify_dominance(rows, slack: float = 1.10) -> tuple:
     """Check empirical_error <= slack * C * epsilon with C fitted at the
     smallest m of each (family, d, p, param) group.
 
-    Accepts SweepRow lists or dict rows from ``read_csv_rows``.
+    Accepts SweepRow lists or dict rows from ``read_csv_rows``.  Rows with
+    no error value (an ``epsilon`` table) compare nothing, so a list in
+    which no row carries one fails.
     """
 
     def get(r, key):
@@ -472,6 +474,7 @@ def verify_dominance(rows, slack: float = 1.10) -> tuple:
         groups.setdefault(key, []).append(r)
     ok = True
     report = []
+    carried = False
     for key, members in groups.items():
         members = sorted(members, key=lambda r: get(r, "m"))
         base = None
@@ -479,6 +482,7 @@ def verify_dominance(rows, slack: float = 1.10) -> tuple:
             err = get(r, "error_parseval")
             if err is None:
                 err = get(r, "error_quadrature")
+            carried = carried or err is not None
             eps = get(r, "epsilon")
             if err is None or eps is None or not math.isfinite(eps) or eps <= 0:
                 continue
@@ -500,6 +504,8 @@ def verify_dominance(rows, slack: float = 1.10) -> tuple:
             report.append(line)
         if base is None:
             report.append(f"group {key}: no usable rows (zero errors or infinite budget)")
+    if not carried:
+        return False, report + ["no row carries an error value: nothing was compared"]
     return ok, report
 
 

@@ -40,20 +40,15 @@ class GrowthFunction:
 
     ``power``:     Psi(t) = max(t, 1)^a
     ``log_power``: Psi(t) = max(t, 1)^a * (1 + log max(t, 1))^b
-    ``table``:     monotone interpolation of (table_x, table_y)
     """
 
     rule: str = "power"
     a: float = 1.0
     b: float = 0.0
-    table_x: Optional[tuple] = None
-    table_y: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.rule not in ("power", "log_power", "table"):
+        if self.rule not in ("power", "log_power"):
             raise ValueError(f"unknown growth rule {self.rule!r}")
-        if self.rule == "table" and (not self.table_x or not self.table_y):
-            raise ValueError("table growth needs table_x and table_y")
         if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
             raise ValueError(f"growth a and b must be finite and >= 0, got a={self.a!r}, b={self.b!r}")
 
@@ -61,17 +56,16 @@ class GrowthFunction:
         t = np.maximum(np.asarray(t, dtype=float), 1.0)
         if self.rule == "power":
             return t**self.a
-        if self.rule == "log_power":
-            return t**self.a * (1.0 + np.log(t)) ** self.b
-        return np.interp(t, self.table_x, self.table_y)
+        return t**self.a * (1.0 + np.log(t)) ** self.b
 
-    def doubling_constant(self, lo: float = 1.0, hi: float = 1e4, num: int = 2001) -> float:
-        t = np.geomspace(lo, hi, num)
+    def doubling_constant(self) -> float:
+        """max Psi(2t) / Psi(t) over 2001 points of [1, 1e4], geometrically spaced."""
+        t = np.geomspace(1.0, 1e4, 2001)
         return float(np.max(self(2 * t) / self(t)))
 
-    def is_nondecreasing(self, lo: float = 0.0, hi: float = 1e4, num: int = 2001) -> bool:
-        t = np.linspace(lo, hi, num)
-        return bool(np.all(np.diff(self(t)) >= -1e-12))
+    def is_nondecreasing(self) -> bool:
+        """Psi sampled at 2001 points of [0, 1e4] never falls."""
+        return bool(np.all(np.diff(self(np.linspace(0.0, 1e4, 2001))) >= -1e-12))
 
 
 def lattice_count(s: int, d: int) -> int:

@@ -238,14 +238,13 @@ class MaskSpec:
         """Profile value used when the mask argument degenerates (k = 0)."""
         return float(self.table_y[0]) if self.profile == "table" else 1.0
 
-    def is_decreasing(self, lo: float = 0.0, hi: float = 50.0, num: int = 2001) -> bool:
-        t = np.linspace(lo, hi, num)
-        v = self.F(t)
+    def is_decreasing(self) -> bool:
+        v = self.F(np.linspace(0.0, 50.0, 2001))
         return bool(np.all(np.diff(v) <= 1e-12))
 
-    def check_bounds(self, lo: float = 1.0, hi: float = 50.0, num: int = 4001):
-        """Sample |F| and |F'| on (lo, hi]; returns (max|F|, max|F'|, ok)."""
-        t = np.linspace(lo, hi, num)
+    def check_bounds(self):
+        """Sample |F| and |F'| at 4001 points of [1, 50]; returns (max|F|, max|F'|, ok)."""
+        t = np.linspace(1.0, 50.0, 4001)
         v = self.F(t)
         h = t[1] - t[0]
         dv = np.gradient(v, h)
@@ -378,9 +377,7 @@ class Korobov(CoefficientSequence):
     def axis_factors(self):
         return (Korobov(self.r),) * self.dimension
 
-    @property
-    def symmetric(self):
-        return True
+    symmetric = True
 
     def tail_rule(self):
         return TailRule("power", rate=self.r, scale=1.0, radius=0, exact=True)
@@ -413,9 +410,7 @@ class Exponential(CoefficientSequence):
     def axis_factors(self):
         return (Exponential(self.s),) * self.dimension
 
-    @property
-    def symmetric(self):
-        return True
+    symmetric = True
 
     def tail_rule(self):
         return TailRule("exponential", rate=self.s, scale=1.0, radius=0, exact=True)
@@ -447,9 +442,7 @@ class MaskPower(CoefficientSequence):
     def _axis_inv_values(self, k):
         return self._mask(k)
 
-    @property
-    def symmetric(self):
-        return True
+    symmetric = True
 
     def tail_rule(self):
         # |F| <= bound_c gives reciprocal bound bound_c * |k|^{-r}
@@ -479,9 +472,7 @@ class ExponentMask(CoefficientSequence):
         a = np.abs(np.asarray(k, dtype=float))
         return np.exp(-self.s * a) * self.envelope.F(a)
 
-    @property
-    def symmetric(self):
-        return True
+    symmetric = True
 
     def tail_rule(self):
         f0 = float(self.envelope.F(0.0))
@@ -512,9 +503,7 @@ class Constant(CoefficientSequence):
         # theta is v on all of Z^d, so only the first axis carries the value
         return (Constant(self.v),) + (Constant(1.0),) * (self.dimension - 1)
 
-    @property
-    def symmetric(self):
-        return True
+    symmetric = True
 
     def tail_rule(self):
         return TailRule("constant", scale=abs(self.v), radius=0)
@@ -775,18 +764,17 @@ def _scan_constant_md(seq, radius):
     return float(ratio[idx]), (tuple(grid[idx[0]]), tuple(grid[idx[1]]))
 
 
-def check_nondecreasing_type(
-    seq: CoefficientSequence,
-    probe_radius: int,
-    shrink_factor: float = 0.9,
-) -> NondecreasingReport:
+_SHRINK_FACTOR = 0.9  # how far a probe's certificate may fall from half its radius to all of it
+
+
+def check_nondecreasing_type(seq: CoefficientSequence, probe_radius: int) -> NondecreasingReport:
     """Finite-range certificate for theta_k >= c theta_l over |k| > |l|.
 
     Exhausts all index pairs within the probe radius (componentwise
     |k_j| >= |l_j| in several dimensions) and reports the largest
     constant witnessed.  Because any finite range of a positive sequence
     admits some c > 0, failure is diagnosed by decay: the certificate at
-    the full radius must not have shrunk below ``shrink_factor`` times
+    the full radius must not have shrunk below ``_SHRINK_FACTOR`` times
     the certificate at half the radius.  This is a probe, not a proof.
     """
     if probe_radius < 2:
@@ -796,5 +784,5 @@ def check_nondecreasing_type(
     c_full, pair = scan(seq, probe_radius)
     if c_full is None or c_half is None:
         return NondecreasingReport(False, None, pair, probe_radius)
-    holds = bool(c_full >= shrink_factor * c_half and c_full > 1e-12)
+    holds = bool(c_full >= _SHRINK_FACTOR * c_half and c_full > 1e-12)
     return NondecreasingReport(holds, float(c_full), None if holds else pair, probe_radius)

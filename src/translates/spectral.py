@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _BOX_GUARD = 5 * 10**7
+OVERSAMPLE = 8  # grid points per coefficient and axis of an L_p quadrature, unless a caller sets its own
 
 
 class SpectralError(ValueError):
@@ -391,7 +392,7 @@ class GridBuffer:
         return [self._bytes[e - n : e].view(kind).reshape(shape) for (shape, kind), n, e in zip(layout, sizes, ends)]
 
 
-def lp_norm(f: SpectralFunction, p: float, oversample: int = 8, *, grids: Optional[GridBuffer] = None) -> float:
+def lp_norm(f: SpectralFunction, p: float, oversample: int = OVERSAMPLE, *, grids: Optional[GridBuffer] = None) -> float:
     """Normalized L_p norm for 1 < p < inf.
 
     p = 2 is the exact coefficient l2 norm; other p use the trapezoidal
@@ -455,7 +456,7 @@ def _lp_norm_bounds(values: np.ndarray, p: float, grids: Optional[GridBuffer] = 
     return bounds
 
 
-def _lp_norms(values: np.ndarray, p: float, oversample: int = 8, grids: Optional[GridBuffer] = None) -> list:
+def _lp_norms(values: np.ndarray, p: float, oversample: int = OVERSAMPLE, grids: Optional[GridBuffer] = None) -> list:
     """``lp_norm`` of each row of a stack of coefficient boxes, as floats.
 
     ``values`` has the batch axis first, then d axes of 2r+1: the box
@@ -555,13 +556,13 @@ def random_real_spectral(
     rng: np.random.Generator,
     *,
     normalize_p: Optional[float] = None,
-    oversample: int = 8,
 ) -> SpectralFunction:
     """Random real-valued function with full support on |k|_inf <= bandwidth.
 
     Coefficients are iid complex Gaussians on a half-space, mirrored to
     satisfy coeff(-k) = conj(coeff(k)).  With ``normalize_p`` the result
-    is scaled to unit L_p norm.  Drawn re, then im, the coefficients are
+    is scaled to unit L_p norm, as ``lp_norm`` measures it on its default
+    grid.  Drawn re, then im, the coefficients are
     0.5 (re + re(-k)) + 0.5 i (im - im(-k)), each part written in place.
     """
     n = 2 * bandwidth + 1
@@ -573,7 +574,7 @@ def random_real_spectral(
     vals *= 0.5
     f = SpectralFunction(dimension, bandwidth, vals, copy=False)
     if normalize_p is not None:
-        nrm = lp_norm(f, normalize_p, oversample=oversample)
+        nrm = lp_norm(f, normalize_p)
         if nrm == 0:
             raise SpectralError("degenerate random draw")
         np.multiply(vals, 1.0 / nrm, out=vals)  # a fresh draw: in place, as f * (1 / nrm) would

@@ -463,6 +463,24 @@ def test_csv_golden_file():
         assert text == csv_path.read_text(), csv_path.name
 
 
+@pytest.mark.parametrize("csv_path", [c for _, c in SWEEP_GOLDEN if "p3" not in c.stem], ids=lambda c: c.stem)
+def test_p2_rows_sit_above_the_n_width(csv_path):
+    # Q_m has rank n = (2m+1)^d, so E_m >= d_n, the linear n-width of the class
+    # ball in L2: the (n+1)-th largest |lam_k^{-1}|.  A row's error is a sampled
+    # max under E_m, so this holds as measured, not proved; the slack covers the
+    # CSV's 12 digits (the Exponential rows at m >= 32 equal the width to them).
+    for r in read_csv_rows(csv_path):
+        n, m, x = r["n_translates"], r["m"], r["param"]
+        if r["d"] == 1:
+            width = (m + 1) ** -x if r["family"] == "korobov" else math.exp(-x * (m + 1))
+        else:  # the Korobov product, from a sorted box
+            assert (r["family"], r["d"]) == ("korobov", 2)
+            axis = np.maximum(np.abs(np.arange(-n, n + 1)), 1.0) ** -x
+            width = np.sort(np.outer(axis, axis), axis=None)[-n - 1]
+            assert width >= (n + 1) ** -x  # every index outside the box is below it
+        assert r["p"] == 2.0 and width <= r["error_parseval"] * (1 + 1e-11), m
+
+
 def test_probe_csv_golden_file():
     for cfg_path, csv_path in PROBE_GOLDEN:
         text = probe_rows_to_csv_text(run_probe(ProbeConfig.from_raw(load_config(cfg_path))))
@@ -841,7 +859,7 @@ def test_random_sources_equal_one_draw_and_norm_each(p, dim, g_count):
     cfg = replace(SweepConfig.from_raw(parse_config(text)), p=p)
     for m in (4, 256) if dim == 1 else (2, 4):
         rng = np.random.default_rng([cfg.seed, m])
-        # random_real_spectral's oversample is the config's, 8
+        # random_real_spectral normalises on lp_norm's default grid, spectral.OVERSAMPLE, the config's
         want = [random_real_spectral(dim, 2 * m, rng, normalize_p=p) for _ in range(g_count)]
         got = _row_sources(cfg, m)
         assert len(got) == g_count
@@ -1241,12 +1259,33 @@ def test_cli_epsilon_and_plot(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("# sweep family=korobov")
 
 
+def test_cli_verify_fails_on_a_table_with_no_error(tmp_path, capsys):
+    # an epsilon table carries no error: verify compares nothing, so it must not pass
+    cfg_path, csv_path = tmp_path / "sweep.cfg", tmp_path / "eps.csv"
+    cfg_path.write_text(BASIC)
+    assert cli.main(["epsilon", "--config", str(cfg_path), "--out", str(csv_path)]) == 0
+    assert cli.main(["verify", str(csv_path)]) == 1
+    out = capsys.readouterr().out
+    assert "no row carries an error value" in out and "dominance check: FAIL" in out
+    # errors of exactly 0 are carried, and 0 <= C eps passes
+    lines = csv_path.read_text().splitlines()
+    col = CSV_COLUMNS.index("error_parseval")
+    zeroed = [",".join(f[:col] + ["0"] + f[col + 1 :]) for f in (line.split(",") for line in lines[1:])]
+    csv_path.write_text("\n".join(lines[:1] + zeroed) + "\n")
+    assert cli.main(["verify", str(csv_path)]) == 0
+    assert "dominance check: PASS" in capsys.readouterr().out
+
+
 def test_cli_probe_lower(tmp_path, capsys):
     cfg_path = tmp_path / "probe.cfg"
     cfg_path.write_text(
         "[lambda]\nfamily = korobov\nr = 1.0\n"
         "[probe]\nn_list = 10\ntrials = 2\nrestarts = 2\nseed = 4\n"
     )
+    with pytest.raises(SystemExit) as exc:  # the probe writes CSV only, so it takes no --format
+        cli.main(["probe-lower", "--config", str(cfg_path), "--format", "plot"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     assert cli.main(["probe-lower", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     header, row = out.strip().split("\n")
