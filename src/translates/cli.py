@@ -14,7 +14,6 @@ Shared flags: --config PATH, --seed N (overrides the config seed),
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -94,17 +93,13 @@ def _cmd_verify(args) -> int:
 
 
 def _selftest_checks():
-    from ._alias import alias_fold, alias_folds, band_arrays
     from .approximant import (
-        ClassElement, ImagePlan, _error_coefficients, approximation_error, assemble_Qm,
-        class_inner_product, kernel_section, spectral_image,
+        ClassElement, approximation_error, assemble_Qm, class_inner_product, kernel_section,
+        spectral_image,
     )
-    from .lower_bound import _restart_nodes, best_translate_fit, default_probe_generator
-    from .lower_bound import design_for_n, sample_F_ns
     from .sequences import Korobov, truncated
     from .spectral import (
-        SpectralFunction, _lp_norms, analyze, evaluate, evaluate_many, lp_norm, lp_norm_bound,
-        random_real_spectral, synthesize,
+        analyze, evaluate, evaluate_many, random_real_spectral, synthesize,
     )
 
     def check_aliasing():
@@ -154,75 +149,12 @@ def _selftest_checks():
         ip = class_inner_product(f, section, lam)
         return abs(ip - evaluate(f, x)) < 1e-9
 
-    def check_error_bound():
-        # lp_norm_bound of an error's coefficients against its full quadrature
-        rng = np.random.default_rng(9)
-        lam, beta, m = Korobov(1.0), Korobov(2.0), 4
-        plan = ImagePlan(lam, beta, m, 64)
-        for p in (1.5, 3.0, 4.0):
-            elem = ClassElement(lam, random_real_spectral(1, 8, rng, normalize_p=p), p)
-            bound = lp_norm_bound(_error_coefficients(elem, beta, m, plan), p)
-            quad = approximation_error(elem, beta, m, plan=plan)
-            if (bound < quad) if p < 4.0 else abs(bound - quad) > 1e-12 * quad:
-                return False
-        return True
-
-    def check_stacked_norms():
-        # a stack of five rows, one of them complex, against lp_norm row by row, bit for bit
-        rng = np.random.default_rng(10)
-        rows = [random_real_spectral(1, 12, rng).values for _ in range(4)]
-        rows.insert(2, rows[0] + 1j * rows[1])
-        stack = np.stack(rows)
-        for p in (1.5, 3.0, 4.0):
-            want = [lp_norm(SpectralFunction(1, 12, v), p) for v in stack]
-            if np.array(_lp_norms(stack, p)).view(np.int64).tolist() != np.array(want).view(np.int64).tolist():
-                return False
-        return True
-
-    def check_alias_fold():
-        # a three-pair walk against each pair's own walk (bit for bit) and the box (1e-12): (5, 333)
-        # sums its 30 rows, (2, 500) and (4, 2^16) take their rows past the head from the series,
-        # and (4, 2^16) is within 4e-15 of the fsum of its terms
-        lam, beta, pairs = Korobov(2.0), Korobov(1.0), [(2, 500), (5, 333), (4, 2**16)]
-        folds = alias_folds(lam, beta, pairs)
-        for (m, K), (fold, tail) in zip(pairs, folds):
-            one, box = alias_fold(lam, beta, m, K), ImagePlan(lam, beta, m, K)
-            sums = np.bincount(box.index[box.outer], np.abs(box.gamma[box.outer]) ** 2)
-            if not (np.array_equal(fold, one[0]) and tail == one[1] and np.allclose(fold, sums, 1e-12, 0)):
-                return False
-        k = 9 * np.arange(1, -(-(2**16 - 4) // 9) + 1)[:, None] + np.arange(-4, 5)  # the last row is partial
-        sq = np.abs(beta.inv_values(k)) ** 2 * (k <= 2**16)  # beta is symmetric: k < 0 gives the same terms
-        want = np.abs(band_arrays(lam, beta, 4)[2]) ** 2 * [math.fsum([*sq[:, c], *sq[:, 8 - c]]) for c in range(9)]
-        return bool(np.all(np.abs(folds[2][0] - want) <= 4e-15 * want))
-
-    def check_translate_fit():
-        lam = Korobov(1.0)
-        psi = default_probe_generator(lam, 64)
-        if best_translate_fit(psi, psi, 3, restarts=2) > 1e-8:
-            return False
-        # a family member against a dense full-spectrum solve at the same nodes;
-        # at seed 2 the jittered restart beats the equispaced one and sets the fit
-        f = sample_F_ns(design_for_n(10, 1, lam), lam, 1, seed=0)[0]
-        fhat = f.padded(psi.radius).values
-        b2 = np.concatenate([fhat.real, fhat.imag])
-        want = np.inf
-        for nodes in _restart_nodes(10, 2, 2):
-            A = psi.values[:, None] * np.exp(-1j * np.outer(psi.axis_indices(), nodes))
-            A2 = np.concatenate([A.real, A.imag])
-            w = np.linalg.lstsq(A2, b2, rcond=None)[0]
-            want = min(want, float(np.linalg.norm(b2 - A2 @ w)))
-        return abs(best_translate_fit(f, psi, 10, restarts=2, seed=2) - want) <= 1e-10 * want
-
     return [
         ("aliasing identity", check_aliasing),
         ("grid round trip", check_roundtrip),
         ("exact reproduction", check_exactness),
         ("cross-path consistency", check_cross_path),
         ("reproducing kernel", check_kernel),
-        ("L_p error bound", check_error_bound),
-        ("stacked L_p norms", check_stacked_norms),
-        ("alias fold", check_alias_fold),
-        ("translate fit", check_translate_fit),
     ]
 
 

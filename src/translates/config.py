@@ -177,8 +177,11 @@ def build_sequence(cfg: RawConfig, section: str) -> CoefficientSequence:
             if dim != 1:
                 raise cfg.error(section, "dim", f"{family} is one-dimensional, got {dim}")
             power = family == "mask_power"
+            profile = cfg.get(section, "profile", default="one")
+            if profile == "table":  # its points are set through the API only
+                raise cfg.error(section, "profile", f"unknown mask profile {profile!r}")
             spec = MaskSpec(
-                profile=cfg.get(section, "profile", default="one"),
+                profile=profile,
                 c=cfg.get(section, "c", default=0.0, cast=float),
                 bound_c=cfg.get(section, "bound_c", default=2.0 if power else 1.0, cast=float),
             )

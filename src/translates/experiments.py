@@ -14,7 +14,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -59,22 +59,6 @@ __all__ = [
     "probe_rows_to_csv_text",
 ]
 
-CSV_COLUMNS = [
-    "family",
-    "d",
-    "p",
-    "param",
-    "m",
-    "n_translates",
-    "error_quadrature",
-    "error_parseval",
-    "epsilon",
-    "epsilon_tail",
-    "epsilon_variant",
-    "predicted",
-    "seconds",
-]
-
 PROBE_COLUMNS = ["n", "m", "s", "omega", "statistic", "envelope_low", "envelope_high", "flag"]
 
 log = logging.getLogger("translates")
@@ -95,6 +79,14 @@ class SweepRow:
     epsilon_variant: str
     predicted: Optional[float]
     seconds: Optional[float]
+
+    @property
+    def error(self) -> Optional[float]:
+        """The row's error: ``error_parseval``, else ``error_quadrature``."""
+        return self.error_quadrature if self.error_parseval is None else self.error_parseval
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def _seq_param(seq) -> Optional[float]:
@@ -431,71 +423,71 @@ def plotdata_text(rows) -> str:
         )
         lines.append("# columns: m error")
     for r in rows:
-        err = r.error_parseval if r.error_parseval is not None else r.error_quadrature
-        if err is None:
-            err = r.epsilon
-        lines.append(f"{r.m} {_fmt(err)}")
+        lines.append(f"{r.m} {_fmt(r.epsilon if r.error is None else r.error)}")
     return "\n".join(lines) + "\n"
 
 
 def read_csv_rows(path) -> list:
-    """Rows of an emitted CSV as dicts with numeric fields parsed."""
+    """The rows of an emitted sweep CSV as ``SweepRow``s.
+
+    Each cell is read by its field's annotation: ``str`` fields as written,
+    ``int`` fields by ``int``, every other field by ``float``, an empty cell
+    as None.  So a row reads back as it was written, to the CSV's 12 digits.
+    """
+    kinds = {f.name: {"str": str, "int": int}.get(f.type, lambda text: float(text) if text else None)
+             for f in fields(SweepRow)}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns {reader.fieldnames}")
         rows = []
         for rec in reader:
-            row = dict(rec)
-            for key in ("p", "param", "error_quadrature", "error_parseval",
-                        "epsilon", "epsilon_tail", "predicted", "seconds"):
-                row[key] = float(rec[key]) if rec[key] not in ("", None) else None
-            for key in ("d", "m", "n_translates"):
-                row[key] = int(rec[key])
-            rows.append(row)
+            if None in rec or None in rec.values():
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
+            rows.append(SweepRow(**{key: kinds[key](text) for key, text in rec.items()}))
         return rows
 
 
 def verify_dominance(rows, slack: float = 1.10) -> tuple:
-    """Check empirical_error <= slack * C * epsilon with C fitted at the
-    smallest m of each (family, d, p, param) group.
+    """Check error <= slack * C * epsilon on ``SweepRow``s, a sweep's or
+    ``read_csv_rows``', with C fitted at the smallest m of each (family, d,
+    p, param) group; a row's error is ``SweepRow.error``.
 
-    Accepts SweepRow lists or dict rows from ``read_csv_rows``.  Rows with
-    no error value (an ``epsilon`` table) compare nothing, so a list in
-    which no row carries one fails.
+    Rows with no error value (an ``epsilon`` table) compare nothing, so a
+    list in which no row carries one fails.  A row whose ``epsilon_tail``
+    is infinite is not compared either: its ``epsilon`` is a partial sum of
+    a divergent series, not a budget.  So a list that carries errors but
+    has no row left to compare fails too.
     """
-
-    def get(r, key):
-        return getattr(r, key) if not isinstance(r, dict) else r[key]
-
     groups: dict = {}
     for r in rows:
-        key = (get(r, "family"), get(r, "d"), get(r, "p"), get(r, "param"))
+        key = (r.family, r.d, r.p, r.param)
         groups.setdefault(key, []).append(r)
     ok = True
     report = []
-    carried = False
+    carried = compared = False
     for key, members in groups.items():
-        members = sorted(members, key=lambda r: get(r, "m"))
+        members = sorted(members, key=lambda r: r.m)
         base = None
         for r in members:
-            err = get(r, "error_parseval")
-            if err is None:
-                err = get(r, "error_quadrature")
+            err, eps = r.error, r.epsilon
             carried = carried or err is not None
-            eps = get(r, "epsilon")
             if err is None or eps is None or not math.isfinite(eps) or eps <= 0:
                 continue
+            if r.epsilon_tail == math.inf:
+                report.append(f"group {key}: m = {r.m}: epsilon_tail is infinite, not compared")
+                continue
+            compared = True
             if base is None:
                 if err > 0:
                     base = err / eps
                     report.append(
-                        f"group {key}: fitted constant C = {base:.6g} at m = {get(r, 'm')}"
+                        f"group {key}: fitted constant C = {base:.6g} at m = {r.m}"
                     )
                 continue
             bound = slack * base * eps
             line = (
-                f"group {key}: m = {get(r, 'm')}: error {err:.6g} "
+                f"group {key}: m = {r.m}: error {err:.6g} "
                 f"vs {slack:g} * C * eps = {bound:.6g}"
             )
             if err > bound:
@@ -506,6 +498,8 @@ def verify_dominance(rows, slack: float = 1.10) -> tuple:
             report.append(f"group {key}: no usable rows (zero errors or infinite budget)")
     if not carried:
         return False, report + ["no row carries an error value: nothing was compared"]
+    if not compared:
+        return False, report + ["no row has a finite budget: nothing was compared"]
     return ok, report
 
 

@@ -256,12 +256,7 @@ class MaskSpec:
 
 def mask_sequence_value(spec: MaskSpec, r: float, k: int) -> float:
     """Mask value (1+|k|)^{-r} F(log|k|); at k = 0 the profile's limit."""
-    _check_parameters(r=r)
-    k = int(k)
-    if k == 0:
-        return spec.left_limit
-    a = abs(k)
-    return float((1.0 + a) ** (-r) * spec.F(math.log(a)))
+    return float(MaskPower(r, spec).inv_values(k))
 
 
 # ---------------------------------------------------------------------------

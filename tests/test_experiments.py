@@ -2,7 +2,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from translates.config import (
 )
 from translates.experiments import (
     CSV_COLUMNS,
+    SweepRow,
     fit_rate,
     read_csv_rows,
     rows_to_csv_text,
@@ -229,18 +230,22 @@ def test_sequence_parameters_fail_at_their_line(family, key, value, tmp_path, ca
     ({"family": "korobov", "r": "2.0", "truncate": "-1"}, "truncate"),
     ({"family": "exponential", "s": "1.0", "truncate": "800"}, "truncate"),  # e^800 overflows the table
     ({"family": "exponent_mask", "s": "0.5", "profile": "log_damped", "c": "0.5"}, "profile"),
+    # a table profile's points are set through the API only
+    ({"family": "exponent_mask", "s": "0.5", "profile": "table"}, "profile"),
+    ({"family": "mask_power", "r": "1.5", "profile": "table"}, "profile"),
 ])
 def test_sequence_section_errors_name_their_key(params, key, tmp_path, capsys):
     # a bad truncation degree printed a bare "truncation degree must be >= 0",
     # and a rising exponent-type envelope named its section only
     text = "[lambda]\nfamily = korobov\nr = 1.0\n[beta]\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
     text += "[sweep]" + BASIC.split("[sweep]")[1]
-    with pytest.raises(ConfigError, match=rf"<text>:{5 + list(params).index(key)}: key '{key}' in \[beta\]: "):
+    line = 5 + list(params).index(key)
+    with pytest.raises(ConfigError, match=rf"<text>:{line}: key '{key}' in \[beta\]: "):
         SweepConfig.from_raw(parse_config(text))
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     assert cli.main(["sweep", "--config", str(path)]) == 2
-    assert f"key '{key}' in [beta]" in capsys.readouterr().err
+    assert f"bad.cfg:{line}: key '{key}' in [beta]" in capsys.readouterr().err
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):
@@ -323,12 +328,16 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert len(lines) == 1 + len(rows)
     path = tmp_path / "out.csv"
     emit_csv(rows, path)
-    back = read_csv_rows(path)
-    assert len(back) == len(rows)
-    for row, rec in zip(rows, back):
-        assert rec["m"] == row.m
-        assert rec["error_parseval"] == pytest.approx(row.error_parseval, rel=1e-11)
-        assert rec["seconds"] is None
+    # the rows read back are the written rows, each float at the CSV's 12 digits
+    at_12_digits = [
+        SweepRow(*(float(format(v, ".12g")) if isinstance(v, float) else v for v in astuple(row)))
+        for row in rows
+    ]
+    assert read_csv_rows(path) == at_12_digits
+    assert all(row.seconds is None for row in at_12_digits)
+    path.write_text(text.rstrip("\n").rsplit(",", 1)[0] + "\n")  # the last row loses a cell
+    with pytest.raises(ValueError, match=r"out.csv:4: expected 13 cells"):
+        read_csv_rows(path)
 
 
 CONFIGS = DATA.parent.parent / "configs"
@@ -470,15 +479,15 @@ def test_p2_rows_sit_above_the_n_width(csv_path):
     # max under E_m, so this holds as measured, not proved; the slack covers the
     # CSV's 12 digits (the Exponential rows at m >= 32 equal the width to them).
     for r in read_csv_rows(csv_path):
-        n, m, x = r["n_translates"], r["m"], r["param"]
-        if r["d"] == 1:
-            width = (m + 1) ** -x if r["family"] == "korobov" else math.exp(-x * (m + 1))
+        n, m, x = r.n_translates, r.m, r.param
+        if r.d == 1:
+            width = (m + 1) ** -x if r.family == "korobov" else math.exp(-x * (m + 1))
         else:  # the Korobov product, from a sorted box
-            assert (r["family"], r["d"]) == ("korobov", 2)
+            assert (r.family, r.d) == ("korobov", 2)
             axis = np.maximum(np.abs(np.arange(-n, n + 1)), 1.0) ** -x
             width = np.sort(np.outer(axis, axis), axis=None)[-n - 1]
             assert width >= (n + 1) ** -x  # every index outside the box is below it
-        assert r["p"] == 2.0 and width <= r["error_parseval"] * (1 + 1e-11), m
+        assert r.p == 2.0 and width <= r.error_parseval * (1 + 1e-11), m
 
 
 def test_probe_csv_golden_file():
@@ -492,7 +501,7 @@ def test_unicode_path(tmp_path):
     rows = epsilon_table(cfg)
     path = tmp_path / "résultats-ε.csv"
     emit_csv(rows, path)
-    assert read_csv_rows(path)[0]["epsilon"] > 0
+    assert read_csv_rows(path)[0].epsilon > 0
 
 
 def test_plotdata_format():
@@ -505,6 +514,13 @@ def test_plotdata_format():
         m, err = line.split()
         assert int(m) == row.m
         assert float(err) == pytest.approx(row.error_parseval, rel=1e-11)
+    # a row prints its error_parseval, else its error_quadrature, else its epsilon
+    p2 = SweepRow("korobov", 1, 2.0, 1.0, 4, 9, 0.25, 0.125, 0.5, 0.0625, "p2_univariate", 0.2, None)
+    p3 = replace(p2, p=3.0, error_parseval=None, epsilon_variant="general_p")
+    head = "# sweep family=korobov d=1 p={} param=1\n# columns: m error\n"
+    assert plotdata_text([p2]) == head.format(2) + "4 0.125\n"
+    assert plotdata_text([p3]) == head.format(3) + "4 0.25\n"
+    assert plotdata_text([replace(p3, error_quadrature=None)]) == head.format(3) + "4 0.5\n"
 
 
 def test_epsilon_table_rows_empty_errors():
@@ -1274,6 +1290,17 @@ def test_cli_verify_fails_on_a_table_with_no_error(tmp_path, capsys):
     csv_path.write_text("\n".join(lines[:1] + zeroed) + "\n")
     assert cli.main(["verify", str(csv_path)]) == 0
     assert "dominance check: PASS" in capsys.readouterr().out
+    # at r = 0.5 every budget is the partial sum of a divergent series (an
+    # infinite epsilon_tail): no row is compared, although m = 2's error
+    # 2.345 lies above its epsilon 2.285
+    cfg_path.write_text(BASIC.replace("r = 2.0", "r = 0.5").replace("2 4 8", "2 4")
+                        .replace("g_count = 5", "g_count = 1").replace("12345", "3"))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(csv_path)]) == 0
+    rows = read_csv_rows(csv_path)
+    assert [r.epsilon_tail for r in rows] == [math.inf] * 2 and rows[0].error_parseval > rows[0].epsilon
+    assert cli.main(["verify", str(csv_path)]) == 1
+    out = capsys.readouterr().out
+    assert "no row has a finite budget: nothing was compared" in out and "dominance check: FAIL" in out
 
 
 def test_cli_probe_lower(tmp_path, capsys):
@@ -1295,8 +1322,12 @@ def test_cli_probe_lower(tmp_path, capsys):
     assert fields[-1].startswith("heuristic")
 
 
-def test_cli_selftest():
+def test_cli_selftest(capsys):
+    # the five checks of what the public API computes, each passing
     assert cli.main(["selftest"]) == 0
+    names = ("aliasing identity", "grid round trip", "exact reproduction", "cross-path consistency",
+             "reproducing kernel")
+    assert capsys.readouterr().out.splitlines() == [f"PASS  {name}" for name in names]
 
 
 def test_cli_bad_config(tmp_path, capsys):
